@@ -76,7 +76,7 @@ fn stats_json(label: &str, s: &BuildStats) -> String {
          \"newton_steps\": {}, \"phase1_solves\": {}, \"certificate_screens\": {}, \
          \"seed_reuses\": {}, \"incremental_screens\": {}, \
          \"rows_pruned\": {}, \"polish_mints\": {}, \"chain_reentries\": {}, \
-         \"batched_cells\": {}, \"amortized_column_s\": {:.5}, \
+         \"amortized_column_s\": {:.5}, \
          \"reduce_s\": {:.4}, \"family_build_s\": {:.4}, \
          \"rows_full\": {}, \"rows_reduced\": {}, \"modal_build_s\": {:.4}, \
          \"total_s\": {:.3}, \"mean_point_s\": {:.4}, \"max_point_s\": {:.4}, \
@@ -92,7 +92,6 @@ fn stats_json(label: &str, s: &BuildStats) -> String {
         s.rows_pruned,
         s.polish_mints,
         s.chain_reentries,
-        s.batched_cells,
         s.amortized_column_s,
         s.reduce_s,
         s.family_build_s,
@@ -800,30 +799,6 @@ fn main() {
         store.table_path("paper_8x10").display()
     );
     let (fine_cold_art, fine_cold) = fine_grid().build_artifact(&ctx).expect("fine cold build");
-    // Batched-vs-scalar A/B on the headline fine-grid cold sweep: the
-    // fused column screens and cached kept-row masks must only move
-    // wall-clock, never the table.
-    let (fine_scalar_art, fine_scalar) = fine_grid()
-        .batched(false)
-        .build_artifact(&ctx)
-        .expect("fine scalar build");
-    assert_eq!(
-        fine_cold_art.table, fine_scalar_art.table,
-        "batched column evaluation must not change the table"
-    );
-    assert_eq!(
-        fine_cold_art.cells, fine_scalar_art.cells,
-        "batched column evaluation must not change the per-cell records"
-    );
-    println!(
-        "  batched vs scalar : {:6.1} s vs {:6.1} s ({:.2}x wall, {} batched cells, \
-         {:.4} s/column amortized)",
-        fine_cold.total_s,
-        fine_scalar.total_s,
-        fine_scalar.total_s / fine_cold.total_s.max(1e-9),
-        fine_cold.batched_cells,
-        fine_cold.amortized_column_s,
-    );
     // Modal-truncation A/B on the same fine grid: the banded reduced
     // constraint set must hold its one-sided conservativeness contract
     // cell by cell while cutting the thermal row count severalfold — the
@@ -983,10 +958,9 @@ fn main() {
         "{{\n  \"bench\": \"tab_solver_runtime\",\n  \"platform\": \"niagara8\",\n  \
          \"grid_rows\": {},\n  \"grid_cols\": {},\n  \"available_cores\": {cores},\n\
          {scenarios_json},\n\
-         {},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n  \
+         {},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n  \
          \"fine_grid_rows\": {},\n  \"fine_grid_cols\": {},\n  \
          \"incremental_identical\": true,\n  \
-         \"batched_identical\": true,\n  \
          \"pruning_cold_saving\": {:.4},\n  \"pruning_warm_saving\": {:.4},\n  \
          \"pruning_cold_wall_ratio\": {wall_ratio:.4},\n  \
          \"family_build_s\": {:.4},\n  \
@@ -1009,7 +983,6 @@ fn main() {
         stats_json("serial_warm", &serial_warm),
         stats_json("parallel_warm", &parallel_warm),
         stats_json("fine_cold", &fine_cold),
-        stats_json("fine_cold_scalar", &fine_scalar),
         stats_json("fine_modal", &fine_modal),
         stats_json("fine_incremental", &fine_inc),
         stats_json("unpruned_cold", &unpruned_cold),

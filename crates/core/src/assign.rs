@@ -28,8 +28,9 @@ pub(crate) const MAX_CERTIFICATES: usize = 6;
 
 /// An MRU pool of infeasibility certificates with a reusable check
 /// workspace — the screening state shared by [`PointSolver`] (the table
-/// sweep), [`crate::OnlineController`] (MPC windows) and the frontier
-/// prober. Certificates enter either freshly minted from a failed phase I
+/// sweep), the MPC bisection behind [`crate::OnlineController`] and
+/// [`crate::LadderController`] (DFS windows) and the frontier prober.
+/// Certificates enter either freshly minted from a failed phase I
 /// ([`CertPool::remember`], capped at [`MAX_CERTIFICATES`]) or inherited
 /// from a persisted prior build ([`CertPool::preload`], never evicted).
 /// Screening hits against inherited certificates are counted separately:
@@ -114,10 +115,8 @@ impl CertPool {
 
     /// `true` when some pooled certificate proves the viewed problem
     /// infeasible; the winner moves to the front (neighbouring cells will
-    /// hit it again). Views come from a built [`Problem`]
-    /// (`prob.view()`) or a family + cell rhs
-    /// ([`ProblemFamily::view_with`]); verdicts are identical by
-    /// construction.
+    /// hit it again). Views come from a family + cell rhs
+    /// ([`ProblemFamily::view_with`]).
     pub(crate) fn screen_view(&mut self, view: ProblemView<'_>) -> bool {
         let ws = &mut self.ws;
         match self
@@ -168,7 +167,7 @@ struct PreparedSeed {
     reentry: bool,
 }
 
-/// Shared warm-seed preparation for the per-cell and family solve paths:
+/// Shared warm-seed preparation for the one-shot and family solve paths:
 /// measures the seed's worst slack against the target cell's own rows and
 /// applies the re-entry blend toward the interior heuristic when the seed
 /// is boundary-degenerate. Pure function of `(view, x0, options)` — the
@@ -498,10 +497,10 @@ impl FrequencyAssignment {
 /// hold the temperature limit at that workload (the paper's "the
 /// optimization notifies an infeasible solution").
 ///
-/// One-shot convenience: allocates a fresh solver per call. The sweep and
-/// controller hot paths hold a [`PointSolver`] (or a
-/// [`protemp_cvx::BarrierSolver`] with [`solve_assignment_with`]) instead,
-/// so the solver scratch and warm starts carry across points.
+/// One-shot convenience: allocates a fresh [`BarrierSolver`] and builds the
+/// point's [`Problem`] per call. The sweep holds a [`PointSolver`] instead,
+/// so the solver scratch, the shared family and warm starts carry across
+/// points.
 ///
 /// # Errors
 ///
@@ -586,21 +585,6 @@ pub fn solve_assignment_with(
     warm: Option<&[f64]>,
 ) -> Result<PointOutcome> {
     let prob = ctx.point_problem(tstart_c, ftarget_hz);
-    let (outcome, _) = solve_built_problem(ctx, solver, &prob, ftarget_hz, warm)?;
-    Ok(outcome)
-}
-
-/// Solves an already-built design-point problem, returning the outcome and
-/// any verified infeasibility certificate phase I produced (so callers that
-/// screen — [`PointSolver`], the frontier probes, the MPC-style
-/// [`crate::OnlineController`] — can inherit it).
-pub(crate) fn solve_built_problem(
-    ctx: &AssignmentContext,
-    solver: &mut BarrierSolver,
-    prob: &Problem,
-    ftarget_hz: f64,
-    warm: Option<&[f64]>,
-) -> Result<(PointOutcome, Option<Certificate>)> {
     let mut reentry = false;
     let sol = match warm {
         Some(x0) => {
@@ -613,7 +597,7 @@ pub(crate) fn solve_built_problem(
                 x0,
             );
             reentry = seed.reentry;
-            solver.solve_warm(prob, &seed.x)?
+            solver.solve_warm(&prob, &seed.x)?
         }
         None => {
             // Cold solves still get a domain-informed seed: it satisfies
@@ -622,15 +606,10 @@ pub(crate) fn solve_built_problem(
             // from the origin instead makes phase I stall on thin frontier
             // cells and misreport them infeasible.
             let x0 = heuristic_start(&ctx.platform, &ctx.cfg, ftarget_hz);
-            solver.solve_seeded(prob, &x0)?
+            solver.solve_seeded(&prob, &x0)?
         }
     };
-    // `sol` is owned here (unlike the family path, which borrows the
-    // solver's reused buffer): take the certificate instead of cloning
-    // its multiplier vectors per infeasible cell.
-    let mut sol = sol;
-    let cert = sol.certificate.take();
-    let outcome = assemble_point_outcome(
+    Ok(assemble_point_outcome(
         ctx,
         sol.status,
         sol.x,
@@ -640,17 +619,11 @@ pub(crate) fn solve_built_problem(
         sol.rows_pruned,
         sol.polished,
         reentry,
-    );
-    let cert = if outcome.solution.is_none() {
-        cert
-    } else {
-        None
-    };
-    Ok((outcome, cert))
+    ))
 }
 
 /// Maps a raw solver solution to a [`PointOutcome`] (frequency/power
-/// extraction for feasible points) — shared by the per-cell and family
+/// extraction for feasible points) — shared by the one-shot and family
 /// solve paths so their assembled assignments cannot drift.
 #[allow(clippy::too_many_arguments)]
 fn assemble_point_outcome(
@@ -779,11 +752,9 @@ impl OffsetsCache {
     }
 }
 
-/// Per-column batched-evaluation state carried by a [`PointSolver`] on the
-/// family path: the fused [`ColumnScreen`] over one grid column's rhs
-/// panel (column-major, one column per cell), the panel coordinates it was
-/// computed for, and any prefetched group-solve outcomes awaiting
-/// consumption.
+/// Per-column batched-evaluation state carried by a [`PointSolver`]: the
+/// fused [`ColumnScreen`] over one grid column's rhs panel (column-major,
+/// one column per cell) and the panel coordinates it was computed for.
 ///
 /// The cached *verdicts* are only consumed while the certificate pool's
 /// epoch still matches `pool_epoch` (same certificates, same check order —
@@ -810,120 +781,56 @@ struct BatchState {
     panel: Vec<f64>,
     /// Scratch for assembling one panel column.
     col: Vec<f64>,
-    /// Prefetched outcomes of a batched phase-I group, front = next cell
-    /// to consume: `(tstart bits, outcome, certificate, solve seconds)`.
-    group: std::collections::VecDeque<(u64, PointOutcome, Option<Certificate>, f64)>,
-    /// Wall-clock seconds of the most recent solve whose outcome was
-    /// consumed from the group (its *own* solve time, not the whole
-    /// group's), so sweeps can report honest per-cell times.
-    last_time: Option<f64>,
 }
 
-/// The solver machinery behind a [`PointSolver`]: the sweep-shared family
-/// path (default — per-cell data only, zero per-cell allocation in the
-/// solver core) or the legacy per-cell path (a fresh [`Problem`] per
-/// point), kept for one-shot callers and the family-vs-per-cell identity
-/// harness. Both produce bit-identical tables.
-#[derive(Debug, Clone)]
-enum Backend {
-    Family {
-        solver: FamilySolver,
-        /// The prepared cell's linear rhs (family row layout).
-        rhs: Vec<f64>,
-        offsets: OffsetsCache,
-    },
-    PerCell {
-        solver: BarrierSolver,
-        /// The prepared cell's fully built problem.
-        prob: Option<Problem>,
-    },
-}
-
-/// A per-worker design-point solver: one [`AssignmentContext`] borrow plus
-/// an owned solver backend whose scratch persists across points, and a
-/// small MRU pool of infeasibility [`Certificate`]s harvested from failed
-/// phase-I runs.
+/// A per-worker design-point solver: one [`AssignmentContext`] borrow, a
+/// [`FamilySolver`] over the context's sweep-shared [`ProblemFamily`]
+/// whose scratch persists across points, and a small MRU pool of
+/// infeasibility [`Certificate`]s harvested from failed phase-I runs.
 ///
-/// By default the solver runs through the context's sweep-shared
-/// [`ProblemFamily`]: [`PointSolver::prepare`] assembles only the cell's
-/// right-hand sides (offsets cached per temperature) and
-/// [`PointSolver::solve_current`] hands them to a [`FamilySolver`] — no
-/// per-cell problem construction, packing, or reduction re-analysis.
-/// [`PointSolver::new_per_cell`] selects the legacy path (a built
-/// [`Problem`] per point); the two produce bit-identical outcomes, which
-/// the family identity tests assert.
+/// [`PointSolver::prepare`] assembles only the cell's right-hand sides
+/// (offsets cached per temperature) and [`PointSolver::solve_current`]
+/// hands them to the family solver — no per-cell problem construction,
+/// packing, or reduction re-analysis. [`PointSolver::screen_column`]
+/// evaluates a whole grid column's certificate verdicts and kept-row
+/// masks in one fused pass, which the per-cell screens and solves then
+/// consume.
 ///
 /// Each table-build worker thread owns one of these and chains warm starts
-/// through it; the MPC-style [`crate::OnlineController`] holds the same
-/// machinery across DFS windows. With screening enabled
-/// ([`PointSolver::set_screening`]), every solve first tries to reject the
-/// point against the inherited certificates — one matvec each — before
-/// paying for phase I; the sweep's feasibility frontier is monotone in
-/// temperature and frequency, so one certificate typically kills every
-/// hotter/faster cell that follows it.
+/// through it. With screening enabled ([`PointSolver::set_screening`]),
+/// every solve first tries to reject the point against the pooled
+/// certificates — one matvec each — before paying for phase I; the sweep's
+/// feasibility frontier is monotone in temperature and frequency, so one
+/// certificate typically kills every hotter/faster cell that follows it.
 #[derive(Debug, Clone)]
 pub struct PointSolver<'a> {
     ctx: &'a AssignmentContext,
-    backend: Backend,
+    solver: FamilySolver,
+    /// The prepared cell's linear rhs (family row layout).
+    rhs: Vec<f64>,
+    offsets: OffsetsCache,
     screening: bool,
     pool: CertPool,
     minted: Option<Certificate>,
-    /// The `(tstart, ftarget)` the backend currently holds prepared data
-    /// for.
+    /// The `(tstart, ftarget)` `rhs` was prepared for.
     prepared: Option<(f64, f64)>,
-    /// Multi-rhs batched column evaluation (family path only; see
-    /// [`PointSolver::set_batching`]).
-    batching: bool,
-    /// Batched phase-I grouping: prefetch a run of same-mask unscreened
-    /// cells through one [`FamilySolver::solve_cells`] call. Only sound
-    /// for cold sweeps (no warm chaining), where every cell in the run
-    /// starts from the same ftarget-determined heuristic seed.
-    grouping: bool,
-    batched_cells: u64,
     batch: BatchState,
 }
 
 impl<'a> PointSolver<'a> {
-    /// Creates a family-backed solver for this context (screening off; the
-    /// table builder turns it on explicitly so one-shot callers keep the
-    /// plain behavior).
+    /// Creates a solver for this context (screening off; the table builder
+    /// turns it on explicitly so one-shot callers keep the plain
+    /// behavior).
     pub fn new(ctx: &'a AssignmentContext) -> Self {
-        let family = Arc::clone(ctx.family());
         PointSolver {
             ctx,
-            backend: Backend::Family {
-                solver: FamilySolver::new(family, ctx.solver_opts),
-                rhs: Vec::new(),
-                offsets: OffsetsCache::default(),
-            },
+            solver: FamilySolver::new(Arc::clone(ctx.family()), ctx.solver_opts),
+            rhs: Vec::new(),
+            offsets: OffsetsCache::default(),
             screening: false,
             pool: CertPool::default(),
             minted: None,
             prepared: None,
-            batching: false,
-            grouping: false,
-            batched_cells: 0,
-            batch: BatchState::default(),
-        }
-    }
-
-    /// Creates a solver on the legacy per-cell path (one built [`Problem`]
-    /// per point). Outcomes are bit-identical to [`PointSolver::new`]; the
-    /// family identity tests build tables through both.
-    pub fn new_per_cell(ctx: &'a AssignmentContext) -> Self {
-        PointSolver {
-            ctx,
-            backend: Backend::PerCell {
-                solver: BarrierSolver::new(ctx.solver_opts),
-                prob: None,
-            },
-            screening: false,
-            pool: CertPool::default(),
-            minted: None,
-            prepared: None,
-            batching: false,
-            grouping: false,
-            batched_cells: 0,
             batch: BatchState::default(),
         }
     }
@@ -934,44 +841,9 @@ impl<'a> PointSolver<'a> {
         self.ctx
     }
 
-    /// `true` when this solver runs through the sweep-shared family.
-    pub fn uses_family(&self) -> bool {
-        matches!(self.backend, Backend::Family { .. })
-    }
-
     /// Enables or disables certificate screening for subsequent solves.
     pub fn set_screening(&mut self, on: bool) {
         self.screening = on;
-    }
-
-    /// Enables multi-rhs batched column evaluation (`batch`) and batched
-    /// phase-I grouping (`group`); both are no-ops on the per-cell
-    /// backend. Grouping is only sound when solves are not warm-chained
-    /// (every cell in a group must start from the same
-    /// ftarget-determined heuristic seed), which is why the table builder
-    /// passes `group = batched && !warm_start`.
-    pub fn set_batching(&mut self, batch: bool, group: bool) {
-        let family = self.uses_family();
-        self.batching = batch && family;
-        self.grouping = batch && group && family;
-    }
-
-    /// Cells screened through batched column screens
-    /// ([`PointSolver::screen_column`]) — a deterministic work counter
-    /// (`batched_cells` in sweep stats): it counts panel columns
-    /// assembled, not wall-clock or hits, so it is identical across
-    /// thread counts.
-    pub fn batched_cells(&self) -> u64 {
-        self.batched_cells
-    }
-
-    /// Wall-clock seconds of the most recent solve whose outcome came out
-    /// of a prefetched batched group (cleared by the take and by
-    /// non-batched solves). The builder substitutes this for its own
-    /// elapsed measurement so the group's first cell is not billed the
-    /// whole group's wall time.
-    pub fn take_last_batched_time(&mut self) -> Option<f64> {
-        self.batch.last_time.take()
     }
 
     /// Runs one fused batched screen over a whole grid column of cells
@@ -983,26 +855,17 @@ impl<'a> PointSolver<'a> {
     /// [`PointSolver::screen_current`] / [`PointSolver::solve_current`]
     /// calls on these cells consume the cached results instead of
     /// re-deriving them per cell; verdict consumption is epoch-gated so
-    /// results stay bit-identical to the scalar path.
-    ///
-    /// No-op unless batching is enabled on the family backend.
+    /// results stay bit-identical to screening each cell on its own.
     pub fn screen_column(&mut self, tstarts_c: &[f64], ftarget_hz: f64) {
         let batch = &mut self.batch;
         batch.valid = false;
-        if !self.batching || tstarts_c.is_empty() {
+        if tstarts_c.is_empty() {
             return;
         }
-        let Backend::Family {
-            solver, offsets, ..
-        } = &mut self.backend
-        else {
-            return;
-        };
         batch.coords.clear();
-        batch.group.clear();
         batch.panel.clear();
         for &t in tstarts_c {
-            let off = offsets.get(self.ctx, t);
+            let off = self.offsets.get(self.ctx, t);
             self.ctx.point_rhs_into(off, ftarget_hz, &mut batch.col);
             batch.panel.extend_from_slice(&batch.col);
             batch.coords.push(t.to_bits());
@@ -1014,7 +877,7 @@ impl<'a> PointSolver<'a> {
         } else {
             Vec::new()
         };
-        solver.screen_cells(
+        self.solver.screen_cells(
             &batch.panel,
             tstarts_c.len(),
             &certs,
@@ -1025,7 +888,6 @@ impl<'a> PointSolver<'a> {
         batch.pool_epoch = self.pool.epoch();
         batch.certs_screened = self.screening;
         batch.valid = true;
-        self.batched_cells += tstarts_c.len() as u64;
     }
 
     /// Panel index of the prepared cell in the current batch, if the
@@ -1051,29 +913,6 @@ impl<'a> PointSolver<'a> {
             .filter(|&c| self.batch.screen.hit(c).is_none())
     }
 
-    /// Pops the prefetched group outcome for the prepared cell, if the
-    /// front of the group queue is exactly that cell.
-    fn take_group_outcome(
-        &mut self,
-        tstart_c: f64,
-        ftarget_hz: f64,
-    ) -> Option<(PointOutcome, Option<Certificate>, f64)> {
-        if !self.batch.valid || self.batch.ftarget_bits != ftarget_hz.to_bits() {
-            return None;
-        }
-        let front_bits = self.batch.group.front().map(|(bits, ..)| *bits);
-        if front_bits == Some(tstart_c.to_bits()) {
-            let (_, outcome, cert, secs) = self.batch.group.pop_front()?;
-            Some((outcome, cert, secs))
-        } else {
-            // A consumption-order mismatch (the sweep skipped a cell)
-            // drops the prefetch; the scalar path re-solves
-            // bit-identically, so grouping never decides correctness.
-            self.batch.group.clear();
-            None
-        }
-    }
-
     /// Number of infeasibility certificates currently held.
     pub fn certificate_count(&self) -> usize {
         self.pool.len()
@@ -1082,20 +921,7 @@ impl<'a> PointSolver<'a> {
     /// Cumulative wall-clock seconds this solver spent inside the per-cell
     /// row-reduction pass (`reduce_s` telemetry).
     pub fn reduce_seconds(&self) -> f64 {
-        match &self.backend {
-            Backend::Family { solver, .. } => solver.reduce_seconds(),
-            Backend::PerCell { solver, .. } => solver.reduce_seconds(),
-        }
-    }
-
-    /// Seconds the one-time shared-structure build took: the
-    /// [`ProblemFamily`] construction (family path) or the row-reduction
-    /// analysis build (per-cell path).
-    pub fn family_build_seconds(&self) -> f64 {
-        match &self.backend {
-            Backend::Family { solver, .. } => solver.family().build_seconds(),
-            Backend::PerCell { solver, .. } => solver.reduce_analysis_seconds(),
-        }
+        self.solver.reduce_seconds()
     }
 
     /// Seeds the screening pool with certificates inherited from a prior
@@ -1119,24 +945,12 @@ impl<'a> PointSolver<'a> {
         self.minted.take()
     }
 
-    /// Prepares the backend for one design point: the family path
-    /// assembles the cell's rhs (offsets cached per temperature), the
-    /// per-cell path builds the full problem. Must precede
-    /// [`PointSolver::screen_current`] / [`PointSolver::solve_current`].
+    /// Prepares one design point: assembles the cell's rhs (offsets cached
+    /// per temperature). Must precede [`PointSolver::screen_current`] /
+    /// [`PointSolver::solve_current`].
     pub fn prepare(&mut self, tstart_c: f64, ftarget_hz: f64) {
-        match &mut self.backend {
-            Backend::Family {
-                rhs,
-                offsets,
-                solver: _,
-            } => {
-                let off = offsets.get(self.ctx, tstart_c);
-                self.ctx.point_rhs_into(off, ftarget_hz, rhs);
-            }
-            Backend::PerCell { prob, .. } => {
-                *prob = Some(self.ctx.point_problem(tstart_c, ftarget_hz));
-            }
-        }
+        let off = self.offsets.get(self.ctx, tstart_c);
+        self.ctx.point_rhs_into(off, ftarget_hz, &mut self.rhs);
         self.prepared = Some((tstart_c, ftarget_hz));
     }
 
@@ -1171,14 +985,8 @@ impl<'a> PointSolver<'a> {
                 };
             }
         }
-        match &self.backend {
-            Backend::Family { solver, rhs, .. } => {
-                self.pool.screen_view(solver.family().view_with(rhs))
-            }
-            Backend::PerCell { prob, .. } => self
-                .pool
-                .screen_view(prob.as_ref().expect("prepared").view()),
-        }
+        self.pool
+            .screen_view(self.solver.family().view_with(&self.rhs))
     }
 
     /// Checks the point against the inherited certificates only (no
@@ -1194,11 +1002,6 @@ impl<'a> PointSolver<'a> {
         }
         self.prepare(tstart_c, ftarget_hz);
         Ok(self.screen_current())
-    }
-
-    fn remember_certificate(&mut self, cert: Certificate) {
-        self.minted = Some(cert.clone());
-        self.pool.remember(cert);
     }
 
     /// Solves one design point; see [`solve_assignment_with`]. With
@@ -1235,8 +1038,7 @@ impl<'a> PointSolver<'a> {
     /// Panics if no point is prepared.
     pub fn solve_current(&mut self, warm: Option<&[f64]>, screen: bool) -> Result<PointOutcome> {
         let (tstart_c, ftarget_hz) = self.prepared.expect("prepare() must precede solving");
-        self.batch.last_time = None;
-        if screen && self.screening && !self.pool.is_empty() && self.screen_current() {
+        if screen && self.screen_current() {
             return Ok(PointOutcome {
                 // A certificate screen is a proof of infeasibility.
                 status: SolveStatus::Infeasible,
@@ -1249,116 +1051,29 @@ impl<'a> PointSolver<'a> {
                 solution: None,
             });
         }
-        // A batched-group prefetch may already hold this cell's outcome;
-        // its certificate (if any) enters the pool only now, at the same
-        // point in the consumption order where the scalar path would mint
-        // it.
-        if let Some((outcome, cert, secs)) = self.take_group_outcome(tstart_c, ftarget_hz) {
-            if let Some(cert) = cert {
-                self.remember_certificate(cert);
-            }
-            self.batch.last_time = Some(secs);
-            return Ok(outcome);
-        }
-        let batch_cell = self.batch_cell_index(tstart_c, ftarget_hz);
-        if warm.is_none() && self.grouping {
-            if let Some(cell) = batch_cell {
-                self.prefetch_group(cell, ftarget_hz)?;
-                if let Some((outcome, cert, secs)) = self.take_group_outcome(tstart_c, ftarget_hz) {
-                    if let Some(cert) = cert {
-                        self.remember_certificate(cert);
-                    }
-                    self.batch.last_time = Some(secs);
-                    return Ok(outcome);
-                }
-            }
-        }
-        let ctx = self.ctx;
-        let batch_screen = &self.batch.screen;
-        let (outcome, cert) = match &mut self.backend {
-            Backend::Family { solver, rhs, .. } => {
-                let batched = batch_cell.map(|c| (batch_screen, c));
-                solve_family_cell(ctx, solver, rhs, ftarget_hz, warm, batched)?
-            }
-            Backend::PerCell { solver, prob } => {
-                let prob = prob.as_ref().expect("prepared");
-                solve_built_problem(ctx, solver, prob, ftarget_hz, warm)?
-            }
-        };
+        let batched = self
+            .batch_cell_index(tstart_c, ftarget_hz)
+            .map(|c| (&self.batch.screen, c));
+        let (outcome, cert) = solve_family_cell(
+            self.ctx,
+            &mut self.solver,
+            &self.rhs,
+            ftarget_hz,
+            warm,
+            batched,
+        )?;
         if let Some(cert) = cert {
-            self.remember_certificate(cert);
+            self.minted = Some(cert.clone());
+            self.pool.remember(cert);
         }
         Ok(outcome)
-    }
-
-    /// Prefetches a batched phase-I group: the maximal run of consecutive
-    /// panel cells starting at `first` that are unscreened and share
-    /// `first`'s kept-row mask is solved through one
-    /// [`FamilySolver::solve_cells`] call (shared heuristic seed, shared
-    /// pre-built augmented factorization, cached masks), and the outcomes
-    /// are queued for consumption in panel order. Runs of length 1 are
-    /// left to the scalar path. Cells after the run's first infeasible
-    /// solve are not solved (the sweep's columns are monotone — the
-    /// scalar path would never reach them either).
-    fn prefetch_group(&mut self, first: usize, ftarget_hz: f64) -> Result<()> {
-        let base = self.batch.screen.kept(first);
-        let mut end = first + 1;
-        while end < self.batch.screen.ncells()
-            && self.batch.screen.hit(end).is_none()
-            && self.batch.screen.kept(end) == base
-        {
-            end += 1;
-        }
-        if end - first < 2 {
-            return Ok(());
-        }
-        let ctx = self.ctx;
-        let Backend::Family { solver, .. } = &mut self.backend else {
-            return Ok(());
-        };
-        let h = heuristic_start(&ctx.platform, &ctx.cfg, ftarget_hz);
-        let BatchState {
-            screen,
-            coords,
-            panel,
-            group,
-            ..
-        } = &mut self.batch;
-        solver.solve_cells(
-            panel,
-            coords.len(),
-            first..end,
-            CellSeed::Seeded(&h),
-            screen,
-            |cell, sol, secs| {
-                let cert = sol.certificate.clone();
-                let outcome = assemble_point_outcome(
-                    ctx,
-                    sol.status,
-                    sol.x.clone(),
-                    sol.objective,
-                    sol.newton_steps,
-                    sol.phase1_steps,
-                    sol.rows_pruned,
-                    sol.polished,
-                    false,
-                );
-                let cert = if outcome.solution.is_none() {
-                    cert
-                } else {
-                    None
-                };
-                group.push_back((coords[cell], outcome, cert, secs));
-            },
-        )?;
-        Ok(())
     }
 }
 
 /// Solves one family cell (given its rhs) with the shared warm-seed
 /// preparation and outcome assembly — the family-path mirror of
-/// [`solve_built_problem`], used by [`PointSolver`] and the MPC-style
-/// [`crate::OnlineController`]. When `batched` carries a [`ColumnScreen`]
+/// [`solve_assignment_with`], used by [`PointSolver`] and the run-time
+/// MPC bisection. When `batched` carries a [`ColumnScreen`]
 /// and the cell's panel index, the solve consumes the screen's cached
 /// kept-row mask instead of re-running row selection — the mask is a pure
 /// function of the cell rhs, so the solve is bit-identical either way.

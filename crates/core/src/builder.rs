@@ -85,18 +85,11 @@ pub struct BuildStats {
     /// (the [`crate::AssignmentContext::family`] construction, row-pair
     /// analysis included); paid once per context, not per sweep.
     pub family_build_s: f64,
-    /// Cells evaluated through the batched multi-rhs column screens
-    /// ([`PointSolver::screen_column`]): each live column's remaining
-    /// cells are screened in one fused pass over a column-major rhs
-    /// panel. A deterministic work counter (panel columns assembled, not
-    /// hits), identical across thread counts; `0` when batching is off
-    /// ([`TableBuilder::batched`]) or on the per-cell backend.
-    pub batched_cells: u64,
     /// Mean wall-clock seconds per *live* column (columns that ran at
     /// least one screen or solve; replayed and dead columns are free and
-    /// excluded) — the amortized cost the batched column pass is meant to
-    /// drive down. Wall-clock telemetry, excluded from bit-identity
-    /// comparisons.
+    /// excluded) — the amortized cost of one batched column pass
+    /// ([`PointSolver::screen_column`]) plus its cell solves. Wall-clock
+    /// telemetry, excluded from bit-identity comparisons.
     pub amortized_column_s: f64,
     /// Thermal constraint rows the full model would carry per design
     /// point (temperature + gradient). Reported whether or not modal
@@ -130,17 +123,22 @@ impl BuildStats {
 /// Phase 1 of Pro-Temp: sweeps the (starting temperature × target
 /// frequency) grid and solves the convex model at every point.
 ///
-/// The grid columns are partitioned across scoped worker threads. Each
-/// worker owns one [`PointSolver`] — so all Newton temporaries live in that
-/// worker's solver scratch for the whole sweep — and walks each of its
-/// columns from the coolest row to the hottest, warm-starting every point
-/// from the previous feasible solution in the same column. Away from the
-/// thermal frontier, the optimum for one target frequency barely moves with
-/// the starting temperature, so these chains re-enter the central path
-/// almost where the neighbour left it (the same mechanism the MPC-style
-/// online controller uses window to window). Warm chains never cross
-/// column boundaries, which makes the result *deterministic*: the table is
-/// identical for any thread count, including the serial build.
+/// Every cell is solved one way: through the context's sweep-shared
+/// [`crate::AssignmentContext::family`], after one fused certificate
+/// screen per column ([`PointSolver::screen_column`]). The grid columns
+/// are partitioned across scoped worker threads. Each worker owns one
+/// [`PointSolver`] — so all Newton temporaries live in that worker's
+/// solver scratch for the whole sweep — and walks each of its columns from
+/// the coolest row to the hottest, warm-starting every point from the
+/// previous feasible solution in the same column. Away from the thermal
+/// frontier, the optimum for one target frequency barely moves with the
+/// starting temperature, so these chains re-enter the central path almost
+/// where the neighbour left it (the same mechanism the MPC controllers use
+/// window to window). Warm chains never cross column boundaries, which
+/// makes the *table* deterministic: it is identical for any thread count,
+/// including the serial build. The per-cell records, minted certificates
+/// and Newton counters are not: each worker pools its own certificates,
+/// so what screens a cell depends on which columns share its worker.
 ///
 /// [`TableBuilder::build_artifact`] additionally returns the per-cell
 /// optimizer points, solve statistics and minted infeasibility
@@ -170,8 +168,6 @@ pub struct TableBuilder {
     threads: usize,
     warm_start: bool,
     certificate_screening: bool,
-    use_family: bool,
-    batched: bool,
 }
 
 impl Default for TableBuilder {
@@ -184,8 +180,6 @@ impl Default for TableBuilder {
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             warm_start: true,
             certificate_screening: true,
-            use_family: true,
-            batched: true,
         }
     }
 }
@@ -204,7 +198,6 @@ struct ChunkStats {
     polish_mints: u64,
     chain_reentries: u64,
     reduce_s: f64,
-    batched_cells: u64,
     /// Wall-clock seconds inside live column passes (screen + solves).
     column_s: f64,
     /// Columns that entered the live phase with work left to do.
@@ -273,33 +266,6 @@ impl TableBuilder {
     /// on or off — only the Newton-step count changes (property-tested).
     pub fn certificate_screening(mut self, on: bool) -> Self {
         self.certificate_screening = on;
-        self
-    }
-
-    /// Selects the solver backend (default: the sweep-shared
-    /// [`crate::AssignmentContext::family`] path, which hoists every
-    /// cell-invariant structure out of the per-cell loop). `false` builds
-    /// through the legacy per-cell path — bit-identical tables, more
-    /// wall-clock; kept for the family identity tests and A/B benches.
-    pub fn use_family(mut self, on: bool) -> Self {
-        self.use_family = on;
-        self
-    }
-
-    /// Enables or disables batched multi-rhs column evaluation (default:
-    /// enabled; family backend only). When on, each live column's
-    /// remaining cells are screened in one fused pass over a column-major
-    /// rhs panel ([`PointSolver::screen_column`]) — certificate verdicts
-    /// and kept-row masks for the whole column at once — and cold sweeps
-    /// additionally group consecutive same-mask cells through one shared
-    /// phase-I entry. Both are bit-identity-preserving (verdicts and
-    /// masks are cached, epoch-gated re-screens, not approximations), so
-    /// tables, records, certificates and all deterministic counters are
-    /// identical with batching on or off — only wall-clock and the
-    /// `batched_cells` telemetry move. Kept toggleable for the batched
-    /// identity tests and A/B benches.
-    pub fn batched(mut self, on: bool) -> Self {
-        self.batched = on;
         self
     }
 
@@ -419,30 +385,16 @@ impl TableBuilder {
         // Build the sweep-shared family before the workers spawn so its
         // one-time cost is visible as `family_build_s` instead of hiding
         // inside one worker's first cell.
-        let family_build_s = if self.use_family {
-            ctx.family().build_seconds()
-        } else {
-            0.0
-        };
-        let use_family = self.use_family;
+        let family_build_s = ctx.family().build_seconds();
         let chunk_outcomes: Vec<ChunkResult> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(col_chunks.len());
             for chunk in &col_chunks {
                 let tstarts = &self.tstarts_c;
                 let warm_start = self.warm_start;
                 let screening = self.certificate_screening;
-                let batched = self.batched;
                 handles.push(scope.spawn(move || {
-                    let mut solver = if use_family {
-                        PointSolver::new(ctx)
-                    } else {
-                        PointSolver::new_per_cell(ctx)
-                    };
+                    let mut solver = PointSolver::new(ctx);
                     solver.set_screening(screening);
-                    // Phase-I grouping shares one heuristic seed across a
-                    // run of cells, which is only the scalar path's seed
-                    // when the sweep is not warm-chaining.
-                    solver.set_batching(batched, batched && !warm_start);
                     // Replay is only sound when the prior chained the same
                     // way this build does (the decisions being replayed
                     // depend on it); screening is sound unconditionally.
@@ -477,7 +429,6 @@ impl TableBuilder {
                     }
                     stats.inherited_screens = solver.inherited_screens();
                     stats.reduce_s = solver.reduce_seconds();
-                    stats.batched_cells = solver.batched_cells();
                     Ok((entries, records, times, minted, stats))
                 }));
             }
@@ -520,7 +471,6 @@ impl TableBuilder {
             totals.polish_mints += stats.polish_mints;
             totals.chain_reentries += stats.chain_reentries;
             totals.reduce_s += stats.reduce_s;
-            totals.batched_cells += stats.batched_cells;
             totals.column_s += stats.column_s;
             totals.live_columns += stats.live_columns;
             certificates.extend(minted);
@@ -586,7 +536,6 @@ impl TableBuilder {
             chain_reentries: totals.chain_reentries,
             reduce_s: totals.reduce_s,
             family_build_s,
-            batched_cells: totals.batched_cells,
             amortized_column_s: totals.column_s / totals.live_columns.max(1) as f64,
             rows_full: ctx.thermal_rows_full(),
             rows_reduced: ctx.thermal_rows_reduced(),
@@ -714,8 +663,7 @@ fn solve_column(
         // One fused batched screen over the whole remaining column: every
         // cell's certificate verdict and kept-row mask from one pass over
         // the column's rhs panel, consumed (epoch-gated, bit-identically)
-        // by the per-cell screens and solves below. No-op when batching
-        // is off.
+        // by the per-cell screens and solves below.
         solver.screen_column(&tstarts[row..], ftarget);
     }
     for &tstart in &tstarts[row..] {
@@ -733,8 +681,7 @@ fn solve_column(
             continue;
         }
         let t0 = Instant::now();
-        // Prepare the cell once (family path: just its rhs vector; legacy
-        // path: the built problem); it serves the pre-hop screen and the
+        // Prepare the cell's rhs once; it serves the pre-hop screen and the
         // final solve.
         solver.prepare(tstart, ftarget);
         // Screen the target against inherited certificates before paying
@@ -814,14 +761,6 @@ fn solve_column(
         }
         let rescreen = !pre_screened || hops_ran;
         let solved = solver.solve_current(carry.as_deref(), rescreen)?;
-        if !solved.screened {
-            // A batched-group outcome reports its own solve seconds (the
-            // group's first cell would otherwise be billed the whole
-            // group's wall time, with its peers recording ~0).
-            times[entries.len()] = solver
-                .take_last_batched_time()
-                .unwrap_or_else(|| t0.elapsed().as_secs_f64());
-        }
         if solved.screened {
             // Killed by a certificate the pre-hop screen didn't have yet:
             // minted by a continuation hop, or inherited from an earlier
@@ -842,6 +781,7 @@ fn solve_column(
             });
             continue;
         }
+        times[entries.len()] = t0.elapsed().as_secs_f64();
         stats.solved_cells += 1;
         if solved.phase1_steps > 0 {
             stats.phase1_solves += 1;

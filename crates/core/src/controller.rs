@@ -1,10 +1,8 @@
-use std::sync::Arc;
-
-use protemp_cvx::{Certificate, FamilySolver};
+use protemp_cvx::Certificate;
 use protemp_sim::{DfsPolicy, Observation, Platform};
 
-use crate::assign::{solve_family_cell, CertPool, OffsetsCache};
-use crate::{AssignmentContext, FrequencyTable, LookupOutcome};
+use crate::ladder::{MpcBisection, MpcOutcome};
+use crate::{AssignmentContext, FrequencyTable, LadderTelemetry, LookupOutcome};
 
 /// Phase 2 of Pro-Temp: the run-time controller (paper Section 3.3).
 ///
@@ -97,17 +95,21 @@ impl DfsPolicy for ProTempController {
 ///
 /// This trades DFS-decision latency (a solve per window) for sharper
 /// assignments; the `online_vs_table` ablation bench quantifies the gap.
-/// Solver failures fall back to shutdown, preserving the guarantee.
+/// Every window that is not served a solved assignment — every probe
+/// certified infeasible, or a solver error — shuts the cores down,
+/// preserving the guarantee.
 ///
-/// The controller owns one [`BarrierSolver`] for its whole lifetime — the
-/// Newton scratch is reused every window — and warm-starts each window's
-/// re-solve from the previous window's optimum (consecutive windows see
-/// nearly the same temperature and demand, the classic MPC warm start).
-/// `warm_solves` counts only windows whose warm start actually carried a
-/// solve to an optimum, and `last_x` is invalidated whenever a window ends
-/// in a solver error or a shutdown, so the next window never warm-starts
-/// from a point solved for a different (possibly repeatedly halved)
-/// target.
+/// Each window runs the same bisection as [`crate::LadderController`]'s
+/// MPC rungs, without the fallback rungs: the controller owns one
+/// [`protemp_cvx::FamilySolver`] over the context's sweep-shared family
+/// for its whole lifetime — the Newton scratch is reused every window —
+/// and warm-starts each window's re-solve from the previous window's
+/// optimum (consecutive windows see nearly the same temperature and
+/// demand, the classic MPC warm start). `warm_solves` counts only windows
+/// whose warm start actually carried a solve to an optimum, and the
+/// carried point is dropped whenever a window is not served, so the next
+/// window never warm-starts from a point solved for a different (possibly
+/// repeatedly halved) target.
 ///
 /// The controller also keeps the same certificate pool the Phase-1 sweep
 /// uses: certificates minted by its own failed phase-I runs — optionally
@@ -117,16 +119,10 @@ impl DfsPolicy for ProTempController {
 /// the bisection falls back to a halved target.
 #[derive(Debug, Clone)]
 pub struct OnlineController {
-    ctx: AssignmentContext,
-    solver: FamilySolver,
-    rhs: Vec<f64>,
-    offsets: OffsetsCache,
-    pool: CertPool,
-    last_x: Option<Vec<f64>>,
-    solves: u64,
-    infeasible: u64,
+    mpc: MpcBisection,
+    /// Windows, probe counts and solver errors.
+    telemetry: LadderTelemetry,
     warm_solves: u64,
-    screened: u64,
 }
 
 impl OnlineController {
@@ -137,18 +133,11 @@ impl OnlineController {
     /// allocates nothing — the structure the family hoisted is exactly
     /// what an MPC re-solve shares with its predecessor.
     pub fn new(ctx: AssignmentContext) -> Self {
-        let solver = FamilySolver::new(Arc::clone(ctx.family()), *ctx.solver_options());
+        let tick_budget = ctx.solver_options().tick_budget;
         OnlineController {
-            ctx,
-            solver,
-            rhs: Vec::new(),
-            offsets: OffsetsCache::default(),
-            pool: CertPool::default(),
-            last_x: None,
-            solves: 0,
-            infeasible: 0,
+            mpc: MpcBisection::new(ctx, tick_budget),
+            telemetry: LadderTelemetry::default(),
             warm_solves: 0,
-            screened: 0,
         }
     }
 
@@ -160,12 +149,13 @@ impl OnlineController {
     /// feasible window — but verified certificates save the pool from
     /// carrying dead weight.
     pub fn preload_certificates(&mut self, certs: impl IntoIterator<Item = Certificate>) {
-        self.pool.preload(certs);
+        self.mpc.pool.preload(certs);
     }
 
-    /// Counter pair `(solves, infeasible)`.
+    /// Counter pair `(solves, infeasible)`: windows solved and bisection
+    /// probes rejected as infeasible (by a solve or a screen).
     pub fn counters(&self) -> (u64, u64) {
-        (self.solves, self.infeasible)
+        (self.telemetry.ticks, self.telemetry.infeasible_probes)
     }
 
     /// Number of window solves that reused the previous window's optimum
@@ -177,12 +167,12 @@ impl OnlineController {
     /// Number of bisection probes rejected by a pooled infeasibility
     /// certificate (one matvec, no phase-I run).
     pub fn screened_windows(&self) -> u64 {
-        self.screened
+        self.telemetry.screened_probes
     }
 
     /// Number of infeasibility certificates currently pooled.
     pub fn certificate_count(&self) -> usize {
-        self.pool.len()
+        self.mpc.pool.len()
     }
 }
 
@@ -192,71 +182,22 @@ impl DfsPolicy for OnlineController {
     }
 
     fn frequencies(&mut self, obs: &Observation, platform: &Platform) -> Vec<f64> {
-        self.solves += 1;
-        // Bisect on the achievable target below the demand: try the demand
-        // first, then halve until feasible (few iterations in practice).
-        let mut target = obs.required_avg_freq_hz.min(platform.fmax_hz);
-        for _ in 0..6 {
-            let off = self.offsets.get(&self.ctx, obs.max_core_temp);
-            self.ctx.point_rhs_into(off, target, &mut self.rhs);
-            // One matvec per pooled certificate before any solve: a
-            // transiently infeasible window dies here instead of running
-            // phase I, and the bisection drops straight to a halved
-            // target.
-            if self
-                .pool
-                .screen_view(self.solver.family().view_with(&self.rhs))
-            {
-                self.screened += 1;
-                self.infeasible += 1;
-                target *= 0.5;
-                if target < platform.fmax_hz * 0.01 {
-                    break;
+        self.telemetry.ticks += 1;
+        let (outcome, _) = self.mpc.run(
+            obs.max_core_temp,
+            obs.required_avg_freq_hz,
+            platform.fmax_hz,
+            &mut self.telemetry,
+        );
+        match outcome {
+            MpcOutcome::Served { freqs_hz, warm, .. } => {
+                if warm {
+                    self.warm_solves += 1;
                 }
-                continue;
+                freqs_hz
             }
-            let warm_attempted = self.last_x.is_some();
-            match solve_family_cell(
-                &self.ctx,
-                &mut self.solver,
-                &self.rhs,
-                target,
-                self.last_x.as_deref(),
-                None,
-            ) {
-                Ok((outcome, cert)) => {
-                    if let Some(cert) = cert {
-                        self.pool.remember(cert);
-                    }
-                    match outcome.solution {
-                        Some(p) => {
-                            // Count the warm start only now that it
-                            // carried a solve to an optimum.
-                            if warm_attempted {
-                                self.warm_solves += 1;
-                            }
-                            self.last_x = Some(p.x);
-                            return p.assignment.freqs_hz;
-                        }
-                        None => {
-                            self.infeasible += 1;
-                            target *= 0.5;
-                            if target < platform.fmax_hz * 0.01 {
-                                break;
-                            }
-                        }
-                    }
-                }
-                Err(_) => {
-                    break;
-                }
-            }
+            MpcOutcome::CertifiedShutdown | MpcOutcome::Degrade => vec![0.0; platform.num_cores()],
         }
-        // Error or shutdown window: the carried optimum no longer matches
-        // what the next window will solve — drop it so the next solve
-        // starts cold instead of from a stale point.
-        self.last_x = None;
-        vec![0.0; platform.num_cores()]
     }
 }
 

@@ -30,6 +30,9 @@
 //! backoff. Per-tick telemetry — rung occupancy, Newton spend, budget
 //! overruns — is exposed through [`LadderTelemetry`] and the simulator's
 //! `DfsPolicy::ladder_level` hook.
+//!
+//! Rungs 0–1 are [`MpcBisection`], which [`crate::OnlineController`]
+//! runs too, without the fallback rungs.
 
 use std::sync::Arc;
 
@@ -37,7 +40,7 @@ use protemp_cvx::{Certificate, FamilySolver, SolveStatus};
 use protemp_sim::{DfsPolicy, Observation, Platform};
 
 use crate::assign::{solve_family_cell, CertPool, OffsetsCache};
-use crate::{AssignmentContext, FrequencyTable, LookupRef, ServedLookup, TableReader};
+use crate::{AssignmentContext, FrequencyTable, LookupRef, ServedLookup, SolvedPoint, TableReader};
 
 /// °C added to the last good reading when a sensor goes non-finite: the
 /// table rung is then keyed by a conservative (hotter) temperature.
@@ -100,15 +103,158 @@ enum TableAnswer {
     Miss,
 }
 
-/// Outcome of the MPC rung's bisection.
-enum MpcOutcome {
-    /// A usable frequency vector, at the given rung (0 or 1).
-    Served(Vec<f64>, LadderRung),
+/// Outcome of one window's MPC bisection.
+pub(crate) enum MpcOutcome {
+    /// A usable frequency vector, at rung 0 or 1.
+    Served {
+        freqs_hz: Vec<f64>,
+        rung: LadderRung,
+        /// The serving solve started from the previous window's point.
+        warm: bool,
+    },
     /// Every probe down to 1% of `f_max` was *certified* infeasible.
     CertifiedShutdown,
-    /// The solver erred or the budget expired undecided: fall down the
-    /// ladder and back off.
+    /// The solver erred or the budget expired undecided.
     Degrade,
+}
+
+/// The per-window MPC solve behind [`LadderController`]'s rungs 0–1 and
+/// [`crate::OnlineController`]: bisect on the achievable target below the
+/// demand — try the demand, halve on every certified-infeasible probe, at
+/// most six probes — through the context's sweep-shared family.
+///
+/// Each probe is first screened against the pooled certificates (one
+/// matvec each; a hit skips phase I), failed phase-I runs add their
+/// certificates to the pool, and the served optimum warm-starts the next
+/// window. Any window that is not served drops the carried point, so the
+/// next window never warm-starts from a point solved for a different
+/// (halved) target. A non-zero `tick_budget` caps the Newton steps of the
+/// whole window: each probe is granted only what the window has left.
+#[derive(Debug, Clone)]
+pub(crate) struct MpcBisection {
+    pub(crate) ctx: AssignmentContext,
+    solver: FamilySolver,
+    rhs: Vec<f64>,
+    offsets: OffsetsCache,
+    pub(crate) pool: CertPool,
+    last_x: Option<Vec<f64>>,
+    tick_budget: usize,
+}
+
+impl MpcBisection {
+    pub(crate) fn new(ctx: AssignmentContext, tick_budget: usize) -> Self {
+        let mut opts = *ctx.solver_options();
+        opts.tick_budget = tick_budget;
+        let solver = FamilySolver::new(Arc::clone(ctx.family()), opts);
+        MpcBisection {
+            ctx,
+            solver,
+            rhs: Vec::new(),
+            offsets: OffsetsCache::default(),
+            pool: CertPool::default(),
+            last_x: None,
+            tick_budget,
+        }
+    }
+
+    pub(crate) fn tick_budget(&self) -> usize {
+        self.tick_budget
+    }
+
+    pub(crate) fn set_tick_budget(&mut self, budget: usize) {
+        self.tick_budget = budget;
+        self.solver.set_tick_budget(budget);
+    }
+
+    /// Runs one window's bisection at the measured temperature `temp_c`,
+    /// counting probes, truncated serves and solver errors into `tel`.
+    /// Returns the outcome and the Newton steps the window spent.
+    pub(crate) fn run(
+        &mut self,
+        temp_c: f64,
+        demand_hz: f64,
+        fmax_hz: f64,
+        tel: &mut LadderTelemetry,
+    ) -> (MpcOutcome, usize) {
+        let mut newton = 0;
+        let mut target = demand_hz.min(fmax_hz);
+        let outcome = 'window: {
+            for _ in 0..6 {
+                if self.tick_budget > 0 {
+                    let remaining = self.tick_budget.saturating_sub(newton);
+                    if remaining == 0 {
+                        break 'window MpcOutcome::Degrade;
+                    }
+                    self.solver.set_tick_budget(remaining);
+                }
+                let off = self.offsets.get(&self.ctx, temp_c);
+                self.ctx.point_rhs_into(off, target, &mut self.rhs);
+                if self
+                    .pool
+                    .screen_view(self.solver.family().view_with(&self.rhs))
+                {
+                    tel.screened_probes += 1;
+                } else {
+                    let warm = self.last_x.is_some();
+                    let Ok((outcome, cert)) = solve_family_cell(
+                        &self.ctx,
+                        &mut self.solver,
+                        &self.rhs,
+                        target,
+                        self.last_x.as_deref(),
+                        None,
+                    ) else {
+                        tel.solver_errors += 1;
+                        break 'window MpcOutcome::Degrade;
+                    };
+                    newton += outcome.newton_steps;
+                    if let Some(cert) = cert {
+                        self.pool.remember(cert);
+                    }
+                    match (outcome.status, outcome.solution) {
+                        // `MaxIterations` is the unbudgeted solver's
+                        // natural termination at some design points (gap
+                        // above tol after the outer cap). Only a deadline
+                        // truncation is rung 1.
+                        (SolveStatus::Optimal | SolveStatus::MaxIterations, Some(p)) => {
+                            break 'window self.serve(p, LadderRung::FullMpc, warm);
+                        }
+                        // A truncated iterate is strictly feasible — every
+                        // thermal and workload constraint holds — just not
+                        // power-optimal. Serve it rather than degrade.
+                        (SolveStatus::Budgeted, Some(p)) => {
+                            tel.truncated_serves += 1;
+                            break 'window self.serve(p, LadderRung::TruncatedSolve, warm);
+                        }
+                        (SolveStatus::Infeasible, _) => {}
+                        // Budgeted with no point: the deadline expired
+                        // before phase I decided anything.
+                        _ => break 'window MpcOutcome::Degrade,
+                    }
+                }
+                tel.infeasible_probes += 1;
+                target *= 0.5;
+                if target < fmax_hz * 0.01 {
+                    break 'window MpcOutcome::CertifiedShutdown;
+                }
+            }
+            MpcOutcome::CertifiedShutdown
+        };
+        if !matches!(outcome, MpcOutcome::Served { .. }) {
+            self.last_x = None;
+        }
+        (outcome, newton)
+    }
+
+    /// Serves `p` at `rung` and carries its point into the next window.
+    fn serve(&mut self, p: SolvedPoint, rung: LadderRung, warm: bool) -> MpcOutcome {
+        self.last_x = Some(p.x);
+        MpcOutcome::Served {
+            freqs_hz: p.assignment.freqs_hz,
+            rung,
+            warm,
+        }
+    }
 }
 
 /// Per-run ladder telemetry counters (all monotone).
@@ -146,16 +292,8 @@ pub struct LadderTelemetry {
 /// may spend across all of its bisection probes.
 #[derive(Debug)]
 pub struct LadderController {
-    ctx: AssignmentContext,
-    solver: FamilySolver,
-    rhs: Vec<f64>,
-    offsets: OffsetsCache,
-    pool: CertPool,
-    last_x: Option<Vec<f64>>,
+    mpc: MpcBisection,
     table: TableSource,
-    tick_budget: usize,
-    /// Newton steps spent inside the current tick.
-    tick_newton: usize,
     /// Integral-rung command, Hz (clamped — the anti-windup).
     integral_cmd_hz: f64,
     /// First window at which the MPC rung may be retried.
@@ -190,22 +328,12 @@ impl LadderController {
     }
 
     fn build(ctx: AssignmentContext, tick_budget: usize, table: TableSource) -> Self {
-        let mut opts = *ctx.solver_options();
-        opts.tick_budget = tick_budget;
-        let solver = FamilySolver::new(Arc::clone(ctx.family()), opts);
         // Before the first reading arrives, assume the worst: a NaN-first
         // run keys the table at the cap and shuts down if nothing covers.
         let last_good_temp_c = ctx.config().tmax_c;
         LadderController {
-            ctx,
-            solver,
-            rhs: Vec::new(),
-            offsets: OffsetsCache::default(),
-            pool: CertPool::default(),
-            last_x: None,
+            mpc: MpcBisection::new(ctx, tick_budget),
             table,
-            tick_budget,
-            tick_newton: 0,
             integral_cmd_hz: 0.0,
             backoff_until_window: 0,
             backoff_len: 0,
@@ -218,18 +346,17 @@ impl LadderController {
 
     /// Seeds the screening pool with certificates from a prior build.
     pub fn preload_certificates(&mut self, certs: impl IntoIterator<Item = Certificate>) {
-        self.pool.preload(certs);
+        self.mpc.pool.preload(certs);
     }
 
     /// Replaces the per-tick Newton budget (0 disables it).
     pub fn set_tick_budget(&mut self, budget: usize) {
-        self.tick_budget = budget;
-        self.solver.set_tick_budget(budget);
+        self.mpc.set_tick_budget(budget);
     }
 
     /// The configured per-tick Newton budget (0 = unlimited).
     pub fn tick_budget(&self) -> usize {
-        self.tick_budget
+        self.mpc.tick_budget()
     }
 
     /// The rung the most recent tick was served from.
@@ -250,92 +377,6 @@ impl LadderController {
         };
         self.backoff_until_window = window + 1 + self.backoff_len;
         self.telemetry.backoffs += 1;
-    }
-
-    /// Rungs 0–1: the budgeted bisection over the convex program.
-    fn mpc_rung(&mut self, obs: &Observation, platform: &Platform) -> MpcOutcome {
-        let mut target = obs.required_avg_freq_hz.min(platform.fmax_hz);
-        for _ in 0..6 {
-            if self.tick_budget > 0 {
-                // Grant each probe only what the tick has left, so the
-                // whole bisection — not just one solve — honors the
-                // deadline.
-                let remaining = self.tick_budget.saturating_sub(self.tick_newton);
-                if remaining == 0 {
-                    return MpcOutcome::Degrade;
-                }
-                self.solver.set_tick_budget(remaining);
-            }
-            let off = self.offsets.get(&self.ctx, obs.max_core_temp);
-            self.ctx.point_rhs_into(off, target, &mut self.rhs);
-            if self
-                .pool
-                .screen_view(self.solver.family().view_with(&self.rhs))
-            {
-                self.telemetry.screened_probes += 1;
-                self.telemetry.infeasible_probes += 1;
-                target *= 0.5;
-                if target < platform.fmax_hz * 0.01 {
-                    return MpcOutcome::CertifiedShutdown;
-                }
-                continue;
-            }
-            match solve_family_cell(
-                &self.ctx,
-                &mut self.solver,
-                &self.rhs,
-                target,
-                self.last_x.as_deref(),
-                None,
-            ) {
-                Ok((outcome, cert)) => {
-                    self.tick_newton += outcome.newton_steps;
-                    if let Some(cert) = cert {
-                        self.pool.remember(cert);
-                    }
-                    match (outcome.status, outcome.solution) {
-                        // `MaxIterations` is the unbudgeted solver's
-                        // natural termination at some design points (gap
-                        // above tol after the outer cap) — the same
-                        // answer `OnlineController` has always served.
-                        // Only a deadline truncation is rung 1.
-                        (SolveStatus::Optimal | SolveStatus::MaxIterations, Some(p)) => {
-                            // A full solve heals the ladder: reset the
-                            // backoff ramp.
-                            self.backoff_len = 0;
-                            self.last_x = Some(p.x);
-                            return MpcOutcome::Served(p.assignment.freqs_hz, LadderRung::FullMpc);
-                        }
-                        // A truncated iterate is strictly feasible — every
-                        // thermal and workload constraint holds — just not
-                        // power-optimal. Serve it rather than degrade.
-                        (SolveStatus::Budgeted, Some(p)) => {
-                            self.telemetry.truncated_serves += 1;
-                            self.last_x = Some(p.x);
-                            return MpcOutcome::Served(
-                                p.assignment.freqs_hz,
-                                LadderRung::TruncatedSolve,
-                            );
-                        }
-                        (SolveStatus::Infeasible, _) => {
-                            self.telemetry.infeasible_probes += 1;
-                            target *= 0.5;
-                            if target < platform.fmax_hz * 0.01 {
-                                return MpcOutcome::CertifiedShutdown;
-                            }
-                        }
-                        // Budgeted with no point: the deadline expired
-                        // before phase I decided anything.
-                        _ => return MpcOutcome::Degrade,
-                    }
-                }
-                Err(_) => {
-                    self.telemetry.solver_errors += 1;
-                    return MpcOutcome::Degrade;
-                }
-            }
-        }
-        MpcOutcome::CertifiedShutdown
     }
 
     /// Rung 2 (falling through to 3/4): certified table lookup.
@@ -392,7 +433,7 @@ impl LadderController {
         platform: &Platform,
     ) -> (Vec<f64>, LadderRung) {
         let n = platform.num_cores();
-        let ceiling_c = self.ctx.config().tmax_c - INTEGRAL_GUARD_C;
+        let ceiling_c = self.mpc.ctx.config().tmax_c - INTEGRAL_GUARD_C;
         // Anything not provably inside the guard band — NaN included —
         // shuts down.
         if !temp_c.is_finite() || temp_c >= ceiling_c {
@@ -420,7 +461,8 @@ impl DfsPolicy for LadderController {
 
     fn frequencies(&mut self, obs: &Observation, platform: &Platform) -> Vec<f64> {
         self.telemetry.ticks += 1;
-        self.tick_newton = 0;
+        // Newton steps spent inside this tick.
+        let mut tick_newton = 0;
         let demand = obs.required_avg_freq_hz.min(platform.fmax_hz);
         let window = obs.window_index;
         let forced = std::mem::take(&mut self.forced_timeout);
@@ -439,16 +481,26 @@ impl DfsPolicy for LadderController {
             } else if window < self.backoff_until_window {
                 self.table_rung(obs.max_core_temp, demand, platform)
             } else {
-                match self.mpc_rung(obs, platform) {
-                    MpcOutcome::Served(f, rung) => (f, rung),
+                let (outcome, newton) = self.mpc.run(
+                    obs.max_core_temp,
+                    obs.required_avg_freq_hz,
+                    platform.fmax_hz,
+                    &mut self.telemetry,
+                );
+                tick_newton = newton;
+                match outcome {
+                    MpcOutcome::Served { freqs_hz, rung, .. } => {
+                        if rung == LadderRung::FullMpc {
+                            // A full solve heals the ladder: reset the
+                            // backoff ramp.
+                            self.backoff_len = 0;
+                        }
+                        (freqs_hz, rung)
+                    }
                     MpcOutcome::CertifiedShutdown => {
-                        // The carried optimum was solved for a different
-                        // (halved) target — drop it.
-                        self.last_x = None;
                         (vec![0.0; platform.num_cores()], LadderRung::Shutdown)
                     }
                     MpcOutcome::Degrade => {
-                        self.last_x = None;
                         self.schedule_backoff(window);
                         self.table_rung(obs.max_core_temp, demand, platform)
                     }
@@ -456,10 +508,11 @@ impl DfsPolicy for LadderController {
             }
         };
 
-        if self.tick_budget > 0 && self.tick_newton > self.tick_budget {
+        let budget = self.mpc.tick_budget();
+        if budget > 0 && tick_newton > budget {
             self.telemetry.budget_overruns += 1;
         }
-        self.telemetry.max_tick_newton = self.telemetry.max_tick_newton.max(self.tick_newton);
+        self.telemetry.max_tick_newton = self.telemetry.max_tick_newton.max(tick_newton);
         self.telemetry.rung_counts[rung as usize] += 1;
         self.last_rung = rung;
         freqs

@@ -10,7 +10,10 @@
 //!   temperatures × target average frequencies, solving the paper's convex
 //!   model (3)–(5) at each point with the [`protemp_cvx`] interior-point
 //!   solver, and stores the per-core frequency vectors in a
-//!   [`FrequencyTable`] (the paper's Figure 3/4).
+//!   [`FrequencyTable`] (the paper's Figure 3/4). Every cell is solved one
+//!   way: a [`PointSolver`] over the context's sweep-shared
+//!   [`AssignmentContext::family`], after one fused certificate screen per
+//!   grid column.
 //! * **Phase 2 (run time)** — [`ProTempController`] implements the
 //!   simulator's [`protemp_sim::DfsPolicy`]: every DFS window it reads the
 //!   maximum core temperature and the required average frequency, and picks
@@ -21,10 +24,12 @@
 //! (the CODES-ISSS'07 primitive the paper builds on), [`frontier`] computes
 //! the uniform-vs-variable feasibility frontiers of Figure 9,
 //! [`OnlineController`] is an MPC-style extension that re-solves the convex
-//! program at run time instead of using the table, and [`TableService`] is
-//! the production serving tier: lock-free multi-resolution lookups over
-//! every stored artifact, refreshed by atomically published snapshots
-//! while a background build refines the grid.
+//! program at run time instead of using the table, [`LadderController`]
+//! runs the same per-window bisection behind a ladder of certified
+//! fallback rungs, and [`TableService`] is the production serving tier:
+//! lock-free multi-resolution lookups over every stored artifact,
+//! refreshed by atomically published snapshots while a background build
+//! refines the grid.
 //!
 //! # Quickstart
 //!

@@ -1485,18 +1485,6 @@ impl BarrierSolver {
         &self.scratch
     }
 
-    /// Cumulative wall-clock seconds spent inside the per-cell row-reduction
-    /// pass (sweep telemetry; the one-time analysis build is reported by
-    /// [`BarrierSolver::reduce_analysis_seconds`]).
-    pub fn reduce_seconds(&self) -> f64 {
-        self.reducer.reduce_seconds()
-    }
-
-    /// Seconds the (last) row-reduction analysis build took.
-    pub fn reduce_analysis_seconds(&self) -> f64 {
-        self.reducer.analysis_build_seconds()
-    }
-
     /// Solves a [`Problem`].
     ///
     /// # Errors

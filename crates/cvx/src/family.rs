@@ -32,8 +32,8 @@
 //! cell's own [`Problem`]. The produced solutions, verdicts and
 //! certificates are therefore bit-identical to
 //! [`crate::BarrierSolver::solve_seeded`]/[`crate::BarrierSolver::solve_warm`]
-//! on the equivalent per-cell problem — the property the Pro-Temp table
-//! identity tests assert end to end.
+//! on the equivalent per-cell problem — the one-shot [`crate::BarrierSolver`]
+//! is the reference this module's tests compare against bit for bit.
 //!
 //! # When a family must be rebuilt
 //!
@@ -700,61 +700,6 @@ impl FamilySolver {
             out.kept_span.push(span);
         }
     }
-
-    /// Batched phase-I/II over a run of cells that share one screen, one
-    /// seed and the family's pre-built augmented factorization: solves
-    /// `cells` in ascending order through the scalar engine, invoking
-    /// `on_cell(cell, solution, seconds)` after each, and stops after the
-    /// first infeasible cell (a sweep column is monotone: everything past
-    /// the first infeasible cell is screened or infeasible too, so the
-    /// group's remaining Newton work would be wasted). Returns how many
-    /// cells were solved.
-    ///
-    /// Each cell's solve is bit-identical to
-    /// [`FamilySolver::solve_cell_screened`] on its rhs column with the
-    /// same seed — grouping shares *inputs* (seed, masks, factorization),
-    /// never intermediate numeric state, so correctness does not depend on
-    /// how the caller groups cells.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FamilySolver::solve_cell`]; the first error
-    /// aborts the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the panel does not cover the family's rows or `cells` is
-    /// out of range for the panel or `screen`.
-    pub fn solve_cells(
-        &mut self,
-        rhs_panel: &[f64],
-        rhs_ncols: usize,
-        cells: std::ops::Range<usize>,
-        seed: CellSeed<'_>,
-        screen: &ColumnScreen,
-        mut on_cell: impl FnMut(usize, &Solution, f64),
-    ) -> Result<usize> {
-        let m = self.family.num_lin_rows();
-        assert_eq!(rhs_panel.len(), m * rhs_ncols, "rhs panel length");
-        assert!(
-            cells.end <= rhs_ncols && cells.end <= screen.ncells,
-            "cell run out of range"
-        );
-        let mut solved = 0usize;
-        for cell in cells {
-            let rhs = &rhs_panel[cell * m..(cell + 1) * m];
-            let t0 = Instant::now();
-            self.solve_cell_impl(rhs, None, seed, Some(screen.kept(cell)))?;
-            let secs = t0.elapsed().as_secs_f64();
-            solved += 1;
-            let infeasible = self.out.status == SolveStatus::Infeasible;
-            on_cell(cell, &self.out, secs);
-            if infeasible {
-                break;
-            }
-        }
-        Ok(solved)
-    }
 }
 
 /// Caller-owned scratch and results for [`FamilySolver::screen_cells`]:
@@ -1335,45 +1280,6 @@ mod tests {
             assert_eq!(screen.hit(i), None);
             let scalar_kept = reducer.select_rhs(rhs).map(<[usize]>::to_vec);
             assert_eq!(screen.kept(i), scalar_kept.as_deref(), "cell {i}");
-        }
-    }
-
-    #[test]
-    fn solve_cells_matches_scalar_loop_and_stops_at_infeasible() {
-        let opts = SolverOptions::default();
-        let family = Arc::new(ProblemFamily::new(prototype(), &opts).unwrap());
-        let (cells, panel) = mixed_panel();
-        let seed = vec![0.5, 0.5, 0.5, 0.5];
-
-        let mut batched = FamilySolver::new(Arc::clone(&family), opts);
-        let mut screen = ColumnScreen::new();
-        batched.screen_cells(&panel, cells.len(), &[], 0, &mut screen);
-        let mut got: Vec<(usize, SolveStatus, Vec<f64>, usize)> = Vec::new();
-        let solved = batched
-            .solve_cells(
-                &panel,
-                cells.len(),
-                0..cells.len(),
-                CellSeed::Seeded(&seed),
-                &screen,
-                |cell, sol, secs| {
-                    assert!(secs >= 0.0);
-                    got.push((cell, sol.status, sol.x.clone(), sol.newton_steps));
-                },
-            )
-            .unwrap();
-        // The run stops right after the infeasible cell at index 2.
-        assert_eq!(solved, 3, "stops after the first infeasible cell");
-        assert_eq!(got.len(), 3);
-
-        let mut scalar = FamilySolver::new(Arc::clone(&family), opts);
-        for (cell, status, x, newton) in &got {
-            let sol = scalar
-                .solve_cell(&cells[*cell], CellSeed::Seeded(&seed))
-                .unwrap();
-            assert_eq!(*status, sol.status, "cell {cell}");
-            assert_eq!(*x, sol.x, "cell {cell} bit-identical x");
-            assert_eq!(*newton, sol.newton_steps, "cell {cell}");
         }
     }
 

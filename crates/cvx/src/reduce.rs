@@ -369,11 +369,6 @@ impl RowReducer {
         self.reduce_s
     }
 
-    /// Seconds the (last) analysis build took, 0.0 before any build.
-    pub(crate) fn analysis_build_seconds(&self) -> f64 {
-        self.analysis.as_ref().map_or(0.0, |a| a.build_s)
-    }
-
     /// Selects the surviving linear rows for `rhs` (the cell's right-hand
     /// sides over the analyzed coefficient rows). Returns the ascending
     /// kept indices, or `None` when nothing can be pruned (the common

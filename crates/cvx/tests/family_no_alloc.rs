@@ -4,10 +4,12 @@
 //! seed), everything else was hoisted into the family at construction.
 //!
 //! Own integration-test binary (not part of `no_alloc.rs`): each test file
-//! is a separate process, so the global counting allocator sees only this
-//! test's traffic.
+//! is a separate process, and the counting allocator counts only the
+//! thread inside [`allocs_during`], so this file's other test, running
+//! concurrently on its own thread, cannot pollute the counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -18,9 +20,21 @@ struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread inside [`allocs_during`]; const-initialized, so
+    /// reading it from the allocator never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_alloc() {
+    if COUNTING.with(Cell::get) {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -68,9 +82,12 @@ fn rhs_for(sum_bound: f64) -> Vec<f64> {
     rhs
 }
 
+/// Allocations `f` makes on the calling thread.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
     let result = f();
+    COUNTING.with(|c| c.set(false));
     (ALLOC_CALLS.load(Ordering::Relaxed) - before, result)
 }
 
