@@ -2,6 +2,7 @@
 # Tier-1 verification pipeline. Everything here must pass before merging:
 #
 #   ./ci.sh          # fmt + clippy + release build + full test suite
+#                    # + the benchmark's own tests and a smoke run
 #   ./ci.sh quick    # skip the release build (debug tests only)
 #
 # The workspace builds fully offline: crates.io dependencies are replaced by
@@ -197,6 +198,27 @@ assert data["cap_violations_under_faults"] == 0, data["cap_violations_under_faul
 assert data["ladder_occupancy"][0] > 0.5, data["ladder_occupancy"]
 assert data["fault_recovery_ticks_p99"] >= 0
 print("published bench JSON: serving-tier and fault-campaign telemetry ok")
+EOF
+
+# The benchmark (perfbench/) is a workspace of its own that builds against
+# crates/* as path dependencies, so nothing above compiles it. Build and
+# test it here, then smoke-run the simulator-bound workload for one second:
+# an API change in crates/* that breaks the benchmark, or a loop that stops
+# passing its own output checks, fails CI instead of the next benchmark run.
+# Only correctness is asserted; the smoke run's timings are not.
+echo "==> perfbench: cargo test + table_loop_3d smoke run"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+smoke="$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload table_loop_3d --seconds 1 | tail -n 1)"
+python3 - "$smoke" <<'EOF'
+import json
+import sys
+result = json.loads(sys.argv[1])
+assert result["correct"] is True, result
+assert result["failed"] == 0, result
+assert result["attempted"] > 0, result
+print(f"perfbench smoke: table_loop_3d correct, "
+      f"{result['attempted']} operations, 0 failed")
 EOF
 
 echo "ci.sh: all green"

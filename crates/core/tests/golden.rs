@@ -8,15 +8,22 @@
 //!   fingerprints, so persisted artifacts stay valid;
 //! * `OnlineController` and `LadderController` serve the same frequency
 //!   bits and counters over a fixed window sequence that crosses
-//!   certified-infeasible, screened and warm-chained windows.
+//!   certified-infeasible, screened and warm-chained windows;
+//! * closed-loop `run_simulation` reports with a recorded trajectory stay
+//!   bit-identical for the table controller on `stacked3d`, the integral
+//!   baseline on `biglittle8` and the MPC ladder on `niagara8`.
 
 use std::path::PathBuf;
 
 use protemp::{
     AssignmentContext, ControlConfig, LadderController, LadderTelemetry, OnlineController,
-    TableBuilder, TableStore,
+    ProTempController, TableBuilder, TableStore,
 };
-use protemp_sim::{DfsPolicy, Observation, Platform};
+use protemp_sim::{
+    run_simulation, DfsPolicy, FirstIdle, IntegralController, Observation, Platform, SimConfig,
+    SimReport,
+};
+use protemp_workload::{ArrivalPattern, BenchmarkProfile, Trace, TraceGenerator};
 
 fn repo_results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -196,5 +203,136 @@ fn controllers_reproduce_pinned_window_outputs() {
             max_tick_newton: 8,
             budget_overruns: 0,
         }
+    );
+}
+
+/// FNV-1a digest of a report's `Debug` rendering, which prints every
+/// `f64` in shortest round-trip form: equal digests mean bit-equal
+/// reports, recorded trajectory included.
+fn report_digest(report: &SimReport) -> u64 {
+    let mut digest = Fnv::new();
+    digest.add(format!("{report:?}").as_bytes());
+    digest.0
+}
+
+/// The closed-loop set-up the scenario A/B and the benchmark loops use:
+/// a 70 °C start, the controller's limit, and a recorded trajectory.
+fn traced_sim_config(max_duration_s: f64) -> SimConfig {
+    SimConfig {
+        t_init_c: 70.0,
+        tmax_c: ControlConfig::default().tmax_c,
+        max_duration_s,
+        record_trace: true,
+        ..SimConfig::default()
+    }
+}
+
+/// The scenario A/B's bursty-but-sustainable mix: compute segments that
+/// saturate demand alternating with light segments that drain it.
+fn scenario_mix(duration_s: f64, cores: usize) -> Trace {
+    let light = BenchmarkProfile {
+        name: "light".to_string(),
+        min_work_us: 1_000,
+        max_work_us: 3_000,
+        load: 0.15,
+        pattern: ArrivalPattern::Poisson,
+    };
+    TraceGenerator::new(0xDA7E_2008 + 7).generate_mix(
+        &[
+            BenchmarkProfile::compute_intensive(),
+            light.clone(),
+            BenchmarkProfile::web_serving(),
+            light,
+            BenchmarkProfile::multimedia(),
+        ],
+        5.0,
+        duration_s,
+        cores,
+    )
+}
+
+#[test]
+fn table_controller_on_stacked3d_reproduces_pinned_report() {
+    let platform = Platform::stacked3d();
+    let ctx = default_ctx(&platform);
+    let (table, _) = TableBuilder::new()
+        .tstarts(vec![60.0, 70.0, 75.0, 80.0, 85.0, 90.0, 95.0, 100.0])
+        .ftargets(
+            (1..=6)
+                .map(|i| 0.15 * f64::from(i) * platform.fmax_hz)
+                .collect(),
+        )
+        .threads(1)
+        .build(&ctx)
+        .expect("stacked3d grid builds");
+    let trace = scenario_mix(200.0, platform.num_cores());
+    let mut policy = ProTempController::new(table);
+    let report = run_simulation(
+        &platform,
+        &trace,
+        &mut policy,
+        &mut FirstIdle,
+        &traced_sim_config(200.0),
+    )
+    .expect("stacked3d run");
+    assert_eq!(report.windows, 2000);
+    assert_eq!(
+        report_digest(&report),
+        0xa7b3_25c3_58d5_0053,
+        "stacked3d report digest"
+    );
+}
+
+#[test]
+fn integral_baseline_on_biglittle8_reproduces_pinned_report() {
+    let platform = Platform::biglittle8();
+    let trace = scenario_mix(40.0, platform.num_cores());
+    let mut policy = IntegralController::for_limit(ControlConfig::default().tmax_c);
+    let report = run_simulation(
+        &platform,
+        &trace,
+        &mut policy,
+        &mut FirstIdle,
+        &traced_sim_config(40.0),
+    )
+    .expect("biglittle8 run");
+    assert_eq!(report.windows, 400);
+    assert_eq!(
+        report_digest(&report),
+        0x812e_f46e_aec8_91e2,
+        "biglittle8 report digest"
+    );
+}
+
+#[test]
+fn ladder_on_niagara8_reproduces_pinned_report() {
+    let platform = Platform::niagara8();
+    // The paper's Fig. 6(a) mix: web, multimedia and compute segments.
+    let trace = TraceGenerator::new(0xDA7E_2008).generate_mix(
+        &[
+            BenchmarkProfile::web_serving(),
+            BenchmarkProfile::multimedia(),
+            BenchmarkProfile::compute_intensive(),
+        ],
+        5.0,
+        4.0,
+        platform.num_cores(),
+    );
+    // The MPC windows build their offsets through `AffineReach::offsets`
+    // from the sensed temperature, so this run also pins that propagation.
+    let mut policy = LadderController::new(default_ctx(&platform), 2000);
+    let report = run_simulation(
+        &platform,
+        &trace,
+        &mut policy,
+        &mut FirstIdle,
+        &traced_sim_config(4.0),
+    )
+    .expect("niagara8 run");
+    assert_eq!(report.windows, 40);
+    assert_eq!(
+        report_digest(&report),
+        0x159a_bc32_eaa4_0d38,
+        "niagara8 report digest"
     );
 }

@@ -67,6 +67,15 @@ impl Default for SimConfig {
 impl SimConfig {
     /// Validates the configuration.
     ///
+    /// Besides consistent periods this rejects every setting that would
+    /// complete with a silently wrong report: a non-finite initial
+    /// temperature or limit (every `t > tmax` comparison is then false), a
+    /// sensor noise that is not a finite non-negative deviation, and, with
+    /// `record_trace` on, a sampling period that is not a positive multiple
+    /// of `dt_us` (the trajectory would be sampled only at common
+    /// multiples). A finite initial state is also what the thermal step's
+    /// exactness rests on (see `DiscreteModel::step_into`).
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::BadConfig`] when fields are inconsistent.
@@ -97,6 +106,34 @@ impl SimConfig {
         if !(0.0..=1.0).contains(&self.min_active_ratio) {
             return Err(SimError::BadConfig {
                 reason: "min_active_ratio must be in [0, 1]".to_string(),
+            });
+        }
+        if !self.t_init_c.is_finite() {
+            return Err(SimError::BadConfig {
+                reason: format!("t_init_c must be finite, got {}", self.t_init_c),
+            });
+        }
+        if !self.tmax_c.is_finite() {
+            return Err(SimError::BadConfig {
+                reason: format!("tmax_c must be finite, got {}", self.tmax_c),
+            });
+        }
+        if !(self.sensor_noise_sd.is_finite() && self.sensor_noise_sd >= 0.0) {
+            return Err(SimError::BadConfig {
+                reason: format!(
+                    "sensor_noise_sd must be finite and non-negative, got {}",
+                    self.sensor_noise_sd
+                ),
+            });
+        }
+        if self.record_trace
+            && (self.trace_sample_us == 0 || !self.trace_sample_us.is_multiple_of(self.dt_us))
+        {
+            return Err(SimError::BadConfig {
+                reason: format!(
+                    "trace_sample_us ({}) must be a positive multiple of dt_us ({})",
+                    self.trace_sample_us, self.dt_us
+                ),
             });
         }
         Ok(())
@@ -238,15 +275,21 @@ pub fn run_simulation_with_faults(
     let mut clamped_power_samples = 0u64;
 
     let mut now_us: u64 = 0;
+    // Buffers sized once per run, so a thermal step allocates nothing.
     let mut block_powers = vec![0.0; platform.num_blocks()];
+    let mut dispatch_temps = vec![0.0; n_cores];
+    let mut idle: Vec<usize> = Vec::with_capacity(n_cores);
 
     loop {
         // --- DFS decision at window boundaries (including t = 0).
         if now_us.is_multiple_of(window_us) {
-            let temps = thermal.core_temps();
-            let mut sensed: Vec<f64> = temps
+            let state = thermal.state();
+            let mut sensed: Vec<f64> = thermal
+                .network()
+                .core_nodes()
                 .iter()
-                .map(|&t| {
+                .map(|&node| {
+                    let t = state[node];
                     if cfg.sensor_noise_sd > 0.0 {
                         t + gaussian(&mut rng) * cfg.sensor_noise_sd
                     } else {
@@ -366,21 +409,29 @@ pub fn run_simulation_with_faults(
 
         // --- Dispatch queued tasks to available cores.
         if !queue.is_empty() {
-            let temps = thermal.core_temps();
+            let state = thermal.state();
+            for (t, &node) in dispatch_temps
+                .iter_mut()
+                .zip(thermal.network().core_nodes())
+            {
+                *t = state[node];
+            }
             loop {
                 if queue.is_empty() {
                     break;
                 }
-                let idle: Vec<usize> = cores
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.running.is_none() && c.freq_hz > 0.0)
-                    .map(|(i, _)| i)
-                    .collect();
+                idle.clear();
+                idle.extend(
+                    cores
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, c)| c.running.is_none() && c.freq_hz > 0.0)
+                        .map(|(i, _)| i),
+                );
                 if idle.is_empty() {
                     break;
                 }
-                let pick = assign.pick(&idle, &temps);
+                let pick = assign.pick(&idle, &dispatch_temps);
                 let task = queue.pop_front().expect("queue non-empty");
                 waiting_samples.push((now_us.saturating_sub(task.arrival_us)) as f64);
                 let work = task.work_us as f64;
@@ -435,11 +486,13 @@ pub fn run_simulation_with_faults(
         thermal.step(&block_powers)?;
 
         // --- Metrics.
-        let temps = thermal.core_temps();
+        let state = thermal.state();
+        let core_nodes = thermal.network().core_nodes();
         let mut tmax_now = f64::MIN;
         let mut tmin_now = f64::MAX;
-        for (i, &t) in temps.iter().enumerate() {
-            bands_per_core[i].record(t, dt_s);
+        for (bands, &node) in bands_per_core.iter_mut().zip(core_nodes) {
+            let t = state[node];
+            bands.record(t, dt_s);
             if t > cfg.tmax_c {
                 violation_time += dt_s;
             }
@@ -448,7 +501,7 @@ pub fn run_simulation_with_faults(
             tmin_now = tmin_now.min(t);
         }
         for &(node, cap) in &node_caps {
-            if thermal.state()[node] > cap {
+            if state[node] > cap {
                 cap_violation_time += dt_s;
             }
             total_cap_time += dt_s;
@@ -465,7 +518,7 @@ pub fn run_simulation_with_faults(
         if cfg.record_trace && now_us.is_multiple_of(cfg.trace_sample_us) {
             trace_out.push(TimePoint {
                 time_s: now_us as f64 / 1e6,
-                core_temps: temps.clone(),
+                core_temps: core_nodes.iter().map(|&node| state[node]).collect(),
                 core_freqs: cores.iter().map(|c| c.freq_hz).collect(),
             });
         }
@@ -665,6 +718,89 @@ mod tests {
         let trace = quick_trace(6, 0.5);
         let e = run_simulation(&platform, &trace, &mut NoTc, &mut FirstIdle, &cfg);
         assert!(matches!(e, Err(SimError::BadConfig { .. })));
+    }
+
+    /// `cfg` must fail validation, and a run with it must fail before
+    /// simulating anything.
+    fn assert_rejected(cfg: SimConfig) {
+        assert!(
+            matches!(cfg.validate(), Err(SimError::BadConfig { .. })),
+            "{cfg:?} validated"
+        );
+        let trace = quick_trace(6, 0.5);
+        let e = run_simulation(
+            &Platform::niagara8(),
+            &trace,
+            &mut NoTc,
+            &mut FirstIdle,
+            &cfg,
+        );
+        assert!(matches!(e, Err(SimError::BadConfig { .. })));
+    }
+
+    #[test]
+    fn non_finite_initial_temperature_rejected() {
+        for t_init_c in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_rejected(SimConfig {
+                t_init_c,
+                ..SimConfig::default()
+            });
+        }
+    }
+
+    #[test]
+    fn non_finite_limit_rejected() {
+        for tmax_c in [f64::NAN, f64::INFINITY] {
+            assert_rejected(SimConfig {
+                tmax_c,
+                ..SimConfig::default()
+            });
+        }
+    }
+
+    #[test]
+    fn nan_or_negative_sensor_noise_rejected() {
+        for sensor_noise_sd in [f64::NAN, -0.5, f64::INFINITY] {
+            assert_rejected(SimConfig {
+                sensor_noise_sd,
+                ..SimConfig::default()
+            });
+        }
+    }
+
+    #[test]
+    fn zero_trace_sample_period_rejected_when_recording() {
+        let cfg = SimConfig {
+            record_trace: true,
+            trace_sample_us: 0,
+            ..SimConfig::default()
+        };
+        assert_rejected(cfg);
+        // The period is unused, and so not checked, when nothing is recorded.
+        SimConfig {
+            record_trace: false,
+            ..cfg
+        }
+        .validate()
+        .unwrap();
+    }
+
+    #[test]
+    fn trace_sample_period_off_the_step_grid_rejected() {
+        // 10,100 µs is not a multiple of the 400 µs step: the run would
+        // sample only at their common multiples, every 40.4 ms.
+        assert_rejected(SimConfig {
+            record_trace: true,
+            trace_sample_us: 10_100,
+            ..SimConfig::default()
+        });
+        SimConfig {
+            record_trace: true,
+            trace_sample_us: 10_000,
+            ..SimConfig::default()
+        }
+        .validate()
+        .unwrap();
     }
 
     #[test]

@@ -83,6 +83,7 @@ pub(crate) fn symmetrized_system(net: &RcNetwork) -> Matrix {
 pub struct DiscreteModel {
     a: Matrix,
     b: Matrix,
+    kernel: StepKernel,
     dt: f64,
     method: IntegrationMethod,
     num_nodes: usize,
@@ -140,6 +141,7 @@ impl DiscreteModel {
             }
         };
         Ok(DiscreteModel {
+            kernel: StepKernel::new(&a, &b),
             a,
             b,
             dt,
@@ -179,23 +181,126 @@ impl DiscreteModel {
     ///
     /// Panics if `t` or `u` have the wrong length.
     pub fn step(&self, t: &[f64], u: &[f64]) -> Vec<f64> {
-        let mut next = self.a.matvec(t);
-        let bu = self.b.matvec(u);
-        for (n, b) in next.iter_mut().zip(&bu) {
-            *n += b;
-        }
+        let mut next = vec![0.0; self.num_nodes];
+        self.step_into(t, u, &mut next);
         next
+    }
+
+    /// Writes one step, `A_d·t + B_d·u`, into `out` without allocating.
+    ///
+    /// The nonzeros of each row of `A_d` and `B_d` are collected once, at
+    /// construction, and a row sums only those, in column order from
+    /// `+0.0`. Forward Euler's `A_d = I − dt·C⁻¹G` has the network's
+    /// sparsity and its `B_d = dt·C⁻¹` is diagonal; the dense integrators
+    /// simply have full rows. [`DiscreteModel::step`],
+    /// [`DiscreteModel::simulate`], [`crate::ThermalSim::step`] and
+    /// [`crate::AffineReach::offsets`] all run this one kernel.
+    ///
+    /// **Exactness.** For finite `t` and `u` the result is bit-identical to
+    /// the dense products `A_d·t` and `B_d·u` folded as `acc += a·x` over
+    /// every column from `acc = +0.0`. A skipped product `a·x` with
+    /// `a = ±0.0` is itself `±0.0`; an accumulator that starts at `+0.0`
+    /// never becomes `−0.0` (a sum of two floats is `−0.0` only when both
+    /// are); and adding `±0.0` to any other value leaves it unchanged. A
+    /// non-finite `x` breaks this (`0·∞` is NaN), which is why the
+    /// simulator validates its initial temperature and zeroes non-finite
+    /// powers before they reach the step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t`, `u` or `out` have the wrong length.
+    pub fn step_into(&self, t: &[f64], u: &[f64], out: &mut [f64]) {
+        self.kernel.step_into(t, u, out);
     }
 
     /// Simulates `steps` steps under constant input, returning the final
     /// state.
     pub fn simulate(&self, t0: &[f64], u: &[f64], steps: usize) -> Vec<f64> {
         let mut t = t0.to_vec();
+        let mut next = vec![0.0; t.len()];
         for _ in 0..steps {
-            t = self.step(&t, u);
+            self.step_into(&t, u, &mut next);
+            std::mem::swap(&mut t, &mut next);
         }
         t
     }
+
+    /// The nonzero-only step, shared with [`crate::AffineReach`].
+    pub(crate) fn kernel(&self) -> &StepKernel {
+        &self.kernel
+    }
+}
+
+/// The nonzeros of `A_d` and `B_d`, row by row in column order, built once
+/// per model: the kernel of [`DiscreteModel::step_into`].
+#[derive(Debug, Clone)]
+pub(crate) struct StepKernel {
+    a: RowNonzeros,
+    b: RowNonzeros,
+}
+
+impl StepKernel {
+    fn new(a: &Matrix, b: &Matrix) -> Self {
+        StepKernel {
+            a: RowNonzeros::new(a),
+            b: RowNonzeros::new(b),
+        }
+    }
+
+    /// Writes `A_d·t + B_d·u` into `out`.
+    pub(crate) fn step_into(&self, t: &[f64], u: &[f64], out: &mut [f64]) {
+        let n = self.a.num_rows();
+        assert_eq!(t.len(), n, "state length mismatch");
+        assert_eq!(u.len(), n, "input length mismatch");
+        assert_eq!(out.len(), n, "output length mismatch");
+        for ((o, a_row), b_row) in out.iter_mut().zip(self.a.rows()).zip(self.b.rows()) {
+            *o = dot(a_row, t) + dot(b_row, u);
+        }
+    }
+}
+
+/// One matrix's nonzeros, `(column, value)` per entry, row after row.
+#[derive(Debug, Clone)]
+struct RowNonzeros {
+    /// Row `r` is `entries[start[r]..start[r + 1]]`.
+    start: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+}
+
+impl RowNonzeros {
+    fn new(m: &Matrix) -> Self {
+        let mut start = Vec::with_capacity(m.rows() + 1);
+        let mut entries = Vec::new();
+        start.push(0);
+        for r in 0..m.rows() {
+            entries.extend(
+                m.row(r)
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != 0.0)
+                    .map(|(c, &v)| (c, v)),
+            );
+            start.push(entries.len());
+        }
+        RowNonzeros { start, entries }
+    }
+
+    fn num_rows(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &[(usize, f64)]> {
+        self.start.windows(2).map(|w| &self.entries[w[0]..w[1]])
+    }
+}
+
+/// A row's product with `x`, summed in column order from `+0.0`.
+fn dot(row: &[(usize, f64)], x: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for &(c, v) in row {
+        acc += v * x[c];
+    }
+    acc
 }
 
 #[cfg(test)]

@@ -352,6 +352,22 @@ impl RcNetwork {
     /// Returns [`ThermalError::DimensionMismatch`] if the slice length is not
     /// the number of blocks.
     pub fn input_vector(&self, block_powers: &[f64]) -> Result<Vec<f64>> {
+        let mut u = vec![0.0; self.num_nodes()];
+        self.input_into(block_powers, &mut u)?;
+        Ok(u)
+    }
+
+    /// [`RcNetwork::input_vector`] written into `u` without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ThermalError::DimensionMismatch`] if `block_powers` does
+    /// not have one entry per block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` does not have one entry per node.
+    pub(crate) fn input_into(&self, block_powers: &[f64], u: &mut [f64]) -> Result<()> {
         if block_powers.len() != self.n_blocks {
             return Err(ThermalError::DimensionMismatch {
                 what: "block power vector",
@@ -359,14 +375,14 @@ impl RcNetwork {
                 actual: block_powers.len(),
             });
         }
-        let mut u = vec![0.0; self.num_nodes()];
-        for (i, p) in block_powers.iter().enumerate() {
-            u[i] = *p;
-        }
+        assert_eq!(u.len(), self.num_nodes(), "input vector length mismatch");
+        let (blocks, rest) = u.split_at_mut(self.n_blocks);
+        blocks.copy_from_slice(block_powers);
+        rest.fill(0.0);
         for (ui, ga) in u.iter_mut().zip(&self.g_amb) {
             *ui += ga * self.ambient_c;
         }
-        Ok(u)
+        Ok(())
     }
 
     /// Per-block power vector with every core at `core_power` W and uncore

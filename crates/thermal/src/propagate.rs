@@ -1,5 +1,6 @@
 use protemp_linalg::Matrix;
 
+use crate::discrete::StepKernel;
 use crate::modal::ModalModel;
 use crate::{DiscreteModel, RcNetwork, Result, ThermalError};
 
@@ -42,10 +43,10 @@ pub struct AffineReach {
     h: Vec<Matrix>,
     /// Watched node indices (silicon core nodes by default).
     watch: Vec<usize>,
-    /// State propagation matrix (copied from the model).
-    a: Matrix,
-    /// `B·u_fixed` contribution per step.
-    bu_fixed: Vec<f64>,
+    /// The model's nonzero-only step, which propagates the offsets.
+    kernel: StepKernel,
+    /// Nodal input at zero core power: uncore power plus ambient.
+    u_fixed: Vec<f64>,
     /// Number of steps `m`.
     steps: usize,
 }
@@ -94,7 +95,6 @@ impl AffineReach {
 
         // Fixed input: uncore power only (cores contribute through p).
         let u_fixed = net.input_vector(net.uncore_power())?;
-        let bu_fixed = model.b().matvec(&u_fixed);
 
         // Column j of B_s: response of the input matrix to 1 W on core j.
         let mut bs = Matrix::zeros(n, nc);
@@ -106,12 +106,11 @@ impl AffineReach {
 
         // Propagate the full-state sensitivity F_k (n × nc):
         // F_1 = B_s ; F_{k+1} = A·F_k + B_s.
-        let a = model.a().clone();
         let mut f = bs.clone();
         let mut h = Vec::with_capacity(steps);
         h.push(f.select_rows(&watch));
         for _ in 1..steps {
-            let mut next = a.matmul(&f)?;
+            let mut next = model.a().matmul(&f)?;
             next.axpy(1.0, &bs)?;
             h.push(next.select_rows(&watch));
             f = next;
@@ -120,8 +119,8 @@ impl AffineReach {
         Ok(AffineReach {
             h,
             watch,
-            a,
-            bu_fixed,
+            kernel: model.kernel().clone(),
+            u_fixed,
             steps,
         })
     }
@@ -134,8 +133,8 @@ impl AffineReach {
     /// a truncated basis it yields the approximate trajectories whose error
     /// the [`crate::modal::ModalReach`] cushions bound.
     ///
-    /// The offset propagation (`A`, `B·u_fixed`) stays exact — truncation
-    /// only ever touches the power-sensitivity rows.
+    /// The offset propagation (the model's step from `u_fixed`) stays
+    /// exact — truncation only ever touches the power-sensitivity rows.
     ///
     /// # Errors
     ///
@@ -157,8 +156,6 @@ impl AffineReach {
         }
         let watch = net.core_nodes().to_vec();
         let u_fixed = net.input_vector(net.uncore_power())?;
-        let bu_fixed = model.b().matvec(&u_fixed);
-        let a = model.a().clone();
 
         let kept = modal.kept();
         let mu = &modal.mu()[..kept];
@@ -183,8 +180,8 @@ impl AffineReach {
         Ok(AffineReach {
             h,
             watch,
-            a,
-            bu_fixed,
+            kernel: model.kernel().clone(),
+            u_fixed,
             steps,
         })
     }
@@ -205,22 +202,21 @@ impl AffineReach {
     }
 
     /// Computes the zero-core-power offset trajectories `o_k(t0)` for the
-    /// watched nodes, one vector per step `k = 1..=m`.
+    /// watched nodes, one vector per step `k = 1..=m`, by stepping the
+    /// model from `t0` under the fixed input.
     ///
     /// # Panics
     ///
     /// Panics if `t0` has the wrong length.
     pub fn offsets(&self, t0: &[f64]) -> Vec<Vec<f64>> {
-        assert_eq!(t0.len(), self.a.rows(), "t0 length mismatch");
+        assert_eq!(t0.len(), self.u_fixed.len(), "t0 length mismatch");
         let mut state = t0.to_vec();
+        let mut next = vec![0.0; state.len()];
         let mut out = Vec::with_capacity(self.steps);
         for _ in 0..self.steps {
-            let mut next = self.a.matvec(&state);
-            for (n, b) in next.iter_mut().zip(&self.bu_fixed) {
-                *n += b;
-            }
+            self.kernel.step_into(&state, &self.u_fixed, &mut next);
             out.push(self.watch.iter().map(|&w| next[w]).collect());
-            state = next;
+            std::mem::swap(&mut state, &mut next);
         }
         out
     }

@@ -4,7 +4,8 @@ use crate::{DiscreteModel, IntegrationMethod, RcNetwork, Result};
 /// the current temperature state.
 ///
 /// The multi-core simulator drives one `ThermalSim` per run, feeding it
-/// per-block power values every time step.
+/// per-block power values every time step. A step allocates nothing: the
+/// nodal input and the next state live in buffers sized at construction.
 ///
 /// # Example
 ///
@@ -24,6 +25,10 @@ pub struct ThermalSim {
     net: RcNetwork,
     model: DiscreteModel,
     state: Vec<f64>,
+    /// Nodal input vector, rebuilt in place every step.
+    input: Vec<f64>,
+    /// Next-state buffer, swapped with `state` after every step.
+    next: Vec<f64>,
     time_s: f64,
 }
 
@@ -41,22 +46,26 @@ impl ThermalSim {
     ) -> Result<Self> {
         let net = RcNetwork::from_floorplan(fp, cfg);
         let model = DiscreteModel::new(&net, dt, IntegrationMethod::ForwardEuler)?;
-        let state = net.uniform_state(net.ambient_c());
-        Ok(ThermalSim {
-            net,
-            model,
-            state,
-            time_s: 0.0,
-        })
+        let initial = net.uniform_state(net.ambient_c());
+        Ok(ThermalSim::from_parts(net, model, initial))
     }
 
     /// Creates a simulation from pre-built parts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model or `initial` does not match the network's node
+    /// count.
     pub fn from_parts(net: RcNetwork, model: DiscreteModel, initial: Vec<f64>) -> Self {
-        assert_eq!(initial.len(), net.num_nodes(), "initial state length");
+        let n = net.num_nodes();
+        assert_eq!(model.num_nodes(), n, "model node count");
+        assert_eq!(initial.len(), n, "initial state length");
         ThermalSim {
             net,
             model,
             state: initial,
+            input: vec![0.0; n],
+            next: vec![0.0; n],
             time_s: 0.0,
         }
     }
@@ -93,8 +102,10 @@ impl ThermalSim {
     ///
     /// Returns a dimension error if `block_powers` has the wrong length.
     pub fn step(&mut self, block_powers: &[f64]) -> Result<()> {
-        let u = self.net.input_vector(block_powers)?;
-        self.state = self.model.step(&self.state, &u);
+        self.net.input_into(block_powers, &mut self.input)?;
+        self.model
+            .step_into(&self.state, &self.input, &mut self.next);
+        std::mem::swap(&mut self.state, &mut self.next);
         self.time_s += self.model.dt();
         Ok(())
     }
