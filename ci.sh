@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification pipeline. Everything here must pass before merging:
 #
-#   ./ci.sh          # fmt + clippy + release build + full test suite
-#                    # + the benchmark's own tests and a smoke run
+#   ./ci.sh          # fmt + clippy + rustdoc + release build + full test
+#                    # suite + the benchmark's own tests and a smoke run
 #   ./ci.sh quick    # skip the release build (debug tests only)
 #
 # The workspace builds fully offline: crates.io dependencies are replaced by
@@ -17,6 +17,10 @@ cargo fmt --all --check
 
 echo "==> cargo clippy --workspace --all-targets -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Broken or private intra-doc links fail the build like any other warning.
+echo "==> cargo doc --workspace --no-deps (rustdoc -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 if [[ "$quick" != "quick" ]]; then
     echo "==> cargo build --release"

@@ -1,5 +1,5 @@
 //! **Figure 11** — effect of a thermal-aware task-assignment policy
-//! (Coskun et al. [26], reproduced as coolest-first).
+//! (Coskun et al. \[26\], reproduced as coolest-first).
 //!
 //! The paper makes two claims, which we evaluate on the workloads where
 //! each mechanism is active:

@@ -1,8 +1,8 @@
 use std::sync::{Arc, OnceLock};
 
 use protemp_cvx::{
-    BarrierSolver, CellSeed, CertScratch, Certificate, ColumnScreen, FamilySolver, Problem,
-    ProblemFamily, ProblemView, SolveStatus, SolverOptions,
+    CellSeed, CertScratch, Certificate, ColumnScreen, FamilySolver, Problem, ProblemFamily,
+    ProblemView, Solution, SolveStatus, SolverOptions,
 };
 use protemp_sim::Platform;
 use protemp_thermal::{
@@ -381,9 +381,10 @@ impl AssignmentContext {
         self.reach.offsets(&self.net.uniform_state(tstart_c))
     }
 
-    /// Builds the convex program for one design point (the same problem
-    /// [`solve_assignment`] solves); exposed so feasibility screens and
-    /// probes can construct it without solving.
+    /// Builds the convex program for one design point as a standalone
+    /// [`Problem`] — the cell [`solve_assignment`] solves through the
+    /// family, assembled independently of it, so certificate checks can
+    /// run against it without trusting the family's storage.
     pub fn point_problem(&self, tstart_c: f64, ftarget_hz: f64) -> Problem {
         let offsets = self.offsets_for(tstart_c);
         match &self.modal {
@@ -399,14 +400,17 @@ impl AssignmentContext {
     /// its coefficients, boxes, quadratic couplings, equalities and
     /// objective — only the linear rhs vary (see
     /// [`AssignmentContext::point_rhs_into`]). Workers clone the `Arc` and
-    /// solve through per-worker [`FamilySolver`]s; solves are
-    /// bit-identical to the per-cell [`BarrierSolver`] path.
+    /// solve through per-worker [`FamilySolver`]s. Every solve in this
+    /// crate — sweep cells, frontier probes, MPC windows and the one-shot
+    /// [`solve_assignment`] — runs through it. Its prototype is the
+    /// `(0 °C, 0 Hz)` point; a family's outputs do not depend on which
+    /// cell's rhs its prototype carried.
     ///
     /// # Panics
     ///
     /// Panics if the family cannot be built — impossible for validated
-    /// contexts (the same structures already solve through the per-cell
-    /// path).
+    /// contexts, whose design-point data is finite and has no equality
+    /// constraints beyond the consistent uniform-mode ones.
     pub fn family(&self) -> &Arc<ProblemFamily> {
         self.family.get_or_init(|| {
             let proto = self.point_problem(0.0, 0.0);
@@ -420,9 +424,9 @@ impl AssignmentContext {
     /// Fills `rhs` with the linear right-hand sides of the design point
     /// `(offsets, ftarget_hz)` over the family's row layout: static (box)
     /// entries come from the prototype, the workload and thermal entries
-    /// are recomputed — through the same `fill_point_rhs` the per-cell
-    /// [`AssignmentContext::point_problem`] path uses, so the two paths
-    /// produce bit-identical problems.
+    /// are recomputed — through the same `fill_point_rhs` that
+    /// [`AssignmentContext::point_problem`] uses, so the rhs equals that
+    /// standalone problem's bit for bit.
     pub fn point_rhs_into(&self, offsets: &[Vec<f64>], ftarget_hz: f64, rhs: &mut Vec<f64>) {
         let proto = self.family().prototype();
         rhs.clear();
@@ -497,25 +501,24 @@ impl FrequencyAssignment {
 /// hold the temperature limit at that workload (the paper's "the
 /// optimization notifies an infeasible solution").
 ///
-/// One-shot convenience: allocates a fresh [`BarrierSolver`] and builds the
-/// point's [`Problem`] per call. The sweep holds a [`PointSolver`] instead,
-/// so the solver scratch, the shared family and warm starts carry across
-/// points.
+/// One-shot convenience: a cold [`PointSolver::solve_point`] on a fresh
+/// [`PointSolver`] over the context's shared
+/// [`AssignmentContext::family`], which the first call builds. A sweep
+/// holds one [`PointSolver`] instead, so the solver scratch, certificates
+/// and warm starts carry across points.
 ///
 /// # Errors
 ///
-/// Propagates numerical solver failures; infeasibility is *not* an error.
+/// Propagates numerical solver failures, and
+/// [`protemp_cvx::CvxError::NotFinite`] for a non-finite design point;
+/// infeasibility is *not* an error.
 pub fn solve_assignment(
     ctx: &AssignmentContext,
     tstart_c: f64,
     ftarget_hz: f64,
 ) -> Result<Option<FrequencyAssignment>> {
-    let mut solver = BarrierSolver::new(ctx.solver_opts);
-    Ok(
-        solve_assignment_with(ctx, &mut solver, tstart_c, ftarget_hz, None)?
-            .solution
-            .map(|p| p.assignment),
-    )
+    let outcome = PointSolver::new(ctx).solve_point(tstart_c, ftarget_hz, None)?;
+    Ok(outcome.solution.map(|p| p.assignment))
 }
 
 /// One feasible design-point solve: the assignment and the raw optimizer
@@ -565,103 +568,17 @@ pub struct PointOutcome {
     pub solution: Option<SolvedPoint>,
 }
 
-/// Solves one design point on a caller-provided solver, optionally
-/// warm-starting from the raw optimizer point of a neighbouring solve.
-///
-/// Returns a [`PointOutcome`] whose solution's `x` is exactly what the
-/// next neighbouring point should pass back as `warm`. Reusing one
-/// `solver` across a sweep keeps every Newton temporary in its
-/// [`protemp_cvx::SolverScratch`], so per-point heap traffic is limited to
-/// building the problem itself.
-///
-/// # Errors
-///
-/// Propagates numerical solver failures; infeasibility is *not* an error.
-pub fn solve_assignment_with(
-    ctx: &AssignmentContext,
-    solver: &mut BarrierSolver,
-    tstart_c: f64,
-    ftarget_hz: f64,
-    warm: Option<&[f64]>,
-) -> Result<PointOutcome> {
-    let prob = ctx.point_problem(tstart_c, ftarget_hz);
-    let mut reentry = false;
-    let sol = match warm {
-        Some(x0) => {
-            let seed = prepare_warm_seed(
-                prob.view(),
-                &ctx.platform,
-                &ctx.cfg,
-                &ctx.solver_opts,
-                ftarget_hz,
-                x0,
-            );
-            reentry = seed.reentry;
-            solver.solve_warm(&prob, &seed.x)?
-        }
-        None => {
-            // Cold solves still get a domain-informed seed: it satisfies
-            // the workload and coupling constraints by construction, so
-            // phase I only has to resolve the temperature rows. Starting
-            // from the origin instead makes phase I stall on thin frontier
-            // cells and misreport them infeasible.
-            let x0 = heuristic_start(&ctx.platform, &ctx.cfg, ftarget_hz);
-            solver.solve_seeded(&prob, &x0)?
-        }
-    };
-    Ok(assemble_point_outcome(
-        ctx,
-        sol.status,
-        sol.x,
-        sol.objective,
-        sol.newton_steps,
-        sol.phase1_steps,
-        sol.rows_pruned,
-        sol.polished,
-        reentry,
-    ))
-}
-
-/// Maps a raw solver solution to a [`PointOutcome`] (frequency/power
-/// extraction for feasible points) — shared by the one-shot and family
-/// solve paths so their assembled assignments cannot drift.
-#[allow(clippy::too_many_arguments)]
-fn assemble_point_outcome(
-    ctx: &AssignmentContext,
-    status: SolveStatus,
-    x: Vec<f64>,
-    objective: f64,
-    newton_steps: usize,
-    phase1_steps: usize,
-    rows_pruned: usize,
-    polished: bool,
-    reentry: bool,
-) -> PointOutcome {
-    match status {
-        SolveStatus::Infeasible => PointOutcome {
-            status,
-            newton_steps,
-            phase1_steps,
-            screened: false,
-            rows_pruned,
-            polished,
-            reentry,
-            solution: None,
-        },
+/// Maps a solver solution to a [`PointOutcome`] (frequency/power
+/// extraction for feasible points).
+fn point_outcome(ctx: &AssignmentContext, sol: &Solution, reentry: bool) -> PointOutcome {
+    let solution = match sol.status {
+        SolveStatus::Infeasible => None,
         // A budget that died inside phase I leaves no point at all: the
         // verdict is undecided and there is nothing to extract (indexing
         // the empty `x` below would panic).
-        SolveStatus::Budgeted if x.is_empty() => PointOutcome {
-            status,
-            newton_steps,
-            phase1_steps,
-            screened: false,
-            rows_pruned,
-            polished,
-            reentry,
-            solution: None,
-        },
+        SolveStatus::Budgeted if sol.x.is_empty() => None,
         _ => {
+            let x = &sol.x;
             let n = ctx.platform.num_cores();
             let freqs_hz: Vec<f64> = (0..n)
                 .map(|i| {
@@ -675,19 +592,23 @@ fn assemble_point_outcome(
                 freqs_hz,
                 powers_w,
                 tgrad_c,
-                objective,
+                objective: sol.objective,
             };
-            PointOutcome {
-                status,
-                newton_steps,
-                phase1_steps,
-                screened: false,
-                rows_pruned,
-                polished,
-                reentry,
-                solution: Some(SolvedPoint { assignment, x }),
-            }
+            Some(SolvedPoint {
+                assignment,
+                x: x.clone(),
+            })
         }
+    };
+    PointOutcome {
+        status: sol.status,
+        newton_steps: sol.newton_steps,
+        phase1_steps: sol.phase1_steps,
+        screened: false,
+        rows_pruned: sol.rows_pruned,
+        polished: sol.polished,
+        reentry,
+        solution,
     }
 }
 
@@ -1004,15 +925,21 @@ impl<'a> PointSolver<'a> {
         Ok(self.screen_current())
     }
 
-    /// Solves one design point; see [`solve_assignment_with`]. With
-    /// screening enabled, inherited certificates are tried first (a
+    /// Solves one design point, optionally warm-starting from the raw
+    /// optimizer point of a neighbouring solve. The outcome's solution `x`
+    /// is exactly what the next neighbouring point should pass back as
+    /// `warm`. A cold solve seeds phase I with a domain-informed start that
+    /// satisfies the workload and coupling constraints by construction.
+    ///
+    /// With screening enabled, inherited certificates are tried first (a
     /// screened point returns `screened: true` with zero Newton steps) and
     /// any fresh certificate from a failed phase I joins the pool.
     ///
     /// # Errors
     ///
-    /// Propagates numerical solver failures; infeasibility is *not* an
-    /// error.
+    /// Propagates numerical solver failures, and
+    /// [`protemp_cvx::CvxError::NotFinite`] for a non-finite design point;
+    /// infeasibility is *not* an error.
     pub fn solve_point(
         &mut self,
         tstart_c: f64,
@@ -1071,12 +998,15 @@ impl<'a> PointSolver<'a> {
 }
 
 /// Solves one family cell (given its rhs) with the shared warm-seed
-/// preparation and outcome assembly — the family-path mirror of
-/// [`solve_assignment_with`], used by [`PointSolver`] and the run-time
-/// MPC bisection. When `batched` carries a [`ColumnScreen`]
-/// and the cell's panel index, the solve consumes the screen's cached
-/// kept-row mask instead of re-running row selection — the mask is a pure
-/// function of the cell rhs, so the solve is bit-identical either way.
+/// preparation and outcome assembly, used by [`PointSolver`] and the
+/// run-time MPC bisection. A warm start passes through the stall-proof
+/// re-entry blend; a cold one seeds phase I with the heuristic start,
+/// since starting from the origin makes phase I stall on thin frontier
+/// cells and misreport them infeasible. When `batched` carries a
+/// [`ColumnScreen`] and the cell's panel index, the solve consumes the
+/// screen's cached kept-row mask instead of re-running row selection —
+/// the mask is a pure function of the cell rhs, so the solve is
+/// bit-identical either way.
 pub(crate) fn solve_family_cell(
     ctx: &AssignmentContext,
     solver: &mut FamilySolver,
@@ -1113,36 +1043,33 @@ pub(crate) fn solve_family_cell(
             }
         }
     };
-    let cert = sol.certificate.clone();
-    let outcome = assemble_point_outcome(
-        ctx,
-        sol.status,
-        sol.x.clone(),
-        sol.objective,
-        sol.newton_steps,
-        sol.phase1_steps,
-        sol.rows_pruned,
-        sol.polished,
-        reentry,
-    );
+    let outcome = point_outcome(ctx, sol, reentry);
     let cert = if outcome.solution.is_none() {
-        cert
+        sol.certificate.clone()
     } else {
         None
     };
     Ok((outcome, cert))
 }
 
-/// Checks feasibility only (phase I), without polishing to an optimum.
-/// Used by the frontier bisections of Figure 9.
+/// Checks one design point's feasibility only (phase I from the origin,
+/// no optimization), on the context's shared
+/// [`AssignmentContext::family`].
+///
+/// A one-shot query: the frontier bisections of Figure 9 run their own
+/// seeded, certificate-screened probes (see [`crate::frontier`]). Without
+/// [`solve_assignment`]'s heuristic seed, phase I can report a razor-thin
+/// frontier cell infeasible that a full solve finds feasible.
 ///
 /// # Errors
 ///
-/// Propagates numerical solver failures.
+/// Propagates numerical solver failures, and
+/// [`protemp_cvx::CvxError::NotFinite`] for a non-finite design point.
 pub fn check_feasible(ctx: &AssignmentContext, tstart_c: f64, ftarget_hz: f64) -> Result<bool> {
-    let prob = ctx.point_problem(tstart_c, ftarget_hz);
-    let mut solver = BarrierSolver::new(ctx.solver_opts);
-    Ok(solver.find_feasible(&prob)?.is_some())
+    let mut rhs = Vec::new();
+    ctx.point_rhs_into(&ctx.offsets_for(tstart_c), ftarget_hz, &mut rhs);
+    let mut solver = FamilySolver::new(Arc::clone(ctx.family()), ctx.solver_opts);
+    Ok(solver.find_feasible_cell(&rhs, None)?.point.is_some())
 }
 
 #[cfg(test)]

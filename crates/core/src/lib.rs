@@ -13,7 +13,9 @@
 //!   [`FrequencyTable`] (the paper's Figure 3/4). Every cell is solved one
 //!   way: a [`PointSolver`] over the context's sweep-shared
 //!   [`AssignmentContext::family`], after one fused certificate screen per
-//!   grid column.
+//!   grid column. Frontier probes, MPC windows and the one-shot
+//!   [`solve_assignment`] and [`check_feasible`] solve on that same
+//!   family.
 //! * **Phase 2 (run time)** — [`ProTempController`] implements the
 //!   simulator's [`protemp_sim::DfsPolicy`]: every DFS window it reads the
 //!   maximum core temperature and the required average frequency, and picks
@@ -65,8 +67,8 @@ pub mod frontier;
 
 pub use artifact::{BuildArtifact, CellRecord, CellStatus, StoredCertificate};
 pub use assign::{
-    check_feasible, solve_assignment, solve_assignment_with, AssignmentContext,
-    FrequencyAssignment, PointOutcome, PointSolver, SolvedPoint,
+    check_feasible, solve_assignment, AssignmentContext, FrequencyAssignment, PointOutcome,
+    PointSolver, SolvedPoint,
 };
 pub use builder::{BuildStats, TableBuilder};
 pub use controller::{OnlineController, ProTempController};

@@ -54,9 +54,9 @@ pub(crate) const fn tgrad_var(n: usize) -> usize {
 /// `t_max − margin` for the whole window while averaging `f_target`.
 ///
 /// Internally this is the family decomposition: the *structure*
-/// ([`build_point_structure`] — coefficients, boxes, quads, equalities,
+/// (`build_point_structure` — coefficients, boxes, quads, equalities,
 /// objective) is a pure function of platform/config/reach and is identical
-/// for every design point, while [`fill_point_rhs`] writes the only data
+/// for every design point, while `fill_point_rhs` writes the only data
 /// that varies with `(tstart, ftarget)` — the workload bound and the
 /// thermal offsets — into the rhs vector. The sweep-shared family path
 /// calls `fill_point_rhs` alone per cell; routing this function through
@@ -192,8 +192,9 @@ pub(crate) fn build_point_structure(
 /// workload bound (moves with `ftarget`) and the temperature/gradient rows
 /// (move with the starting temperature through `offsets`) — into `rhs`,
 /// which must already hold the structure's static entries (the box rows).
-/// The single source of per-cell values for both the per-cell and the
-/// family solve paths, so they cannot drift apart.
+/// The single source of per-cell values for both the standalone
+/// [`build_problem`] and the family rows every solve runs on, so the two
+/// cannot drift apart.
 ///
 /// # Panics
 ///
@@ -275,7 +276,7 @@ pub(crate) fn fill_point_rhs(
 /// temperature row per [`protemp_thermal::modal::ModalBand`] per core and
 /// one anchored gradient row per gradient band per ordered pair, instead
 /// of rows at every step. The right-hand sides carry the band cushions
-/// ([`fill_point_rhs_modal`]), so the reduced feasible set is a subset of
+/// (`fill_point_rhs_modal`), so the reduced feasible set is a subset of
 /// the full one: any `(φ, p, t_grad)` feasible here satisfies every
 /// full-model constraint.
 pub fn build_problem_modal(

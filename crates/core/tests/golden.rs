@@ -11,13 +11,17 @@
 //!   certified-infeasible, screened and warm-chained windows;
 //! * closed-loop `run_simulation` reports with a recorded trajectory stay
 //!   bit-identical for the table controller on `stacked3d`, the integral
-//!   baseline on `biglittle8` and the MPC ladder on `niagara8`.
+//!   baseline on `biglittle8` and the MPC ladder on `niagara8`;
+//! * the one-shot surfaces `solve_assignment`, `check_feasible` and
+//!   `frontier::sweep` return bit-identical results and error variants on
+//!   every built-in platform and on the uniform-frequency (equality) path.
 
 use std::path::PathBuf;
 
 use protemp::{
-    AssignmentContext, ControlConfig, LadderController, LadderTelemetry, OnlineController,
-    ProTempController, TableBuilder, TableStore,
+    check_feasible, frontier, solve_assignment, AssignmentContext, ControlConfig, FreqMode,
+    LadderController, LadderTelemetry, OnlineController, ProTempController, TableBuilder,
+    TableStore,
 };
 use protemp_sim::{
     run_simulation, DfsPolicy, FirstIdle, IntegralController, Observation, Platform, SimConfig,
@@ -334,5 +338,92 @@ fn ladder_on_niagara8_reproduces_pinned_report() {
         report_digest(&report),
         0x159a_bc32_eaa4_0d38,
         "niagara8 report digest"
+    );
+}
+
+/// `(starting temperature °C, fraction of the platform's fmax)`: cool and
+/// hot starts on both sides of the feasibility frontier, and a NaN start
+/// that must fail validation, not reach the solver.
+const ONE_SHOT_POINTS: [(f64, f64); 12] = [
+    (30.0, 0.9),
+    (50.0, 0.6),
+    (60.0, 0.2),
+    (60.0, 0.8),
+    (70.0, 0.5),
+    (75.0, 0.35),
+    (80.0, 0.42),
+    (85.0, 0.7),
+    (92.0, 0.1),
+    (92.0, 1.0),
+    (100.0, 0.3),
+    (f64::NAN, 0.5),
+];
+
+/// FNV-1a over the `Debug` renderings of `solve_assignment` and
+/// `check_feasible` at every [`ONE_SHOT_POINTS`] entry.
+fn one_shot_digest(ctx: &AssignmentContext) -> u64 {
+    let fmax = ctx.platform().fmax_hz;
+    let mut digest = Fnv::new();
+    for &(tstart_c, frac) in &ONE_SHOT_POINTS {
+        let ftarget_hz = frac * fmax;
+        let solved = solve_assignment(ctx, tstart_c, ftarget_hz);
+        digest.add(format!("{solved:?}").as_bytes());
+        let feasible = check_feasible(ctx, tstart_c, ftarget_hz);
+        digest.add(format!("{feasible:?}").as_bytes());
+    }
+    digest.0
+}
+
+#[test]
+fn one_shot_solves_on_niagara8_are_pinned() {
+    let digest = one_shot_digest(&default_ctx(&Platform::niagara8()));
+    assert_eq!(
+        digest, 0x0d18_3472_95ec_cbde,
+        "niagara8 one-shot digest {digest:#018x}"
+    );
+}
+
+#[test]
+fn one_shot_solves_on_biglittle8_are_pinned() {
+    let digest = one_shot_digest(&default_ctx(&Platform::biglittle8()));
+    assert_eq!(
+        digest, 0x47c0_79fd_3f45_57ce,
+        "biglittle8 one-shot digest {digest:#018x}"
+    );
+}
+
+#[test]
+fn one_shot_solves_on_stacked3d_are_pinned() {
+    let digest = one_shot_digest(&default_ctx(&Platform::stacked3d()));
+    assert_eq!(
+        digest, 0xa116_9ac1_3343_eb8c,
+        "stacked3d one-shot digest {digest:#018x}"
+    );
+}
+
+#[test]
+fn one_shot_solves_in_uniform_mode_are_pinned() {
+    let cfg = ControlConfig {
+        mode: FreqMode::Uniform,
+        ..ControlConfig::default()
+    };
+    let ctx = AssignmentContext::new(&Platform::niagara8(), &cfg).unwrap();
+    let digest = one_shot_digest(&ctx);
+    assert_eq!(
+        digest, 0x192d_6dcc_b18b_3062,
+        "uniform niagara8 one-shot digest {digest:#018x}"
+    );
+}
+
+#[test]
+fn frontier_sweep_is_pinned() {
+    let ctx = default_ctx(&Platform::niagara8());
+    let points = frontier::sweep(&ctx, &[50.0, 80.0], 20e6, true).expect("frontier sweep");
+    let mut digest = Fnv::new();
+    digest.add(format!("{points:?}").as_bytes());
+    assert_eq!(
+        digest.0, 0xf907_1de1_2e6c_411f,
+        "frontier digest {:#018x}",
+        digest.0
     );
 }

@@ -2,11 +2,10 @@ use std::sync::{Arc, OnceLock};
 
 use protemp_linalg::{vecops, Matrix, Qr};
 
-use crate::reduce::RowReducer;
-use crate::scratch::DimScratch;
+use crate::scratch::{DimScratch, SolverScratch};
 use crate::{
-    CertScratch, Certificate, CvxError, Problem, QuadConstraint, Result, Solution, SolveStatus,
-    SolverOptions, SolverScratch,
+    CellSeed, CertScratch, Certificate, CvxError, FamilySolver, Problem, ProblemFamily,
+    QuadConstraint, Result, Solution, SolverOptions,
 };
 
 /// Newton-step budget for the speculative warm-start attempt: enough for a
@@ -55,23 +54,25 @@ fn debug_enabled() -> bool {
 /// This is the algorithm of Boyd & Vandenberghe, *Convex Optimization*,
 /// chapter 11 — the paper's reference \[25\].
 ///
-/// # Reuse and warm starts
+/// # One front-end: a one-cell family
 ///
-/// The solver owns a [`SolverScratch`]: every Newton temporary (gradient,
-/// Hessian, scaled system, Cholesky factor, step, line-search candidate)
-/// lives there, so solve methods take `&mut self` and a solver reused
-/// across problems of one shape performs no per-iteration heap allocation
-/// after its first solve. [`BarrierSolver::solve_warm`] additionally starts
-/// phase II directly from a supplied strictly-feasible point, skipping
-/// phase I — the Phase-1 table sweep and the MPC-style online controller
-/// both re-solve from a neighbouring optimum this way.
+/// The solver holds its options and one [`FamilySolver`] over a one-cell
+/// [`ProblemFamily`]. Every method hands the problem's linear right-hand
+/// sides to that family solver and returns a copy of its answer — the
+/// out-of-place API over the in-place one. The family is built from the
+/// first problem the solver is handed and reused while later problems
+/// differ from it only in those right-hand sides
+/// ([`ProblemFamily::matches`]): the packed rows, the row-reduction
+/// analysis, the equality QR, the phase-I augmented system and every
+/// Newton buffer carry over, so such solves perform no per-iteration heap
+/// allocation after the first. Any other change rebuilds the family.
 ///
-/// For *sweeps* of near-identical problems — same coefficients, varying
-/// right-hand sides — prefer [`crate::ProblemFamily`] +
-/// [`crate::FamilySolver`]: the family hoists everything cell-invariant
-/// (packed rows, the row-reduction analysis, the equality QR, the phase-I
-/// augmented system) out of the per-cell path, and its solves are
-/// bit-identical to this solver's because both run the same engine.
+/// [`BarrierSolver::solve_warm`] starts phase II directly from a supplied
+/// strictly-feasible point, skipping phase I — the Phase-1 table sweep and
+/// the MPC-style online controller both re-solve from a neighbouring
+/// optimum this way. For *sweeps*, hold a [`ProblemFamily`] and
+/// [`FamilySolver`] directly: cells are then handed over as right-hand
+/// sides, with no per-cell [`Problem`] and no membership check.
 ///
 /// # Row reduction
 ///
@@ -102,10 +103,6 @@ fn debug_enabled() -> bool {
 /// until the Farkas check passes, so thin-frontier cells still mint a
 /// transferable certificate.
 ///
-/// The solver also caches the equality-elimination QR keyed by the
-/// constraint rows, so families of problems sharing one equality structure
-/// (e.g. the uniform-frequency sweep) only re-project the right-hand side.
-///
 /// # Example
 ///
 /// ```
@@ -123,27 +120,9 @@ fn debug_enabled() -> bool {
 #[derive(Debug, Clone, Default)]
 pub struct BarrierSolver {
     opts: SolverOptions,
-    scratch: SolverScratch,
-    eq_cache: Option<EqReduction>,
-    reducer: RowReducer,
-    aug: AugStorage,
-    pool: VecPool,
-}
-
-/// Cached QR machinery for one equality-constraint structure: grid cells
-/// that share the constraint matrix re-project only the right-hand side
-/// instead of re-factoring per solve.
-#[derive(Debug, Clone)]
-pub(crate) struct EqReduction {
-    /// The equality rows this factorization covers (the cache key).
-    rows: Vec<Vec<f64>>,
-    /// Thin `Q` factor of `Aᵀ` (`n × k`).
-    q_thin: Matrix,
-    /// Upper-triangular `R` (`k × k`).
-    r: Matrix,
-    /// Orthonormal nullspace basis `F` (`n × (n−k)`), shared with callers
-    /// so cache hits hand it out without copying.
-    f: Arc<Matrix>,
+    /// Solver over the one-cell family of the most recent problem; `None`
+    /// until the first solve.
+    cell: Option<FamilySolver>,
 }
 
 /// A tiny free-list of `Vec<f64>` buffers so the solve flow can move
@@ -201,14 +180,8 @@ struct RunCtrl<'a> {
 /// After the row-reduction pass `rows` lists the surviving base rows and
 /// `b` holds their right-hand sides: the KKT assembly runs that subset
 /// through the row-subset linalg kernels instead of materializing a
-/// reduced copy per solve.
-///
-/// Both the per-cell [`BarrierSolver`] path (which owns a fresh
-/// [`ProjStorage`] per solve) and the sweep-shared [`crate::FamilySolver`]
-/// path (which borrows one [`crate::ProblemFamily`] for thousands of
-/// solves) construct these views over their own storage and then run the
-/// *same* engine functions — which is what makes family solves
-/// bit-identical to per-cell solves.
+/// reduced copy per solve. [`crate::FamilySolver`] builds one of these per
+/// cell over its family's storage and the cell's right-hand sides.
 #[derive(Clone, Copy)]
 pub(crate) struct Dense<'a> {
     pub(crate) n: usize,
@@ -224,18 +197,15 @@ pub(crate) struct Dense<'a> {
     pub(crate) quad: &'a [QuadConstraint],
 }
 
-/// Owned phase-II system storage in the (possibly reduced) variable space;
-/// [`project_problem`] builds one from a [`Problem`], problem families keep
-/// one for a whole sweep.
+/// Owned phase-II system storage in the (possibly reduced) variable space,
+/// without right-hand sides (those are per cell); [`project_problem`]
+/// builds one from a family's prototype.
 #[derive(Debug, Clone)]
 pub(crate) struct ProjStorage {
     pub(crate) n: usize,
     pub(crate) p0: Option<Matrix>,
     pub(crate) q0: Vec<f64>,
     pub(crate) a: Matrix,
-    /// Full-system right-hand sides (the prototype's, for a family; the
-    /// problem's own, for a per-cell solve).
-    pub(crate) b: Vec<f64>,
     pub(crate) quad: Vec<QuadConstraint>,
 }
 
@@ -257,10 +227,8 @@ impl ProjStorage {
 
 /// Owned phase-I (augmented) system storage: rows `[aᵢ, −1]` over the
 /// *full* packed row matrix — the per-cell active subset indexes into it —
-/// objective `minimize s`, and the augmented quadratic constraints.
-///
-/// The per-cell path refills one of these per phase-I run; a
-/// [`crate::ProblemFamily`] builds it once for the whole sweep.
+/// objective `minimize s`, and the augmented quadratic constraints. A
+/// [`crate::ProblemFamily`] builds it once, for every cell.
 #[derive(Debug, Clone)]
 pub(crate) struct AugStorage {
     pub(crate) a: Matrix,
@@ -268,46 +236,36 @@ pub(crate) struct AugStorage {
     pub(crate) quad: Vec<QuadConstraint>,
 }
 
-impl Default for AugStorage {
-    fn default() -> Self {
-        AugStorage {
-            a: Matrix::zeros(0, 0),
-            q0: Vec::new(),
-            quad: Vec::new(),
-        }
-    }
-}
-
 impl AugStorage {
-    /// (Re)builds the augmented system from a phase-II storage. The matrix
-    /// keeps its allocation across refills of the same shape.
-    pub(crate) fn fill_from(&mut self, proj: &ProjStorage) {
+    /// Builds the augmented system of a phase-II storage.
+    pub(crate) fn new(proj: &ProjStorage) -> AugStorage {
         let nz = proj.n;
         let n_aug = nz + 1;
         let m = proj.a.rows();
-        if self.a.shape() != (m, n_aug) {
-            self.a = Matrix::zeros(m, n_aug);
-        }
+        let mut a = Matrix::zeros(m, n_aug);
         for i in 0..m {
-            let row = self.a.row_mut(i);
+            let row = a.row_mut(i);
             row[..nz].copy_from_slice(proj.a.row(i));
             row[nz] = -1.0;
         }
-        self.q0.clear();
-        self.q0.resize(n_aug, 0.0);
-        self.q0[nz] = 1.0; // minimize s
-        self.quad.clear();
-        for q in &proj.quad {
-            let mut p = Matrix::zeros(n_aug, n_aug);
-            for r in 0..nz {
-                for c in 0..nz {
-                    p[(r, c)] = q.p[(r, c)];
+        let mut q0 = vec![0.0; n_aug];
+        q0[nz] = 1.0; // minimize s
+        let quad = proj
+            .quad
+            .iter()
+            .map(|q| {
+                let mut p = Matrix::zeros(n_aug, n_aug);
+                for r in 0..nz {
+                    for c in 0..nz {
+                        p[(r, c)] = q.p[(r, c)];
+                    }
                 }
-            }
-            let mut qv = q.q.clone();
-            qv.push(-1.0);
-            self.quad.push(QuadConstraint { p, q: qv, r: q.r });
-        }
+                let mut qv = q.q.clone();
+                qv.push(-1.0);
+                QuadConstraint { p, q: qv, r: q.r }
+            })
+            .collect();
+        AugStorage { a, q0, quad }
     }
 
     /// The phase-I view sharing the phase-II view's `b` and row subset.
@@ -320,28 +278,6 @@ impl AugStorage {
             b: dense.b,
             rows: dense.rows,
             quad: &self.quad,
-        }
-    }
-}
-
-/// Phase-I storage source for [`solve_flow`]: prebuilt by a problem family,
-/// or filled lazily (first phase-I need) from the per-cell projection.
-pub(crate) enum AugSource<'a> {
-    Prebuilt(&'a AugStorage),
-    Lazy(&'a mut AugStorage),
-}
-
-impl AugSource<'_> {
-    fn get(&mut self, proj: &ProjStorage, filled: &mut bool) -> &AugStorage {
-        match self {
-            AugSource::Prebuilt(a) => a,
-            AugSource::Lazy(a) => {
-                if !*filled {
-                    a.fill_from(proj);
-                    *filled = true;
-                }
-                a
-            }
         }
     }
 }
@@ -602,7 +538,8 @@ pub(crate) struct Phase1Outcome {
 }
 
 /// Result of a feasibility-only query
-/// ([`BarrierSolver::find_feasible_with`]).
+/// ([`BarrierSolver::find_feasible_with`],
+/// [`crate::FamilySolver::find_feasible_cell`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeasibleOutcome {
     /// A strictly feasible point in the original variable space, or `None`
@@ -647,14 +584,12 @@ pub(crate) struct FlowOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// The engine: free functions over `Dense` views, shared verbatim by the
-// per-cell `BarrierSolver` path and the sweep-shared `FamilySolver` path —
-// one implementation, therefore bit-identical numerics.
+// The engine: free functions over `Dense` views of a family's storage and
+// one cell's right-hand sides. `FamilySolver` is their only caller.
 // ---------------------------------------------------------------------------
 
 /// The full two-phase solve flow over prepared storage: warm fast path,
 /// seeded phase II, phase-I fallback with warm resume, final cold climb.
-/// Mirrors the historical `solve_inner` body after projection/reduction.
 ///
 /// `x0` is the supplied start already projected into the reduced space (a
 /// warm point when `estimate_t`, a heuristic seed otherwise); `reduced`
@@ -669,7 +604,7 @@ pub(crate) fn solve_flow(
     q0_override: Option<&[f64]>,
     b: &[f64],
     rows: Option<&[usize]>,
-    aug: &mut AugSource<'_>,
+    aug: &AugStorage,
     reduced: bool,
     x0: Option<&[f64]>,
     estimate_t: bool,
@@ -679,7 +614,6 @@ pub(crate) fn solve_flow(
         dense.q0 = q0;
     }
     let nz = dense.n;
-    let mut aug_filled = false;
 
     let mut outer_total = 0;
     let mut newton_total = 0;
@@ -807,8 +741,7 @@ pub(crate) fn solve_flow(
                 phase1_steps,
             });
         }
-        let aug_storage = aug.get(proj, &mut aug_filled);
-        let aug_view = aug_storage.view(&dense);
+        let aug_view = aug.view(&dense);
         let p1 = phase1(
             opts, scratch, pool, &dense, &aug_view, &z0, reduced, remaining,
         )?;
@@ -931,9 +864,8 @@ pub(crate) fn solve_flow(
 }
 
 /// The feasibility-only flow (phase I, no optimization): instant accept of
-/// a sufficiently interior seed, else one phase-I run. Shared by
-/// [`BarrierSolver::find_feasible_with`] and the family solver's frontier
-/// probes.
+/// a sufficiently interior seed, else one phase-I run — what
+/// [`crate::FamilySolver::find_feasible_cell`] and the frontier probes run.
 pub(crate) enum FeasFlow {
     /// The supplied seed (or origin) is already strictly feasible beyond
     /// the phase-I margin; no Newton steps were spent.
@@ -951,7 +883,7 @@ pub(crate) fn feasible_flow(
     q0_override: Option<&[f64]>,
     b: &[f64],
     rows: Option<&[usize]>,
-    aug: &mut AugSource<'_>,
+    aug: &AugStorage,
     reduced: bool,
     z0: &[f64],
 ) -> Result<FeasFlow> {
@@ -962,9 +894,7 @@ pub(crate) fn feasible_flow(
     if dense.num_ineq() == 0 || dense.max_violation(z0) < -opts.phase1_margin {
         return Ok(FeasFlow::Instant);
     }
-    let mut aug_filled = false;
-    let aug_storage = aug.get(proj, &mut aug_filled);
-    let aug_view = aug_storage.view(&dense);
+    let aug_view = aug.view(&dense);
     // Feasibility probes stay unbudgeted: frontier bisections need a real
     // verdict, and their callers never run under a tick deadline.
     let p1 = phase1(opts, scratch, pool, &dense, &aug_view, z0, reduced, None)?;
@@ -1465,24 +1395,12 @@ impl BarrierSolver {
     /// Panics if the options are invalid (programmer error).
     pub fn new(opts: SolverOptions) -> Self {
         opts.validate().expect("solver options must validate");
-        BarrierSolver {
-            opts,
-            scratch: SolverScratch::new(),
-            eq_cache: None,
-            reducer: RowReducer::default(),
-            aug: AugStorage::default(),
-            pool: VecPool::default(),
-        }
+        BarrierSolver { opts, cell: None }
     }
 
     /// The options this solver runs with.
     pub fn options(&self) -> &SolverOptions {
         &self.opts
-    }
-
-    /// The scratch buffers (exposed for capacity diagnostics).
-    pub fn scratch(&self) -> &SolverScratch {
-        &self.scratch
     }
 
     /// Solves a [`Problem`].
@@ -1517,7 +1435,13 @@ impl BarrierSolver {
     ///
     /// See [`Problem::solve`].
     pub fn solve_with_start(&mut self, prob: &Problem, x0: Option<&[f64]>) -> Result<Solution> {
-        self.solve_inner(prob, x0, true)
+        let seed = match x0 {
+            Some(x0) => CellSeed::Warm(x0),
+            None => CellSeed::None,
+        };
+        self.cell_solver(prob)?
+            .solve_cell(prob.lin_rhs(), seed)
+            .cloned()
     }
 
     /// Solves a [`Problem`] from a *seed* point: `x0` becomes the phase-II
@@ -1533,107 +1457,17 @@ impl BarrierSolver {
     ///
     /// See [`Problem::solve`].
     pub fn solve_seeded(&mut self, prob: &Problem, x0: &[f64]) -> Result<Solution> {
-        self.solve_inner(prob, Some(x0), false)
-    }
-
-    fn solve_inner(
-        &mut self,
-        prob: &Problem,
-        x0: Option<&[f64]>,
-        estimate_t: bool,
-    ) -> Result<Solution> {
-        prob.validate()?;
-        let n = prob.num_vars();
-
-        // Eliminate equality constraints: x = x_p + F z.
-        let (x_p, f_basis) = reduce_equalities_cached(&mut self.eq_cache, prob)?;
-        let proj = project_problem(prob, &x_p, f_basis.as_deref());
-        // Row reduction (box-grounded domination; see the reduce module).
-        // The per-cell path copies the surviving indices out of the
-        // reducer so the engine's disjoint field borrows stay simple; the
-        // family path avoids even that copy.
-        let kept: Option<Vec<usize>> = if self.opts.row_reduction && f_basis.is_none() {
-            self.reducer.select(prob).map(<[usize]>::to_vec)
-        } else {
-            None
-        };
-        let rows_pruned = kept.as_ref().map_or(0, |k| proj.a.rows() - k.len());
-        let b_active: Vec<f64> = match &kept {
-            Some(k) => k.iter().map(|&i| proj.b[i]).collect(),
-            None => proj.b.clone(),
-        };
-
-        // Projected warm start, when one was supplied with the right size.
-        let warm_z0: Option<Vec<f64>> = x0.filter(|v| v.len() == n).map(|x0| match &f_basis {
-            // z = Fᵀ(x0 − x_p); F has orthonormal columns.
-            Some(f) => f.matvec_t(&vecops::sub(x0, &x_p)),
-            None => x0.to_vec(),
-        });
-
-        let mut aug = AugSource::Lazy(&mut self.aug);
-        let flow = solve_flow(
-            &self.opts,
-            &mut self.scratch,
-            &mut self.pool,
-            &proj,
-            None,
-            &b_active,
-            kept.as_deref(),
-            &mut aug,
-            f_basis.is_some(),
-            warm_z0.as_deref(),
-            estimate_t,
-        )?;
-        match flow.verdict {
-            FlowVerdict::Feasible(run) => {
-                let sol = assemble_solution(
-                    prob,
-                    &x_p,
-                    f_basis.as_deref(),
-                    run,
-                    flow.outer,
-                    flow.newton,
-                    flow.phase1_steps,
-                    rows_pruned,
-                );
-                Ok(sol)
-            }
-            FlowVerdict::Infeasible { cert, polished } => {
-                let certificate =
-                    verify_cert_parts(prob, &x_p, f_basis.as_deref(), cert, self.scratch.cert_ws());
-                // `polished` promises a minted certificate: if the
-                // final verification pass (full rows, normalized
-                // multipliers) rejects what the in-run check accepted,
-                // the polish produced nothing transferable and must
-                // not be counted.
-                let polished = polished && certificate.is_some();
-                Ok(Solution::infeasible(
-                    flow.outer,
-                    flow.newton,
-                    flow.phase1_steps,
-                    certificate,
-                    rows_pruned,
-                    polished,
-                ))
-            }
-            FlowVerdict::Budgeted(run) => Ok(assemble_budgeted(
-                prob,
-                &x_p,
-                f_basis.as_deref(),
-                run,
-                flow.outer,
-                flow.newton,
-                flow.phase1_steps,
-                rows_pruned,
-            )),
-        }
+        self.cell_solver(prob)?
+            .solve_cell(prob.lin_rhs(), CellSeed::Seeded(x0))
+            .cloned()
     }
 
     /// Runs phase I only: returns a strictly feasible point for the
     /// problem's constraints, or `None` when none exists.
     ///
-    /// This is much cheaper than a full solve and is what the feasibility
-    /// frontier sweeps (paper Figure 9) use for their bisections.
+    /// This is much cheaper than a full solve. Phase I starts from the
+    /// origin, so a razor-thin frontier cell that a seeded full solve
+    /// finds feasible can still be reported infeasible.
     ///
     /// # Errors
     ///
@@ -1646,9 +1480,7 @@ impl BarrierSolver {
     /// from `seed` (a feasible point of a neighbouring problem is excellent
     /// geometry even when it violates the new constraints slightly), and
     /// reports the Newton cost plus a verified infeasibility
-    /// [`Certificate`] when the problem has none. Frontier bisections chain
-    /// the previous feasible probe's point and screen with the previous
-    /// certificate, turning most probes into zero- or few-step checks.
+    /// [`Certificate`] when the problem has none.
     ///
     /// # Errors
     ///
@@ -1658,116 +1490,28 @@ impl BarrierSolver {
         prob: &Problem,
         seed: Option<&[f64]>,
     ) -> Result<FeasibleOutcome> {
-        prob.validate()?;
-        let (x_p, f_basis) = reduce_equalities_cached(&mut self.eq_cache, prob)?;
-        let proj = project_problem(prob, &x_p, f_basis.as_deref());
-        let kept: Option<Vec<usize>> = if self.opts.row_reduction && f_basis.is_none() {
-            self.reducer.select(prob).map(<[usize]>::to_vec)
-        } else {
-            None
-        };
-        let rows_pruned = kept.as_ref().map_or(0, |k| proj.a.rows() - k.len());
-        let b_active: Vec<f64> = match &kept {
-            Some(k) => k.iter().map(|&i| proj.b[i]).collect(),
-            None => proj.b.clone(),
-        };
-        let z0 = match seed.filter(|v| v.len() == prob.num_vars()) {
-            Some(x0) => match &f_basis {
-                Some(f) => f.matvec_t(&vecops::sub(x0, &x_p)),
-                None => x0.to_vec(),
-            },
-            None => vec![0.0; proj.n],
-        };
-        let mut aug = AugSource::Lazy(&mut self.aug);
-        let flow = feasible_flow(
-            &self.opts,
-            &mut self.scratch,
-            &mut self.pool,
-            &proj,
-            None,
-            &b_active,
-            kept.as_deref(),
-            &mut aug,
-            f_basis.is_some(),
-            &z0,
-        )?;
-        match flow {
-            FeasFlow::Instant => Ok(FeasibleOutcome {
-                point: Some(lift(&x_p, f_basis.as_deref(), &z0)),
-                certificate: None,
-                newton_steps: 0,
-                rows_pruned,
-                polished: false,
-            }),
-            FeasFlow::Found(p1) => {
-                let z = p1.z.expect("Found carries a feasible point");
-                let point = Some(lift(&x_p, f_basis.as_deref(), &z));
-                self.pool.put(z);
-                Ok(FeasibleOutcome {
-                    point,
-                    certificate: None,
-                    newton_steps: p1.newton,
-                    rows_pruned,
-                    polished: false,
-                })
-            }
-            FeasFlow::Infeasible(p1) => {
-                let certificate = verify_cert_parts(
-                    prob,
-                    &x_p,
-                    f_basis.as_deref(),
-                    p1.cert,
-                    self.scratch.cert_ws(),
-                );
-                // As in `solve_inner`: `polished` only counts when the
-                // verified certificate actually materialized.
-                let polished = p1.polished && certificate.is_some();
-                Ok(FeasibleOutcome {
-                    point: None,
-                    certificate,
-                    newton_steps: p1.newton,
-                    rows_pruned,
-                    polished,
-                })
-            }
-        }
+        self.cell_solver(prob)?
+            .find_feasible_cell(prob.lin_rhs(), seed)
+            .cloned()
     }
-}
 
-/// Maps raw reduced-space certificate parts back to the original
-/// variables and keeps them only if they genuinely certify `prob`
-/// (the barrier multipliers are approximate; an unverified certificate
-/// must never circulate).
-pub(crate) fn verify_cert_parts(
-    prob: &Problem,
-    x_p: &[f64],
-    f_basis: Option<&Matrix>,
-    parts: Option<CertParts>,
-    ws: &mut CertScratch,
-) -> Option<Certificate> {
-    let parts = parts?;
-    let cert = Certificate {
-        lambda_lin: parts.lambda_lin,
-        lambda_quad: parts.lambda_quad,
-        anchor: lift(x_p, f_basis, &parts.anchor_z),
-    };
-    cert.certifies(prob, ws).then_some(cert)
+    /// The cached solver over a one-cell family that `prob` belongs to,
+    /// rebuilding the family from `prob` when it does not belong to the
+    /// cached one.
+    fn cell_solver(&mut self, prob: &Problem) -> Result<&mut FamilySolver> {
+        prob.validate()?;
+        if !self.cell.as_ref().is_some_and(|c| c.family().matches(prob)) {
+            let family = ProblemFamily::new(prob.clone(), &self.opts)?;
+            self.cell = Some(FamilySolver::new(Arc::new(family), self.opts));
+        }
+        Ok(self.cell.as_mut().expect("built above when missing"))
+    }
 }
 
 /// Computes a particular solution and nullspace basis for the equality
 /// system `A x = b`, returning `(x_p, None)` with `x_p = 0` when there
-/// are no equalities.
-///
-/// The QR factorization of `Aᵀ` is cached keyed by the constraint rows:
-/// a sweep of problems sharing one equality structure (the common case
-/// — only right-hand sides vary across grid cells) re-projects the
-/// right-hand side with one small triangular solve instead of
-/// re-factoring. Shared by the per-cell [`BarrierSolver`] path and
-/// [`crate::ProblemFamily`] construction.
-pub(crate) fn reduce_equalities_cached(
-    cache: &mut Option<EqReduction>,
-    prob: &Problem,
-) -> Result<(Vec<f64>, Option<Arc<Matrix>>)> {
+/// are no equalities. [`ProblemFamily::new`] calls this once per family.
+pub(crate) fn reduce_equalities(prob: &Problem) -> Result<(Vec<f64>, Option<Matrix>)> {
     let n = prob.num_vars();
     let (rows, rhs) = prob.equalities();
     if rows.is_empty() {
@@ -1777,25 +1521,13 @@ pub(crate) fn reduce_equalities_cached(
     if k > n {
         return Err(CvxError::InconsistentEqualities);
     }
-    let cached = cache
-        .as_ref()
-        .is_some_and(|c| c.q_thin.rows() == n && c.rows == rows);
-    if !cached {
-        // QR of Aᵀ (n × k): A = RᵀQᵀ, so x_p = Q_thin (Rᵀ)⁻¹ b.
-        let at = Matrix::from_fn(n, k, |r, c| rows[c][r]);
-        let qr = Qr::factor(&at)?;
-        let q = qr.q();
-        *cache = Some(EqReduction {
-            rows: rows.to_vec(),
-            q_thin: Matrix::from_fn(n, k, |r, c| q[(r, c)]),
-            r: qr.r(),
-            f: Arc::new(qr.nullspace_basis()),
-        });
-    }
-    let cache = cache.as_ref().expect("cache populated above");
-    // Forward substitution on Rᵀ w = b (cheap; this is all that varies
-    // between cache hits).
-    let r = &cache.r;
+    // QR of Aᵀ (n × k): A = RᵀQᵀ, so x_p = Q_thin (Rᵀ)⁻¹ b.
+    let at = Matrix::from_fn(n, k, |r, c| rows[c][r]);
+    let qr = Qr::factor(&at)?;
+    let q = qr.q();
+    let q_thin = Matrix::from_fn(n, k, |r, c| q[(r, c)]);
+    let r = qr.r();
+    // Forward substitution on Rᵀ w = b.
     let mut w = rhs.to_vec();
     let rscale = r.norm_max().max(1.0);
     for i in 0..k {
@@ -1809,15 +1541,14 @@ pub(crate) fn reduce_equalities_cached(
         }
         w[i] /= d;
     }
-    let x_p = cache.q_thin.matvec(&w);
+    let x_p = q_thin.matvec(&w);
     // Verify consistency.
     for (row, &b) in rows.iter().zip(rhs) {
         if (vecops::dot(row, &x_p) - b).abs() > 1e-7 * (1.0 + b.abs()) {
             return Err(CvxError::InconsistentEqualities);
         }
     }
-    // Cache hits share the basis by reference count — no copy.
-    Ok((x_p, Some(Arc::clone(&cache.f))))
+    Ok((x_p, Some(qr.nullspace_basis())))
 }
 
 /// Extracts Farkas certificate material from a failed phase-I run: the
@@ -1966,75 +1697,6 @@ pub(crate) fn lift_into(x_p: &[f64], f_basis: Option<&Matrix>, z: &[f64], out: &
     }
 }
 
-/// Assembles a [`SolveStatus::Budgeted`] solution: the lifted truncated
-/// iterate (strictly feasible) when the budget died in a centering, the
-/// empty "undecided" marker when it died inside phase I.
-#[allow(clippy::too_many_arguments)]
-fn assemble_budgeted(
-    prob: &Problem,
-    x_p: &[f64],
-    f_basis: Option<&Matrix>,
-    run: Option<BarrierRun>,
-    outer_total: usize,
-    newton_total: usize,
-    phase1_steps: usize,
-    rows_pruned: usize,
-) -> Solution {
-    let (x, objective, gap) = match run {
-        Some(run) => {
-            let x = lift(x_p, f_basis, &run.x);
-            let objective = prob.objective_value(&x);
-            (x, objective, run.gap)
-        }
-        None => (Vec::new(), f64::INFINITY, f64::INFINITY),
-    };
-    Solution {
-        status: SolveStatus::Budgeted,
-        x,
-        objective,
-        outer_iterations: outer_total,
-        newton_steps: newton_total,
-        phase1_steps,
-        gap_bound: gap,
-        certificate: None,
-        rows_pruned,
-        polished: false,
-    }
-}
-
-/// Maps a reduced-space barrier run back to the original variables and
-/// wraps it as a [`Solution`].
-#[allow(clippy::too_many_arguments)]
-fn assemble_solution(
-    prob: &Problem,
-    x_p: &[f64],
-    f_basis: Option<&Matrix>,
-    run: BarrierRun,
-    outer_total: usize,
-    newton_total: usize,
-    phase1_steps: usize,
-    rows_pruned: usize,
-) -> Solution {
-    let x = lift(x_p, f_basis, &run.x);
-    let objective = prob.objective_value(&x);
-    Solution {
-        status: if run.converged {
-            SolveStatus::Optimal
-        } else {
-            SolveStatus::MaxIterations
-        },
-        x,
-        objective,
-        outer_iterations: outer_total,
-        newton_steps: newton_total,
-        phase1_steps,
-        gap_bound: run.gap,
-        certificate: None,
-        rows_pruned,
-        polished: false,
-    }
-}
-
 /// Solves the Newton system `H dx = −grad` entirely inside the scratch
 /// buffers: reads `s.grad` and the lower triangle of `s.hess`, writes
 /// `s.dx`; `s.jacobi`, `s.hs`, `s.bs` and `s.chol` are clobbered.
@@ -2101,7 +1763,7 @@ fn solve_spd_in_place(s: &mut DimScratch) -> Result<()> {
 
 /// Projects the problem into the reduced space `x = x_p + F z`, packing the
 /// linear inequality rows into one contiguous matrix for the blocked
-/// Newton assembly.
+/// Newton assembly. Right-hand sides are left out: they vary per cell.
 pub(crate) fn project_problem(prob: &Problem, x_p: &[f64], f: Option<&Matrix>) -> ProjStorage {
     let (p0, q0, _) = prob.objective();
     let m_lin = prob.lin_rows().len();
@@ -2117,7 +1779,6 @@ pub(crate) fn project_problem(prob: &Problem, x_p: &[f64], f: Option<&Matrix>) -
                 p0: p0.cloned(),
                 q0: q0.to_vec(),
                 a,
-                b: prob.lin_rhs().to_vec(),
                 quad: prob.quad_constraints().to_vec(),
             }
         }
@@ -2135,12 +1796,10 @@ pub(crate) fn project_problem(prob: &Problem, x_p: &[f64], f: Option<&Matrix>) -
                 let pf = p.matmul(f).expect("shape");
                 f.transpose().matmul(&pf).expect("shape")
             });
-            // Linear rows.
+            // Linear rows (their right-hand sides are projected per cell).
             let mut a = Matrix::zeros(m_lin, nz);
-            let mut b = Vec::with_capacity(m_lin);
-            for (i, (row, &rhs)) in prob.lin_rows().iter().zip(prob.lin_rhs()).enumerate() {
+            for (i, row) in prob.lin_rows().iter().enumerate() {
                 a.row_mut(i).copy_from_slice(&f.matvec_t(row));
-                b.push(rhs - vecops::dot(row, x_p));
             }
             // Quadratic constraints.
             let quad = prob
@@ -2164,7 +1823,6 @@ pub(crate) fn project_problem(prob: &Problem, x_p: &[f64], f: Option<&Matrix>) -
                 p0: p0_z,
                 q0: q0_z,
                 a,
-                b,
                 quad,
             }
         }
@@ -2174,6 +1832,7 @@ pub(crate) fn project_problem(prob: &Problem, x_p: &[f64], f: Option<&Matrix>) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SolveStatus;
 
     fn solve(p: &Problem) -> Solution {
         BarrierSolver::new(SolverOptions::default())
@@ -2378,8 +2037,9 @@ mod tests {
 
     #[test]
     fn equality_reduction_cache_reused_across_rhs() {
-        // Same equality rows, different right-hand sides: the cached QR
-        // must re-project correctly for each.
+        // Same equality rows, different right-hand sides: one solver must
+        // re-project correctly for each (an equality rhs change rebuilds
+        // the cached one-cell family).
         let mut solver = BarrierSolver::new(SolverOptions::default());
         for target in [1.0, 2.0, 3.0] {
             let mut p = Problem::new(2);
@@ -2392,7 +2052,7 @@ mod tests {
                 s.x
             );
         }
-        // Different equality structure invalidates the cache.
+        // A different equality structure rebuilds it too.
         let mut p = Problem::new(2);
         p.set_quadratic_objective(Matrix::from_diag(&[2.0, 2.0]), vec![0.0, 0.0]);
         p.add_eq(vec![1.0, -1.0], 0.0);
@@ -2441,23 +2101,6 @@ mod tests {
             "warm start must shorten the Newton path ({} vs {})",
             warm.newton_steps,
             cold.newton_steps
-        );
-    }
-
-    #[test]
-    fn scratch_persists_across_solves() {
-        let mut p = Problem::new(2);
-        p.set_quadratic_objective(Matrix::from_diag(&[2.0, 2.0]), vec![-4.0, -4.0]);
-        p.add_linear_le(vec![1.0, 1.0], 2.0);
-        let mut solver = BarrierSolver::new(SolverOptions::default());
-        let _ = solver.solve(&p).unwrap();
-        let dims_after_first = solver.scratch().cached_dims();
-        assert!(dims_after_first >= 1);
-        let _ = solver.solve(&p).unwrap();
-        assert_eq!(
-            solver.scratch().cached_dims(),
-            dims_after_first,
-            "repeat solves of one shape must not grow the scratch"
         );
     }
 

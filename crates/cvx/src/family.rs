@@ -1,39 +1,36 @@
-//! Sweep-shared problem families: hoist everything cell-invariant out of
-//! the per-cell solve path.
+//! Problem families: the one storage front-end every solve runs through.
 //!
 //! A Phase-1 table sweep solves a *family* of near-identical convex
 //! programs: every grid cell shares the exact same constraint coefficients,
 //! variable box, equality rows and objective — only the linear right-hand
 //! sides (the thermal offsets and the workload bound) and the warm seed
-//! change from cell to cell. The per-cell [`crate::BarrierSolver`] path
-//! nevertheless re-derives per-solve everything that is actually
-//! sweep-invariant: it packs the rows into a fresh matrix, re-keys the
-//! row-reduction analysis, re-checks the equality QR cache, rebuilds the
-//! phase-I augmented system and allocates every intermediate vector.
+//! change from cell to cell.
 //!
-//! [`ProblemFamily`] performs all of that **once**: it owns the packed row
-//! matrix, the box-free row-reduction analysis ([`ReduceAnalysis`]), the
-//! equality elimination (particular solution + nullspace basis via the
-//! cached QR), the pre-built phase-I augmented storage, and the prototype
-//! [`Problem`] itself (for certificate checks and structural comparisons).
-//! A [`FamilySolver`] then solves one cell at a time through
-//! [`FamilySolver::solve_cell`], touching only per-cell data — right-hand
-//! sides, optional objective override, seed — with **zero heap allocation
-//! and zero re-analysis** on the feasible hot path once its buffers have
-//! grown (the counting-allocator test pins this down).
+//! [`ProblemFamily`] derives everything cell-invariant **once**: it owns
+//! the packed row matrix, the box-free row-reduction analysis
+//! ([`ReduceAnalysis`]), the equality elimination (particular solution +
+//! nullspace basis from one QR), the pre-built phase-I augmented storage,
+//! and the prototype [`Problem`] itself (for certificate checks and
+//! structural comparisons). A [`FamilySolver`] then solves one cell at a
+//! time through [`FamilySolver::solve_cell`], touching only per-cell data —
+//! right-hand sides, optional objective override, seed — with **zero heap
+//! allocation and zero re-analysis** on the feasible hot path once its
+//! buffers have grown (the counting-allocator test pins this down).
 //!
-//! # Bit-identity with the per-cell path
+//! Sweeps, frontier probes and MPC windows hold a family directly; the
+//! one-shot [`crate::BarrierSolver`] is a [`FamilySolver`] over a one-cell
+//! family built from the problem it is handed.
 //!
-//! Family solves run the *same engine* (`solve_flow`, `run_barrier`,
-//! `phase1` in the `barrier` module) over views of the family's storage,
-//! and every cached quantity (packed rows, projected system, augmented
-//! system, reduction analysis, equality QR) is a pure function of data
-//! that is bit-identical to what the per-cell path would derive from the
-//! cell's own [`Problem`]. The produced solutions, verdicts and
-//! certificates are therefore bit-identical to
-//! [`crate::BarrierSolver::solve_seeded`]/[`crate::BarrierSolver::solve_warm`]
-//! on the equivalent per-cell problem — the one-shot [`crate::BarrierSolver`]
-//! is the reference this module's tests compare against bit for bit.
+//! # The prototype's right-hand sides play no role
+//!
+//! Every cached quantity (packed rows, projected system, augmented system,
+//! reduction analysis, equality QR) is a pure function of the prototype's
+//! coefficients, quadratic constraints, equalities and objective — never
+//! of its linear right-hand sides. A cell's solve therefore does not depend
+//! on which cell's rhs the prototype carried: a family built from any
+//! member solves every other member bit for bit like a family built from
+//! that member itself, which this module's tests check and which lets a
+//! sweep build its family from an arbitrary prototype cell.
 //!
 //! # When a family must be rebuilt
 //!
@@ -53,14 +50,14 @@ use std::time::Instant;
 use protemp_linalg::{vecops, Matrix};
 
 use crate::barrier::{
-    feasible_flow, lift, lift_into, project_problem, reduce_equalities_cached, solve_flow,
-    AugSource, AugStorage, FeasFlow, FlowVerdict, ProjStorage, VecPool,
+    feasible_flow, lift, lift_into, project_problem, reduce_equalities, solve_flow, AugStorage,
+    FeasFlow, FlowVerdict, ProjStorage, VecPool,
 };
 use crate::certificate::{boxed_bound_accepts, single_entry, ProblemView, RowsRef};
 use crate::reduce::{ReduceAnalysis, RowReducer};
+use crate::scratch::SolverScratch;
 use crate::{
-    Certificate, FeasibleOutcome, Problem, Result, Solution, SolveStatus, SolverOptions,
-    SolverScratch,
+    Certificate, CvxError, FeasibleOutcome, Problem, Result, Solution, SolveStatus, SolverOptions,
 };
 
 /// The immutable, sweep-invariant structure of one family of convex
@@ -76,7 +73,7 @@ pub struct ProblemFamily {
     /// equalities) …
     x_p: Vec<f64>,
     /// … and orthonormal nullspace basis (`None` when no equalities).
-    f_basis: Option<Arc<Matrix>>,
+    f_basis: Option<Matrix>,
     /// Projected phase-II storage (packed rows, objective, quads).
     proj: ProjStorage,
     /// Pre-built phase-I augmented storage.
@@ -99,11 +96,9 @@ impl ProblemFamily {
     pub fn new(prototype: Problem, opts: &SolverOptions) -> Result<ProblemFamily> {
         let t0 = Instant::now();
         prototype.validate()?;
-        let mut eq_cache = None;
-        let (x_p, f_basis) = reduce_equalities_cached(&mut eq_cache, &prototype)?;
-        let proj = project_problem(&prototype, &x_p, f_basis.as_deref());
-        let mut aug = AugStorage::default();
-        aug.fill_from(&proj);
+        let (x_p, f_basis) = reduce_equalities(&prototype)?;
+        let proj = project_problem(&prototype, &x_p, f_basis.as_ref());
+        let aug = AugStorage::new(&proj);
         let analysis = if opts.row_reduction && f_basis.is_none() && prototype.lin_rhs().len() >= 2
         {
             let a = ReduceAnalysis::build(&prototype);
@@ -176,8 +171,8 @@ impl ProblemFamily {
     /// `true` when `prob` belongs to this family: identical coefficients,
     /// quadratic constraints, equalities (rows *and* right-hand sides),
     /// objective and variable count — everything except the linear
-    /// inequality right-hand sides. Such a problem's per-cell solve is
-    /// bit-identical to [`FamilySolver::solve_cell`] on its rhs.
+    /// inequality right-hand sides. [`FamilySolver::solve_cell`] on its rhs
+    /// then solves exactly `prob`.
     pub fn matches(&self, prob: &Problem) -> bool {
         let (p0a, q0a, c0a) = self.proto.objective();
         let (p0b, q0b, c0b) = prob.objective();
@@ -219,7 +214,7 @@ impl<'a> CellSeed<'a> {
 }
 
 /// A per-worker solver over one shared [`ProblemFamily`]: owns the solver
-/// scratch, the pinned row-reduction state and every per-cell buffer, so
+/// scratch, the row-reduction state and every per-cell buffer, so
 /// [`FamilySolver::solve_cell`] performs no heap allocation and no
 /// re-analysis once warmed up (feasible path; infeasible cells allocate
 /// only for the minted certificate).
@@ -255,10 +250,7 @@ impl FamilySolver {
     /// [`crate::BarrierSolver::new`] does.
     pub fn new(family: Arc<ProblemFamily>, opts: SolverOptions) -> FamilySolver {
         opts.validate().expect("solver options must validate");
-        let mut reducer = RowReducer::default();
-        if let Some(analysis) = &family.analysis {
-            reducer.pin(Arc::clone(analysis));
-        }
+        let reducer = RowReducer::new(family.analysis.clone());
         FamilySolver {
             family,
             opts,
@@ -308,16 +300,16 @@ impl FamilySolver {
 
     /// Solves one cell of the family: the problem whose linear
     /// right-hand sides are `rhs` and whose every other datum is the
-    /// prototype's. Bit-identical to the per-cell
-    /// [`crate::BarrierSolver`] on the equivalent [`Problem`].
+    /// prototype's.
     ///
     /// The returned reference borrows this solver's reused output buffer —
     /// copy out whatever must outlive the next call.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Problem::solve`]; infeasibility is *not* an
-    /// error.
+    /// [`CvxError::NotFinite`] when `rhs` holds a non-finite value, before
+    /// any work; otherwise the same conditions as [`Problem::solve`].
+    /// Infeasibility is *not* an error.
     ///
     /// # Panics
     ///
@@ -357,7 +349,9 @@ impl FamilySolver {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`FamilySolver::solve_cell`].
+    /// Same conditions as [`FamilySolver::solve_cell`];
+    /// [`CvxError::NotFinite`] also when `objective` holds a non-finite
+    /// value.
     ///
     /// # Panics
     ///
@@ -383,6 +377,9 @@ impl FamilySolver {
         let m = family.num_lin_rows();
         let n = family.num_vars();
         assert_eq!(rhs.len(), m, "cell rhs length");
+        if !all_finite(rhs) || objective.is_some_and(|q| !all_finite(q)) {
+            return Err(CvxError::NotFinite);
+        }
 
         // Per-cell system data: project the rhs (no-op copy without
         // equalities) and the objective override, reduce rows, seed.
@@ -411,7 +408,6 @@ impl FamilySolver {
             &*self.z0
         });
 
-        let mut aug = AugSource::Prebuilt(&family.aug);
         let flow = solve_flow(
             &self.opts,
             &mut self.scratch,
@@ -420,7 +416,7 @@ impl FamilySolver {
             q0_active,
             b,
             rows,
-            &mut aug,
+            &family.aug,
             family.f_basis.is_some(),
             z0,
             seed.is_warm(),
@@ -432,7 +428,7 @@ impl FamilySolver {
         out.rows_pruned = rows_pruned;
         match flow.verdict {
             FlowVerdict::Feasible(run) => {
-                lift_into(&family.x_p, family.f_basis.as_deref(), &run.x, &mut out.x);
+                lift_into(&family.x_p, family.f_basis.as_ref(), &run.x, &mut out.x);
                 out.status = if run.converged {
                     SolveStatus::Optimal
                 } else {
@@ -454,7 +450,7 @@ impl FamilySolver {
                     let cert = Certificate {
                         lambda_lin: parts.lambda_lin,
                         lambda_quad: parts.lambda_quad,
-                        anchor: lift(&family.x_p, family.f_basis.as_deref(), &parts.anchor_z),
+                        anchor: lift(&family.x_p, family.f_basis.as_ref(), &parts.anchor_z),
                     };
                     cert.certifies_view(family.view_with(rhs), self.scratch.cert_ws())
                         .then_some(cert)
@@ -463,8 +459,10 @@ impl FamilySolver {
                 out.x.clear();
                 out.objective = f64::INFINITY;
                 out.gap_bound = f64::INFINITY;
-                // As in the per-cell path: `polished` only counts when the
-                // verified certificate actually materialized.
+                // `polished` promises a minted certificate: if the final
+                // verification pass (full rows, normalized multipliers)
+                // rejects what the in-run check accepted, the polish
+                // produced nothing transferable and must not be counted.
                 out.polished = polished && certificate.is_some();
                 out.certificate = certificate;
             }
@@ -476,7 +474,7 @@ impl FamilySolver {
                     Some(run) => {
                         // Truncated but strictly feasible iterate: lift it
                         // and price it exactly like the feasible path.
-                        lift_into(&family.x_p, family.f_basis.as_deref(), &run.x, &mut out.x);
+                        lift_into(&family.x_p, family.f_basis.as_ref(), &run.x, &mut out.x);
                         let quad = objective_quad(&family.proto, &out.x);
                         let (_, proto_q0, c0) = family.proto.objective();
                         let q0_full = objective.unwrap_or(proto_q0);
@@ -497,9 +495,10 @@ impl FamilySolver {
     }
 
     /// Phase-I-only feasibility query on one cell (the frontier probes'
-    /// workhorse), optionally seeded. Bit-identical to
-    /// [`crate::BarrierSolver::find_feasible_with`] on the equivalent
-    /// problem. The returned reference borrows this solver's reused output.
+    /// workhorse), optionally seeded from a point of a neighbouring cell:
+    /// returns a strictly feasible point, or a verified infeasibility
+    /// [`Certificate`] when the cell has none, with the Newton cost. The
+    /// returned reference borrows this solver's reused output.
     ///
     /// # Errors
     ///
@@ -549,6 +548,9 @@ impl FamilySolver {
         let m = family.num_lin_rows();
         let n = family.num_vars();
         assert_eq!(rhs.len(), m, "cell rhs length");
+        if !all_finite(rhs) {
+            return Err(CvxError::NotFinite);
+        }
 
         project_rhs(&family, rhs, &mut self.b_proj);
         let kept = match mask {
@@ -575,7 +577,6 @@ impl FamilySolver {
             }
         }
 
-        let mut aug = AugSource::Prebuilt(&family.aug);
         let flow = feasible_flow(
             &self.opts,
             &mut self.scratch,
@@ -584,7 +585,7 @@ impl FamilySolver {
             None,
             b,
             rows,
-            &mut aug,
+            &family.aug,
             family.f_basis.is_some(),
             &self.z0,
         )?;
@@ -594,7 +595,7 @@ impl FamilySolver {
         match flow {
             FeasFlow::Instant => {
                 let mut buf = out.point.take().unwrap_or_default();
-                lift_into(&family.x_p, family.f_basis.as_deref(), &self.z0, &mut buf);
+                lift_into(&family.x_p, family.f_basis.as_ref(), &self.z0, &mut buf);
                 out.point = Some(buf);
                 out.newton_steps = 0;
                 out.polished = false;
@@ -602,7 +603,7 @@ impl FamilySolver {
             FeasFlow::Found(p1) => {
                 let z = p1.z.expect("Found carries a feasible point");
                 let mut buf = out.point.take().unwrap_or_default();
-                lift_into(&family.x_p, family.f_basis.as_deref(), &z, &mut buf);
+                lift_into(&family.x_p, family.f_basis.as_ref(), &z, &mut buf);
                 out.point = Some(buf);
                 self.pool.put(z);
                 out.newton_steps = p1.newton;
@@ -616,7 +617,7 @@ impl FamilySolver {
                     let cert = Certificate {
                         lambda_lin: parts.lambda_lin,
                         lambda_quad: parts.lambda_quad,
-                        anchor: lift(&family.x_p, family.f_basis.as_deref(), &parts.anchor_z),
+                        anchor: lift(&family.x_p, family.f_basis.as_ref(), &parts.anchor_z),
                     };
                     cert.certifies_view(family.view_with(rhs), self.scratch.cert_ws())
                         .then_some(cert)
@@ -659,7 +660,7 @@ impl FamilySolver {
     /// linear terms in row order and then the cached quadratic terms in
     /// constraint order, exactly as the scalar loop interleaves them (the
     /// lin/quad accumulators never mix); and the final verdict funnels
-    /// through the same [`boxed_bound_accepts`]. Splitting the scalar
+    /// through the same `boxed_bound_accepts`. Splitting the scalar
     /// fused loop into prep + per-cell phases is bit-safe because the
     /// lo/hi harvest and the value/mag/ρ aggregation write disjoint
     /// accumulators.
@@ -947,6 +948,11 @@ impl ColumnScreen {
     }
 }
 
+/// `true` when every value is finite.
+fn all_finite(v: &[f64]) -> bool {
+    v.iter().all(|x| x.is_finite())
+}
+
 /// Projects a cell's original-space rhs into the family's (possibly
 /// equality-reduced) space: `b_i = rhs_i − rowᵢ·x_p` with equalities, a
 /// plain copy without. Allocation-free once `out` has grown.
@@ -967,7 +973,8 @@ fn project_rhs(family: &ProblemFamily, rhs: &[f64], out: &mut Vec<f64>) {
 
 /// Projects a per-cell linear-objective override into the reduced space
 /// when the family has equalities (the same `Fᵀ(P x_p + q₀)` formula
-/// `project_problem` uses); returns the active reduced-space q₀ slice, or
+/// `project_problem` uses for the prototype's); returns the active
+/// reduced-space q₀ slice, or
 /// `None` when no override was supplied (the family's own stays active).
 fn project_override<'a>(
     family: &ProblemFamily,
@@ -1067,56 +1074,69 @@ mod tests {
         rhs
     }
 
+    /// A solver over a family built from the cell's own problem: the
+    /// reference a family built from another cell must reproduce.
+    fn own_family_solver(prob: Problem, opts: SolverOptions) -> FamilySolver {
+        FamilySolver::new(Arc::new(ProblemFamily::new(prob, &opts).unwrap()), opts)
+    }
+
+    /// A family's outputs do not depend on which cell's rhs its prototype
+    /// carried: along a seeded-then-warm chain, the shared family solves
+    /// every cell bit for bit like a family built from that cell's own
+    /// problem. `AssignmentContext::family()` in the Pro-Temp layer builds
+    /// its family from an arbitrary design point and relies on this.
     #[test]
     fn family_solve_cell_matches_per_cell_solver_bitwise() {
         let opts = SolverOptions::default();
         let family = Arc::new(ProblemFamily::new(prototype(), &opts).unwrap());
         let mut fam = FamilySolver::new(Arc::clone(&family), opts);
-        let mut per_cell = BarrierSolver::new(opts);
         let seed = vec![0.5, 0.5, 0.5, 0.5];
         let mut warm: Option<Vec<f64>> = None;
         for workload in [-0.5, -1.0, -2.0, -0.25] {
             let rhs = rhs_for(workload);
             let prob = cell_problem(&rhs);
             assert!(family.matches(&prob), "cells must belong to the family");
-            let (fam_sol, cell_sol) = match &warm {
+            let mut own = own_family_solver(prob, opts);
+            let (fam_sol, own_sol) = match &warm {
                 None => (
                     fam.solve_cell(&rhs, CellSeed::Seeded(&seed)).unwrap(),
-                    per_cell.solve_seeded(&prob, &seed).unwrap(),
+                    own.solve_cell(&rhs, CellSeed::Seeded(&seed)).unwrap(),
                 ),
                 Some(w) => (
                     fam.solve_cell(&rhs, CellSeed::Warm(w)).unwrap(),
-                    per_cell.solve_warm(&prob, w).unwrap(),
+                    own.solve_cell(&rhs, CellSeed::Warm(w)).unwrap(),
                 ),
             };
-            assert_eq!(fam_sol.status, cell_sol.status, "workload {workload}");
-            assert_eq!(fam_sol.x, cell_sol.x, "bit-identical x at {workload}");
-            assert_eq!(fam_sol.objective.to_bits(), cell_sol.objective.to_bits());
-            assert_eq!(fam_sol.newton_steps, cell_sol.newton_steps);
-            assert_eq!(fam_sol.phase1_steps, cell_sol.phase1_steps);
-            assert_eq!(fam_sol.rows_pruned, cell_sol.rows_pruned);
+            assert_eq!(fam_sol.status, own_sol.status, "workload {workload}");
+            assert_eq!(fam_sol.x, own_sol.x, "bit-identical x at {workload}");
+            assert_eq!(fam_sol.objective.to_bits(), own_sol.objective.to_bits());
+            assert_eq!(fam_sol.newton_steps, own_sol.newton_steps);
+            assert_eq!(fam_sol.phase1_steps, own_sol.phase1_steps);
+            assert_eq!(fam_sol.rows_pruned, own_sol.rows_pruned);
             warm = Some(fam_sol.x.clone());
         }
     }
 
+    /// As above for an infeasible cell: the same verdict, Newton bill and
+    /// minted certificate, bit for bit, whichever cell built the family.
     #[test]
     fn family_infeasible_cell_matches_per_cell_certificate() {
         let opts = SolverOptions::default();
         let family = Arc::new(ProblemFamily::new(prototype(), &opts).unwrap());
         let mut fam = FamilySolver::new(Arc::clone(&family), opts);
-        let mut per_cell = BarrierSolver::new(opts);
         // Demand more than the box total allows: Σ over first two ≥ 30.
         let mut rhs = rhs_for(-30.0);
         // Also tighten the sum row so the conflict is linear.
         rhs[8] = 4.0;
         let prob = cell_problem(&rhs);
+        let mut own = own_family_solver(prob.clone(), opts);
         let fam_sol = fam.solve_cell(&rhs, CellSeed::None).unwrap();
-        let cell_sol = per_cell.solve(&prob).unwrap();
+        let own_sol = own.solve_cell(&rhs, CellSeed::None).unwrap();
         assert_eq!(fam_sol.status, SolveStatus::Infeasible);
-        assert_eq!(cell_sol.status, SolveStatus::Infeasible);
-        assert_eq!(fam_sol.newton_steps, cell_sol.newton_steps);
+        assert_eq!(own_sol.status, SolveStatus::Infeasible);
+        assert_eq!(fam_sol.newton_steps, own_sol.newton_steps);
         assert_eq!(
-            fam_sol.certificate, cell_sol.certificate,
+            fam_sol.certificate, own_sol.certificate,
             "minted certificates must be bit-identical"
         );
         if let Some(cert) = &fam_sol.certificate {
@@ -1125,6 +1145,8 @@ mod tests {
         }
     }
 
+    /// As above on the equality-eliminated path, whose projected rhs and
+    /// seeds go through the family's one QR.
     #[test]
     fn family_with_equalities_matches_per_cell() {
         let opts = SolverOptions::default();
@@ -1136,33 +1158,33 @@ mod tests {
             "equality families skip row reduction"
         );
         let mut fam = FamilySolver::new(Arc::clone(&family), opts);
-        let mut per_cell = BarrierSolver::new(opts);
         for workload in [-0.5, -1.5] {
             let rhs = rhs_for(workload);
             let mut prob = proto.clone();
             prob.lin_rhs_mut().copy_from_slice(&rhs);
+            let mut own = own_family_solver(prob, opts);
             let fam_sol = fam.solve_cell(&rhs, CellSeed::None).unwrap();
-            let cell_sol = per_cell.solve(&prob).unwrap();
-            assert_eq!(fam_sol.status, cell_sol.status);
-            assert_eq!(fam_sol.x, cell_sol.x, "bit-identical x at {workload}");
-            assert_eq!(fam_sol.newton_steps, cell_sol.newton_steps);
+            let own_sol = own.solve_cell(&rhs, CellSeed::None).unwrap();
+            assert_eq!(fam_sol.status, own_sol.status);
+            assert_eq!(fam_sol.x, own_sol.x, "bit-identical x at {workload}");
+            assert_eq!(fam_sol.newton_steps, own_sol.newton_steps);
         }
     }
 
+    /// As above for phase-I-only queries, feasible and infeasible.
     #[test]
     fn find_feasible_cell_matches_per_cell() {
         let opts = SolverOptions::default();
         let family = Arc::new(ProblemFamily::new(prototype(), &opts).unwrap());
         let mut fam = FamilySolver::new(Arc::clone(&family), opts);
-        let mut per_cell = BarrierSolver::new(opts);
         for workload in [-0.5, -30.0] {
             let rhs = rhs_for(workload);
-            let prob = cell_problem(&rhs);
+            let mut own = own_family_solver(cell_problem(&rhs), opts);
             let fam_out = fam.find_feasible_cell(&rhs, None).unwrap();
-            let cell_out = per_cell.find_feasible_with(&prob, None).unwrap();
-            assert_eq!(fam_out.point, cell_out.point, "workload {workload}");
-            assert_eq!(fam_out.newton_steps, cell_out.newton_steps);
-            assert_eq!(fam_out.certificate, cell_out.certificate);
+            let own_out = own.find_feasible_cell(&rhs, None).unwrap();
+            assert_eq!(fam_out.point, own_out.point, "workload {workload}");
+            assert_eq!(fam_out.newton_steps, own_out.newton_steps);
+            assert_eq!(fam_out.certificate, own_out.certificate);
         }
     }
 
@@ -1182,7 +1204,7 @@ mod tests {
             over.x[0],
             base[0]
         );
-        // And it matches the per-cell solver on the same objective.
+        // And it matches a one-shot solve of the same problem.
         let mut prob = cell_problem(&rhs);
         prob.set_linear_objective(q0);
         let cell = BarrierSolver::new(opts).solve(&prob).unwrap();
@@ -1240,8 +1262,8 @@ mod tests {
         assert_eq!(screen.ncells(), cells.len());
 
         let mut ws = crate::CertScratch::new();
-        let mut reducer = RowReducer::default();
-        reducer.pin(Arc::clone(family.analysis().expect("family has analysis")));
+        let analysis = family.analysis().expect("family has analysis");
+        let mut reducer = RowReducer::new(Some(Arc::clone(analysis)));
         for (i, rhs) in cells.iter().enumerate() {
             let scalar_hit = certs
                 .iter()
@@ -1274,8 +1296,7 @@ mod tests {
         let (cells, panel) = mixed_panel();
         let mut screen = ColumnScreen::new();
         fam.screen_cells(&panel, cells.len(), &[], 0, &mut screen);
-        let mut reducer = RowReducer::default();
-        reducer.pin(Arc::clone(family.analysis().unwrap()));
+        let mut reducer = RowReducer::new(family.analysis().cloned());
         for (i, rhs) in cells.iter().enumerate() {
             assert_eq!(screen.hit(i), None);
             let scalar_kept = reducer.select_rhs(rhs).map(<[usize]>::to_vec);
@@ -1297,5 +1318,73 @@ mod tests {
             !family.matches(&other),
             "objective change breaks membership"
         );
+    }
+
+    /// Cells whose workload rhs is NaN or infinite.
+    fn non_finite_cells() -> [Vec<f64>; 2] {
+        [rhs_for(f64::NAN), rhs_for(f64::INFINITY)]
+    }
+
+    fn fresh_solver() -> FamilySolver {
+        let opts = SolverOptions::default();
+        FamilySolver::new(
+            Arc::new(ProblemFamily::new(prototype(), &opts).unwrap()),
+            opts,
+        )
+    }
+
+    #[test]
+    fn solve_cell_rejects_non_finite_rhs() {
+        let mut fam = fresh_solver();
+        for rhs in non_finite_cells() {
+            let out = fam.solve_cell(&rhs, CellSeed::None);
+            assert!(matches!(out, Err(crate::CvxError::NotFinite)), "{out:?}");
+        }
+    }
+
+    #[test]
+    fn solve_cell_screened_rejects_non_finite_rhs() {
+        let mut fam = fresh_solver();
+        let mut screen = ColumnScreen::new();
+        for rhs in non_finite_cells() {
+            fam.screen_cells(&rhs, 1, &[], 0, &mut screen);
+            let out = fam.solve_cell_screened(&rhs, CellSeed::None, &screen, 0);
+            assert!(matches!(out, Err(crate::CvxError::NotFinite)), "{out:?}");
+        }
+    }
+
+    #[test]
+    fn solve_cell_objective_rejects_non_finite_data() {
+        let mut fam = fresh_solver();
+        let rhs = rhs_for(-0.5);
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            let q0 = vec![1.0, bad, 0.5, 0.25];
+            let out = fam.solve_cell_objective(&rhs, &q0, CellSeed::None);
+            assert!(matches!(out, Err(crate::CvxError::NotFinite)), "{out:?}");
+        }
+        for rhs in non_finite_cells() {
+            let out = fam.solve_cell_objective(&rhs, &[1.0, 1.0, 0.5, 0.25], CellSeed::None);
+            assert!(matches!(out, Err(crate::CvxError::NotFinite)), "{out:?}");
+        }
+    }
+
+    #[test]
+    fn find_feasible_cell_rejects_non_finite_rhs() {
+        let mut fam = fresh_solver();
+        for rhs in non_finite_cells() {
+            let out = fam.find_feasible_cell(&rhs, None);
+            assert!(matches!(out, Err(crate::CvxError::NotFinite)), "{out:?}");
+        }
+    }
+
+    #[test]
+    fn find_feasible_cell_screened_rejects_non_finite_rhs() {
+        let mut fam = fresh_solver();
+        let mut screen = ColumnScreen::new();
+        for rhs in non_finite_cells() {
+            fam.screen_cells(&rhs, 1, &[], 0, &mut screen);
+            let out = fam.find_feasible_cell_screened(&rhs, None, &screen, 0);
+            assert!(matches!(out, Err(crate::CvxError::NotFinite)), "{out:?}");
+        }
     }
 }

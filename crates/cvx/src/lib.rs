@@ -13,16 +13,18 @@
 //!   or certifies infeasibility; phase II follows the central path with
 //!   damped Newton steps. Equality constraints are eliminated through a QR
 //!   nullspace parametrization so every Newton system stays symmetric
-//!   positive definite.
+//!   positive definite. [`BarrierSolver::solve_warm`] re-enters phase II
+//!   directly from a neighbouring optimum.
+//! * [`ProblemFamily`] / [`FamilySolver`] — the one storage front-end every
+//!   solve runs through. A family derives everything its cells share
+//!   (packed rows, row-reduction analysis, equality QR, phase-I system)
+//!   once; a family solver then solves a cell from its right-hand sides
+//!   alone, with no per-iteration heap allocation after its first solve.
+//!   A [`BarrierSolver`] is a family solver over a one-cell family built
+//!   from the problem it is handed.
 //! * [`Model`] — a small modeling layer (variables, affine expressions,
 //!   `≤`/`≥`/`=` constraints) that compiles to a [`Problem`], standing in
 //!   for the disciplined-convex-programming front end of CVX.
-//! * [`SolverScratch`] — the reusable Newton-loop buffers a solver carries
-//!   across solves, keyed by problem dimension: reusing one
-//!   [`BarrierSolver`] across a sweep of same-shaped problems performs no
-//!   per-iteration heap allocation after the first solve, and
-//!   [`BarrierSolver::solve_warm`] re-enters phase II directly from a
-//!   neighbouring optimum.
 //! * [`Certificate`] — Farkas-style infeasibility certificates extracted
 //!   from failed phase-I runs: [`Certificate::certifies`] soundly rejects
 //!   a related problem with one matvec-equivalent pass instead of a
@@ -81,7 +83,6 @@ pub use model::{Model, ModelSolution};
 pub use options::SolverOptions;
 pub use problem::{Problem, QuadConstraint};
 pub use reduce::ReduceAnalysis;
-pub use scratch::SolverScratch;
 pub use status::{Solution, SolveStatus};
 pub use wrappers::{solve_lp, solve_qp};
 

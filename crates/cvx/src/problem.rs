@@ -308,8 +308,8 @@ impl Problem {
 
     /// Solves warm-started from `x0` (see
     /// [`crate::BarrierSolver::solve_warm`]). For repeated warm solves,
-    /// hold a [`crate::BarrierSolver`] instead so its scratch buffers are
-    /// reused too.
+    /// hold a [`crate::BarrierSolver`] instead so its one-cell family and
+    /// buffers are reused too.
     ///
     /// # Errors
     ///

@@ -61,11 +61,12 @@
 //! proves a drop — so the box-free ranking cannot make a verdict unsound,
 //! only (at worst) miss a prune.
 //!
-//! Because the analysis depends on the coefficients alone, every consumer
-//! of one problem family — the per-cell [`crate::BarrierSolver`] path, a
-//! sweep-shared [`crate::ProblemFamily`], any worker thread — derives the
-//! *same* analysis and therefore the same per-cell selections, which is
-//! what keeps family-built tables bit-identical to per-cell-built ones.
+//! Because the analysis depends on the coefficients alone, a
+//! [`crate::ProblemFamily`] builds it once, at construction, and every
+//! worker thread, cell and probe of the family shares it through an `Arc`:
+//! the per-cell work is only the [`ReduceAnalysis::select_into`] pass, and
+//! the selection — a pure function of the analysis and the cell's rhs — is
+//! the same whichever cell the family was built from.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -107,19 +108,15 @@ struct DominationPair {
 }
 
 /// The box-free pair structure of one problem family's linear rows — a
-/// pure function of the row coefficients (the cache key), shareable across
-/// threads via `Arc`.
+/// pure function of the row coefficients, shareable across threads via
+/// `Arc`.
 ///
 /// Build once per family with [`ReduceAnalysis::build`]; apply per cell
 /// with [`ReduceAnalysis::select_into`].
 #[derive(Debug, Clone, Default)]
 pub struct ReduceAnalysis {
-    /// The exact coefficients the analysis was derived from (cache key for
-    /// [`RowReducer`]; the full copy is deliberate — replaying pairs
-    /// derived from *different* coefficients could prune a non-redundant
-    /// row, so a probabilistic fingerprint is not an acceptable
-    /// substitute).
-    rows: Vec<Vec<f64>>,
+    /// Row count the analysis covers (a cell's rhs length).
+    m: usize,
     n: usize,
     /// Single-entry rows `(row, var, coeff)` in row order — the per-cell
     /// box harvest visits exactly these instead of re-scanning every row.
@@ -135,10 +132,11 @@ pub struct ReduceAnalysis {
 
 impl ReduceAnalysis {
     /// Analyzes `prob`'s linear rows once: buckets multi-entry rows by
-    /// nonzero support and keeps the [`MAX_DOMINATORS`]
-    /// smallest-difference domination pairs per candidate, with the sparse
-    /// differences themselves so per-cell applications never touch the
-    /// full rows again.
+    /// nonzero support and keeps the smallest-difference domination pairs
+    /// per candidate (a handful each), with the sparse differences
+    /// themselves so per-cell applications never touch the full rows
+    /// again. Only the coefficients are read; `prob`'s right-hand sides
+    /// play no role.
     pub fn build(prob: &Problem) -> ReduceAnalysis {
         let t0 = Instant::now();
         let rows = prob.lin_rows();
@@ -216,7 +214,7 @@ impl ReduceAnalysis {
         }
 
         ReduceAnalysis {
-            rows: rows.to_vec(),
+            m: rows.len(),
             n,
             singles,
             pairs,
@@ -235,13 +233,6 @@ impl ReduceAnalysis {
     /// prune) — callers skip the per-cell pass entirely.
     pub fn is_trivial(&self) -> bool {
         self.pairs.is_empty()
-    }
-
-    /// `true` when the analysis was derived from exactly these rows
-    /// (bit-exact coefficient comparison, short-circuiting on the first
-    /// differing row).
-    pub fn matches_rows(&self, rows: &[Vec<f64>]) -> bool {
-        self.rows.len() == rows.len() && self.rows == rows
     }
 
     /// Harvests the per-variable box `[lo, hi]` implied by the single-entry
@@ -265,7 +256,7 @@ impl ReduceAnalysis {
         kept: &mut Vec<usize>,
     ) -> bool {
         let m = rhs.len();
-        debug_assert_eq!(m, self.rows.len(), "rhs must cover the analyzed rows");
+        debug_assert_eq!(m, self.m, "rhs must cover the analyzed rows");
         if self.pairs.is_empty() || m < 2 {
             return false;
         }
@@ -336,32 +327,33 @@ impl ReduceAnalysis {
     }
 }
 
-/// Reusable row-reduction state held by a [`crate::BarrierSolver`] or
-/// [`crate::FamilySolver`]: the shared box-free [`ReduceAnalysis`] (rebuilt
-/// only when the row coefficients change — or pinned once by a
-/// [`crate::ProblemFamily`] and never checked again) plus the per-cell
-/// scratch and cumulative timing.
-#[derive(Debug, Clone, Default)]
+/// Per-solver row-reduction state held by a [`crate::FamilySolver`]: its
+/// family's shared [`ReduceAnalysis`] (if any) plus the per-cell scratch
+/// and cumulative timing.
+#[derive(Debug, Clone)]
 pub(crate) struct RowReducer {
     analysis: Option<Arc<ReduceAnalysis>>,
-    /// Pinned by a problem family: the coefficient comparison is skipped
-    /// (the family already guarantees every cell shares the coefficients).
-    pinned: bool,
     dropped: Vec<bool>,
     kept: Vec<usize>,
     lo: Vec<f64>,
     hi: Vec<f64>,
-    /// Cumulative wall-clock seconds spent inside [`RowReducer::select`]
-    /// (the per-cell pass; analysis builds are counted separately).
+    /// Cumulative wall-clock seconds spent inside
+    /// [`RowReducer::select_rhs`] (the per-cell pass; the analysis build
+    /// is counted separately).
     reduce_s: f64,
 }
 
 impl RowReducer {
-    /// Pins a family-shared analysis: subsequent selections trust it
-    /// without re-deriving or comparing coefficients.
-    pub(crate) fn pin(&mut self, analysis: Arc<ReduceAnalysis>) {
-        self.analysis = Some(analysis);
-        self.pinned = true;
+    /// A reducer applying `analysis` (`None`: never prunes).
+    pub(crate) fn new(analysis: Option<Arc<ReduceAnalysis>>) -> Self {
+        RowReducer {
+            analysis,
+            dropped: Vec::new(),
+            kept: Vec::new(),
+            lo: Vec::new(),
+            hi: Vec::new(),
+            reduce_s: 0.0,
+        }
     }
 
     /// Cumulative seconds spent in per-cell selection passes.
@@ -390,39 +382,6 @@ impl RowReducer {
             None
         }
     }
-
-    /// As [`RowReducer::select_rhs`], for a standalone [`Problem`]:
-    /// (re)derives the analysis when the row coefficients changed since the
-    /// last call, then applies the per-cell pass on the problem's own rhs.
-    pub(crate) fn select(&mut self, prob: &Problem) -> Option<&[usize]> {
-        if prob.lin_rhs().len() < 2 {
-            return None;
-        }
-        let fresh = match &self.analysis {
-            Some(a) => {
-                // A pinned analysis is trusted without the O(m·n)
-                // comparison — the family guarantees membership — but the
-                // invariant stays self-enforcing in debug builds: replaying
-                // pairs derived from *different* coefficients could prune a
-                // non-redundant row.
-                debug_assert!(
-                    !self.pinned || a.matches_rows(prob.lin_rows()),
-                    "pinned reducer given a problem outside its family"
-                );
-                self.pinned || a.matches_rows(prob.lin_rows())
-            }
-            None => false,
-        };
-        if !fresh {
-            self.analysis = Some(Arc::new(ReduceAnalysis::build(prob)));
-        }
-        self.select_rhs_owned(prob.lin_rhs())
-    }
-
-    /// Non-borrow-splitting helper for [`RowReducer::select`].
-    fn select_rhs_owned(&mut self, rhs: &[f64]) -> Option<&[usize]> {
-        self.select_rhs(rhs)
-    }
 }
 
 #[cfg(test)]
@@ -441,8 +400,15 @@ mod tests {
         p
     }
 
+    /// A reducer over `p`'s own analysis, as a family built from `p` holds.
+    fn reducer_for(p: &Problem) -> RowReducer {
+        RowReducer::new(Some(Arc::new(ReduceAnalysis::build(p))))
+    }
+
     fn kept_of(p: &Problem) -> Option<Vec<usize>> {
-        RowReducer::default().select(p).map(<[usize]>::to_vec)
+        reducer_for(p)
+            .select_rhs(p.lin_rhs())
+            .map(<[usize]>::to_vec)
     }
 
     #[test]
@@ -506,53 +472,41 @@ mod tests {
 
     #[test]
     fn analysis_replays_across_rhs_changes() {
-        let mut reducer = RowReducer::default();
         let p1 = boxed_problem(&[(vec![1.0, 1.0], 4.0), (vec![1.5, 1.0], 6.0)]);
-        assert_eq!(reducer.select(&p1).unwrap(), &[0, 1, 2, 3, 4]);
-        let analysis = reducer.analysis.clone().expect("analysis built");
+        let mut reducer = reducer_for(&p1);
+        assert_eq!(reducer.select_rhs(p1.lin_rhs()).unwrap(), &[0, 1, 2, 3, 4]);
         // Same coefficients, tighter candidate rhs: nothing prunable now —
-        // the cached analysis must still answer correctly, without a
-        // rebuild.
+        // the analysis built from p1 must still answer correctly.
         let p2 = boxed_problem(&[(vec![1.0, 1.0], 4.0), (vec![1.5, 1.0], 4.5)]);
-        assert!(reducer.select(&p2).is_none());
-        assert!(
-            Arc::ptr_eq(&analysis, reducer.analysis.as_ref().unwrap()),
-            "rhs changes must not rebuild the analysis"
-        );
+        assert!(reducer.select_rhs(p2.lin_rhs()).is_none());
         // And looser again: prunes again off the same analysis.
         let p3 = boxed_problem(&[(vec![1.0, 1.0], 4.0), (vec![1.5, 1.0], 7.0)]);
-        assert_eq!(reducer.select(&p3).unwrap(), &[0, 1, 2, 3, 4]);
-        assert!(Arc::ptr_eq(&analysis, reducer.analysis.as_ref().unwrap()));
+        assert_eq!(reducer.select_rhs(p3.lin_rhs()).unwrap(), &[0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn box_changes_do_not_rebuild_the_analysis() {
         // The analysis is box-free: tightening a *single-entry* rhs (which
         // moves the harvested box, the exact situation at the sweep's hot
-        // rows) must change neither the analysis nor its verdict soundness.
-        let mut reducer = RowReducer::default();
+        // rows) must not void the analysis nor its verdict soundness.
         let mut p1 = Problem::new(2);
         p1.set_linear_objective(vec![1.0, 1.0]);
         p1.add_box(0, 0.0, 2.0);
         p1.add_box(1, 0.0, 3.0);
         p1.add_linear_le(vec![1.0, 1.0], 4.0);
         p1.add_linear_le(vec![1.5, 1.0], 6.0);
-        assert_eq!(reducer.select(&p1).unwrap(), &[0, 1, 2, 3, 4]);
-        let analysis = reducer.analysis.clone().unwrap();
+        let mut reducer = reducer_for(&p1);
+        assert_eq!(reducer.select_rhs(p1.lin_rhs()).unwrap(), &[0, 1, 2, 3, 4]);
         // Same coefficients, hi₀ tightened 2.0 → 1.0 via the box row's rhs:
-        // M = max 0.5·x₀ shrinks to 0.5, still ≤ gap 2 → same prune, same
-        // analysis object.
+        // M = max 0.5·x₀ shrinks to 0.5, still ≤ gap 2 → same prune off
+        // the analysis built from p1.
         let mut p2 = Problem::new(2);
         p2.set_linear_objective(vec![1.0, 1.0]);
         p2.add_box(0, 0.0, 1.0);
         p2.add_box(1, 0.0, 3.0);
         p2.add_linear_le(vec![1.0, 1.0], 4.0);
         p2.add_linear_le(vec![1.5, 1.0], 6.0);
-        assert_eq!(reducer.select(&p2).unwrap(), &[0, 1, 2, 3, 4]);
-        assert!(
-            Arc::ptr_eq(&analysis, reducer.analysis.as_ref().unwrap()),
-            "a box move must not rebuild the box-free analysis"
-        );
+        assert_eq!(reducer.select_rhs(p2.lin_rhs()).unwrap(), &[0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -565,19 +519,5 @@ mod tests {
         ]);
         let kept = kept_of(&p).expect("looser twin must be pruned");
         assert_eq!(kept, vec![0, 1, 2, 3, 5]);
-    }
-
-    #[test]
-    fn pinned_analysis_is_trusted_without_comparison() {
-        let p = boxed_problem(&[(vec![1.0, 1.0], 4.0), (vec![1.0, 1.0], 4.0)]);
-        let analysis = Arc::new(ReduceAnalysis::build(&p));
-        assert!(!analysis.is_trivial());
-        assert!(analysis.matches_rows(p.lin_rows()));
-        let mut reducer = RowReducer::default();
-        reducer.pin(Arc::clone(&analysis));
-        assert_eq!(reducer.select_rhs(p.lin_rhs()).unwrap(), &[0, 1, 2, 3, 5]);
-        // select() on the pinned reducer reuses the pinned analysis.
-        assert_eq!(reducer.select(&p).unwrap(), &[0, 1, 2, 3, 5]);
-        assert!(Arc::ptr_eq(&analysis, reducer.analysis.as_ref().unwrap()));
     }
 }

@@ -5,12 +5,13 @@
 //! the Cholesky factor, the step and the line-search candidate. Allocating
 //! them per iteration puts the heap on the hot path of the Phase-1 sweep
 //! (tens of thousands of Newton steps per table build). [`SolverScratch`]
-//! owns them instead, keyed by problem dimension, so a [`crate::BarrierSolver`]
-//! reused across solves of the same shape performs **no per-iteration heap
+//! owns them instead, keyed by problem dimension, so a
+//! [`crate::FamilySolver`] — and therefore every sweep worker, probe and
+//! one-shot [`crate::BarrierSolver`] — performs **no per-iteration heap
 //! allocation after its first solve** — phase I (dimension `n + 1`) and
 //! phase II (dimension `n`) each keep their own slot.
 
-use protemp_linalg::{Cholesky, Matrix, StackReq};
+use protemp_linalg::{Cholesky, Matrix};
 
 use crate::CertScratch;
 
@@ -76,57 +77,23 @@ impl DimScratch {
             self.w.resize(m, 0.0);
         }
     }
-
-    /// Scalar footprint of one dimension slot at creation (the up-front
-    /// size computation callers can use for capacity planning; the per-row
-    /// slack/weight buffers grow on first use and are reported by
-    /// [`crate::SolverScratch::footprint_scalars`] once sized).
-    pub(crate) const fn req(n: usize) -> StackReq {
-        // grad + qgrad + jacobi + bs + dx + cand + center, plus
-        // hess + hs + chol.
-        StackReq::scalars(7 * n)
-            .and(StackReq::matrix(n, n))
-            .and(StackReq::matrix(n, n))
-            .and(StackReq::matrix(n, n))
-    }
 }
 
 /// Reusable buffers for the barrier solver's inner loops.
 ///
-/// Held by [`crate::BarrierSolver`] and persisted across solves; grows once
-/// per distinct problem dimension it encounters and is allocation-free
-/// afterwards. Create one solver per worker thread and reuse it for every
-/// solve of the same problem family.
+/// Held by a [`crate::FamilySolver`] and persisted across solves; grows
+/// once per distinct problem dimension it encounters and is
+/// allocation-free afterwards.
 #[derive(Debug, Clone, Default)]
-pub struct SolverScratch {
+pub(crate) struct SolverScratch {
     slots: Vec<(usize, DimScratch)>,
     cert_ws: CertScratch,
 }
 
 impl SolverScratch {
     /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SolverScratch::default()
-    }
-
-    /// Drops all cached buffers.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.cert_ws = CertScratch::new();
-    }
-
-    /// Number of distinct problem dimensions currently cached.
-    pub fn cached_dims(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total scalar footprint of the cached buffers (including the per-row
-    /// slack/weight buffers once they have grown to a problem's row count).
-    pub fn footprint_scalars(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|(n, s)| DimScratch::req(*n).len() + s.slack.len() + s.w.len())
-            .sum()
     }
 
     /// The certificate-check workspace shared by this solver's
@@ -152,23 +119,33 @@ mod tests {
     #[test]
     fn slots_are_cached_per_dimension() {
         let mut s = SolverScratch::new();
-        assert_eq!(s.cached_dims(), 0);
+        assert_eq!(s.slots.len(), 0);
         let p1 = s.for_dim(4).grad.as_ptr();
         let p2 = s.for_dim(5).grad.as_ptr();
-        assert_eq!(s.cached_dims(), 2);
+        assert_eq!(s.slots.len(), 2);
         // Re-requesting an existing dimension returns the same buffers.
         assert_eq!(s.for_dim(4).grad.as_ptr(), p1);
         assert_eq!(s.for_dim(5).grad.as_ptr(), p2);
-        assert_eq!(s.cached_dims(), 2);
-        s.clear();
-        assert_eq!(s.cached_dims(), 0);
+        assert_eq!(s.slots.len(), 2);
     }
 
     #[test]
     fn footprint_matches_req() {
+        // A fresh slot holds seven n-vectors and n × n matrices for the
+        // Hessian and its scaled copy; the per-row buffers start empty and
+        // only ever grow, to the largest row count seen.
         let mut s = SolverScratch::new();
-        s.for_dim(3);
-        assert_eq!(s.footprint_scalars(), DimScratch::req(3).len());
-        assert_eq!(DimScratch::req(3).len(), 7 * 3 + 3 * 9);
+        let d = s.for_dim(3);
+        for v in [
+            &d.grad, &d.qgrad, &d.jacobi, &d.bs, &d.dx, &d.cand, &d.center,
+        ] {
+            assert_eq!(v.len(), 3);
+        }
+        assert_eq!(d.hess.shape(), (3, 3));
+        assert_eq!(d.hs.shape(), (3, 3));
+        assert!(d.slack.is_empty() && d.w.is_empty());
+        d.ensure_rows(5);
+        d.ensure_rows(2);
+        assert_eq!((d.slack.len(), d.w.len()), (5, 5));
     }
 }

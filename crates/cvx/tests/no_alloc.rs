@@ -1,12 +1,14 @@
 //! Proof that barrier iterations are allocation-free after the first solve
-//! on a given problem shape (the `SolverScratch` contract).
+//! on a given problem shape (the solver-scratch contract).
 //!
-//! A counting global allocator measures whole solves. Per-solve setup
-//! (problem projection, the returned `Solution`) allocates a fixed amount
-//! that does not depend on how many Newton/outer iterations run, so:
+//! A counting global allocator measures whole solves. Per-solve work
+//! outside the iterations (the returned copy of the `Solution`) allocates
+//! a fixed amount that does not depend on how many Newton/outer
+//! iterations run, so:
 //!
 //! * a repeat solve on a warm solver must allocate strictly less than the
-//!   first solve on a cold one (the scratch already exists), and
+//!   first solve on a cold one (the one-cell family and its scratch
+//!   already exist), and
 //! * two warm repeat solves that differ *only* in iteration count (driven
 //!   by the duality-gap tolerance) must allocate exactly the same amount —
 //!   if any matrix/vector were allocated per iteration, the tighter

@@ -209,7 +209,7 @@ pub mod prop {
         use super::super::{Strategy, TestRng};
         use std::ops::Range;
 
-        /// Lengths accepted by [`vec`]: a fixed size or a size range.
+        /// Lengths accepted by [`vec()`]: a fixed size or a size range.
         pub trait SizeRange {
             /// Draws a concrete length.
             fn pick(&self, rng: &mut TestRng) -> usize;
