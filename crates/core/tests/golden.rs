@@ -4,6 +4,10 @@
 //!
 //! * the checked-in `results/quick_prior` artifact rebuilds identically
 //!   (table, per-cell records, certificates, fingerprint);
+//! * the Phase-1 sweeps of the paper 8×10 grid, the `--quick` 3×4 grid
+//!   and the quick grid's incremental rebuild against `results/quick_prior`
+//!   keep their table, record and certificate digests and their
+//!   deterministic build counters;
 //! * the default contexts of the three built-in platforms keep their
 //!   fingerprints, so persisted artifacts stay valid;
 //! * `OnlineController` and `LadderController` serve the same frequency
@@ -19,9 +23,9 @@
 use std::path::PathBuf;
 
 use protemp::{
-    check_feasible, frontier, solve_assignment, AssignmentContext, ControlConfig, FreqMode,
-    LadderController, LadderTelemetry, OnlineController, ProTempController, TableBuilder,
-    TableStore,
+    check_feasible, frontier, solve_assignment, AssignmentContext, BuildArtifact, BuildStats,
+    ControlConfig, FreqMode, LadderController, LadderTelemetry, OnlineController,
+    ProTempController, TableBuilder, TableStore,
 };
 use protemp_sim::{
     run_simulation, DfsPolicy, FirstIdle, IntegralController, Observation, Platform, SimConfig,
@@ -99,6 +103,114 @@ impl Fnv {
             self.add(&f.to_bits().to_le_bytes());
         }
     }
+}
+
+/// FNV-1a over the `Debug` renderings of an artifact's table, per-cell
+/// records and certificates (every `f64` prints in shortest round-trip
+/// form, so equal digests mean bit-equal outputs).
+fn artifact_digest(artifact: &BuildArtifact) -> u64 {
+    let mut digest = Fnv::new();
+    digest.add(format!("{:?}", artifact.table).as_bytes());
+    digest.add(format!("{:?}", artifact.cells).as_bytes());
+    digest.add(format!("{:?}", artifact.certificates).as_bytes());
+    digest.0
+}
+
+/// The deterministic `BuildStats` counters, in declaration order; the
+/// wall-clock fields are left out.
+fn build_counters(stats: &BuildStats) -> [u64; 15] {
+    [
+        stats.points as u64,
+        stats.solved_points as u64,
+        stats.feasible as u64,
+        stats.threads as u64,
+        stats.warm_started as u64,
+        stats.newton_steps,
+        stats.phase1_solves,
+        stats.certificate_screens,
+        stats.seed_reuses,
+        stats.incremental_screens,
+        stats.rows_pruned,
+        stats.polish_mints,
+        stats.chain_reentries,
+        stats.rows_full as u64,
+        stats.rows_reduced as u64,
+    ]
+}
+
+/// The paper's Figure 4 grid: 30–100 °C in 10 °C steps × 100–1000 MHz.
+fn paper_grid() -> TableBuilder {
+    TableBuilder::new()
+        .tstarts((3..=10).map(|i| f64::from(i) * 10.0).collect())
+        .ftargets((1..=10).map(|i| f64::from(i) * 100.0e6).collect())
+}
+
+/// The `--quick` grid of `tab_solver_runtime`.
+fn quick_grid() -> TableBuilder {
+    TableBuilder::new()
+        .tstarts(vec![60.0, 90.0, 100.0])
+        .ftargets(vec![0.2e9, 0.4e9, 0.6e9, 0.8e9])
+}
+
+#[test]
+fn paper_grid_sweep_is_pinned() {
+    let ctx = default_ctx(&Platform::niagara8());
+    let (artifact, stats) = paper_grid()
+        .threads(1)
+        .build_artifact(&ctx)
+        .expect("paper grid builds");
+    let digest = artifact_digest(&artifact);
+    assert_eq!(
+        digest, 0x831b_3aaf_fc88_62b4,
+        "paper grid digest {digest:#018x}"
+    );
+    assert_eq!(
+        build_counters(&stats),
+        [80, 69, 67, 1, 29, 4853, 5, 8, 0, 0, 139_060, 0, 10, 4800, 4800],
+        "paper grid counters"
+    );
+}
+
+#[test]
+fn quick_grid_sweep_on_two_threads_is_pinned() {
+    let ctx = default_ctx(&Platform::niagara8());
+    let (artifact, stats) = quick_grid()
+        .threads(2)
+        .build_artifact(&ctx)
+        .expect("quick grid builds");
+    let digest = artifact_digest(&artifact);
+    assert_eq!(
+        digest, 0xe05e_a77f_3703_ebf9,
+        "quick grid digest {digest:#018x}"
+    );
+    assert_eq!(
+        build_counters(&stats),
+        [12, 8, 7, 2, 3, 1128, 2, 3, 0, 0, 18_524, 0, 7, 4800, 4800],
+        "quick grid counters"
+    );
+}
+
+#[test]
+fn quick_grid_incremental_rebuild_is_pinned() {
+    let store = TableStore::new(repo_results_dir());
+    let prior = store
+        .load("quick_prior")
+        .expect("the tracked results/quick_prior artifact must load");
+    let ctx = default_ctx(&Platform::niagara8());
+    let (artifact, stats) = quick_grid()
+        .threads(2)
+        .build_incremental(&ctx, &prior)
+        .expect("quick grid rebuilds incrementally");
+    let digest = artifact_digest(&artifact);
+    assert_eq!(
+        digest, 0xaf13_46df_feed_7824,
+        "incremental digest {digest:#018x}"
+    );
+    assert_eq!(
+        build_counters(&stats),
+        [12, 5, 7, 2, 4, 1495, 1, 3, 3, 3, 9880, 0, 12, 4800, 4800],
+        "incremental counters"
+    );
 }
 
 /// `(max core temperature °C, demanded average frequency Hz)` per window:
