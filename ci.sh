@@ -2,7 +2,7 @@
 # Tier-1 verification pipeline. Everything here must pass before merging:
 #
 #   ./ci.sh          # fmt + clippy + rustdoc + release build + full test
-#                    # suite + the benchmark's own tests and a smoke run
+#                    # suite + the benchmark's own tests and smoke runs
 #   ./ci.sh quick    # skip the release build (debug tests only)
 #
 # The workspace builds fully offline: crates.io dependencies are replaced by
@@ -206,23 +206,29 @@ EOF
 
 # The benchmark (perfbench/) is a workspace of its own that builds against
 # crates/* as path dependencies, so nothing above compiles it. Build and
-# test it here, then smoke-run the simulator-bound workload for one second:
-# an API change in crates/* that breaks the benchmark, or a loop that stops
-# passing its own output checks, fails CI instead of the next benchmark run.
-# Only correctness is asserted; the smoke run's timings are not.
-echo "==> perfbench: cargo test + table_loop_3d smoke run"
+# test it here, then smoke-run every workload for one second (each runs at
+# least one iteration: one 80-cell paper-grid sweep, one closed MPC loop,
+# one stacked3d table loop): an API change in crates/* that breaks the
+# benchmark, or a workload that stops passing its own output checks —
+# design_sweep compares the paper-grid feasibility map with its stored
+# reference — fails CI instead of the next benchmark run. Only correctness
+# is asserted; the smoke runs' timings are not.
+echo "==> perfbench: cargo test + one-second smoke run of every workload"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
-smoke="$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload table_loop_3d --seconds 1 | tail -n 1)"
-python3 - "$smoke" <<'EOF'
+for workload in design_sweep mpc_loop table_loop_3d; do
+    smoke="$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 | tail -n 1)"
+    python3 - "$workload" "$smoke" <<'EOF'
 import json
 import sys
-result = json.loads(sys.argv[1])
-assert result["correct"] is True, result
-assert result["failed"] == 0, result
-assert result["attempted"] > 0, result
-print(f"perfbench smoke: table_loop_3d correct, "
+workload = sys.argv[1]
+result = json.loads(sys.argv[2])
+assert result["correct"] is True, (workload, result)
+assert result["failed"] == 0, (workload, result)
+assert result["attempted"] > 0, (workload, result)
+print(f"perfbench smoke: {workload} correct, "
       f"{result['attempted']} operations, 0 failed")
 EOF
+done
 
 echo "ci.sh: all green"

@@ -24,7 +24,8 @@ pub enum CellStatus {
     Feasible,
     /// Phase I certified the cell infeasible.
     Infeasible,
-    /// An inherited certificate rejected the cell without a solve.
+    /// A pooled certificate rejected the cell without a solve: one minted
+    /// earlier in the same sweep, or one inherited from a prior artifact.
     Screened,
     /// The monotone frontier pruned the cell without even a screen (a
     /// cooler cell in the same column was already infeasible).

@@ -1,8 +1,8 @@
 use std::sync::{Arc, OnceLock};
 
 use protemp_cvx::{
-    CellSeed, CertScratch, Certificate, ColumnScreen, FamilySolver, Problem, ProblemFamily,
-    ProblemView, Solution, SolveStatus, SolverOptions,
+    CellSeed, CertScratch, Certificate, FamilySolver, Problem, ProblemFamily, ProblemView,
+    Solution, SolveStatus, SolverOptions,
 };
 use protemp_sim::Platform;
 use protemp_thermal::{
@@ -42,13 +42,6 @@ pub(crate) struct CertPool {
     ws: CertScratch,
     inherited: usize,
     inherited_hits: u64,
-    /// Bumped on every mutation of the entry list (preload, remember, MRU
-    /// rotation). Batched screens cache per-certificate preparation and
-    /// per-cell verdicts keyed by this epoch: a matching epoch guarantees
-    /// the pool holds the same certificates in the same check order as
-    /// when the cache was filled, so consuming a cached verdict is
-    /// bit-identical to re-screening.
-    epoch: u64,
 }
 
 impl CertPool {
@@ -65,25 +58,12 @@ impl CertPool {
         self.inherited_hits
     }
 
-    /// The pool's mutation epoch (see the `epoch` field).
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The pooled certificates in check order (the order
-    /// [`CertPool::screen_view`] tries them). Valid until the next
-    /// mutation; pair with [`CertPool::epoch`] to detect staleness.
-    pub(crate) fn certificates(&self) -> impl Iterator<Item = &Certificate> {
-        self.entries.iter().map(|(c, _)| c)
-    }
-
     /// Adds verified certificates from a prior build (exempt from the MRU
     /// cap, initially behind every minted certificate in check order).
     pub(crate) fn preload(&mut self, certs: impl IntoIterator<Item = Certificate>) {
         for c in certs {
             self.entries.push((c, true));
             self.inherited += 1;
-            self.epoch += 1;
         }
     }
 
@@ -96,40 +76,26 @@ impl CertPool {
                 self.entries.remove(pos);
             }
         }
-        self.epoch += 1;
-    }
-
-    /// Applies the bookkeeping of a screening hit at check-order index
-    /// `hit`: counts inherited hits and rotates the winner to the front
-    /// (neighbouring cells will hit it again). Shared by the scalar
-    /// [`CertPool::screen_view`] and the batched column screens, which
-    /// compute the hit index externally against
-    /// [`CertPool::certificates`].
-    pub(crate) fn apply_hit(&mut self, hit: usize) {
-        if self.entries[hit].1 {
-            self.inherited_hits += 1;
-        }
-        self.entries[..=hit].rotate_right(1);
-        self.epoch += 1;
     }
 
     /// `true` when some pooled certificate proves the viewed problem
     /// infeasible; the winner moves to the front (neighbouring cells will
-    /// hit it again). Views come from a family + cell rhs
-    /// ([`ProblemFamily::view_with`]).
+    /// hit it again) and a hit on an inherited certificate is counted.
+    /// Views come from a family + cell rhs ([`ProblemFamily::view_with`]).
     pub(crate) fn screen_view(&mut self, view: ProblemView<'_>) -> bool {
         let ws = &mut self.ws;
-        match self
+        let Some(hit) = self
             .entries
             .iter()
             .position(|(c, _)| c.certifies_view(view, ws))
-        {
-            Some(hit) => {
-                self.apply_hit(hit);
-                true
-            }
-            None => false,
+        else {
+            return false;
+        };
+        if self.entries[hit].1 {
+            self.inherited_hits += 1;
         }
+        self.entries[..=hit].rotate_right(1);
+        true
     }
 }
 
@@ -551,8 +517,8 @@ pub struct PointOutcome {
     /// Newton steps spent inside phase I (0 for warm-started or screened
     /// points) — the breakdown sweeps report as `phase1_solves`.
     pub phase1_steps: usize,
-    /// `true` when an inherited infeasibility certificate rejected the
-    /// point with one matvec, without invoking the solver at all.
+    /// `true` when a pooled infeasibility certificate rejected the point
+    /// with one certificate check, without invoking the solver at all.
     pub screened: bool,
     /// Linear rows the solver's box-grounded reduction pass pruned before
     /// the solve (0 when screened or reduction is off).
@@ -673,37 +639,6 @@ impl OffsetsCache {
     }
 }
 
-/// Per-column batched-evaluation state carried by a [`PointSolver`]: the
-/// fused [`ColumnScreen`] over one grid column's rhs panel (column-major,
-/// one column per cell) and the panel coordinates it was computed for.
-///
-/// The cached *verdicts* are only consumed while the certificate pool's
-/// epoch still matches `pool_epoch` (same certificates, same check order —
-/// bit-identical to re-screening). The cached *kept-row masks* are pure
-/// functions of each cell's rhs, so they stay valid across pool mutations.
-#[derive(Debug, Clone, Default)]
-struct BatchState {
-    screen: ColumnScreen,
-    /// Bit patterns of the screened cells' starting temperatures, panel
-    /// order (`coords[i]` ↔ panel column `i`).
-    coords: Vec<u64>,
-    /// Bit pattern of the frequency target the panel was assembled for.
-    ftarget_bits: u64,
-    /// Pool epoch at screen time; gates verdict consumption.
-    pool_epoch: u64,
-    /// Whether the screen actually ran against the pool's certificates
-    /// (false when screening was off — verdicts are vacuous misses and
-    /// must not be consumed as real ones).
-    certs_screened: bool,
-    valid: bool,
-    /// Column-major rhs panel (`m × coords.len()`), assembled through the
-    /// same `point_rhs_into` path `prepare` uses, so panel columns are
-    /// bit-identical to the per-cell rhs.
-    panel: Vec<f64>,
-    /// Scratch for assembling one panel column.
-    col: Vec<f64>,
-}
-
 /// A per-worker design-point solver: one [`AssignmentContext`] borrow, a
 /// [`FamilySolver`] over the context's sweep-shared [`ProblemFamily`]
 /// whose scratch persists across points, and a small MRU pool of
@@ -712,10 +647,7 @@ struct BatchState {
 /// [`PointSolver::prepare`] assembles only the cell's right-hand sides
 /// (offsets cached per temperature) and [`PointSolver::solve_current`]
 /// hands them to the family solver — no per-cell problem construction,
-/// packing, or reduction re-analysis. [`PointSolver::screen_column`]
-/// evaluates a whole grid column's certificate verdicts and kept-row
-/// masks in one fused pass, which the per-cell screens and solves then
-/// consume.
+/// packing, or reduction re-analysis.
 ///
 /// Each table-build worker thread owns one of these and chains warm starts
 /// through it. With screening enabled ([`PointSolver::set_screening`]),
@@ -733,9 +665,8 @@ pub struct PointSolver<'a> {
     screening: bool,
     pool: CertPool,
     minted: Option<Certificate>,
-    /// The `(tstart, ftarget)` `rhs` was prepared for.
-    prepared: Option<(f64, f64)>,
-    batch: BatchState,
+    /// The frequency target `rhs` was prepared for.
+    prepared: Option<f64>,
 }
 
 impl<'a> PointSolver<'a> {
@@ -752,7 +683,6 @@ impl<'a> PointSolver<'a> {
             pool: CertPool::default(),
             minted: None,
             prepared: None,
-            batch: BatchState::default(),
         }
     }
 
@@ -765,73 +695,6 @@ impl<'a> PointSolver<'a> {
     /// Enables or disables certificate screening for subsequent solves.
     pub fn set_screening(&mut self, on: bool) {
         self.screening = on;
-    }
-
-    /// Runs one fused batched screen over a whole grid column of cells
-    /// (`tstarts_c` × one `ftarget_hz`): assembles the column's rhs panel
-    /// (column-major, one column per cell, through the same rhs path
-    /// [`PointSolver::prepare`] uses), then computes every cell's
-    /// certificate verdict and kept-row mask in one
-    /// [`FamilySolver::screen_cells`] pass. Subsequent
-    /// [`PointSolver::screen_current`] / [`PointSolver::solve_current`]
-    /// calls on these cells consume the cached results instead of
-    /// re-deriving them per cell; verdict consumption is epoch-gated so
-    /// results stay bit-identical to screening each cell on its own.
-    pub fn screen_column(&mut self, tstarts_c: &[f64], ftarget_hz: f64) {
-        let batch = &mut self.batch;
-        batch.valid = false;
-        if tstarts_c.is_empty() {
-            return;
-        }
-        batch.coords.clear();
-        batch.panel.clear();
-        for &t in tstarts_c {
-            let off = self.offsets.get(self.ctx, t);
-            self.ctx.point_rhs_into(off, ftarget_hz, &mut batch.col);
-            batch.panel.extend_from_slice(&batch.col);
-            batch.coords.push(t.to_bits());
-        }
-        // With screening off the pass still computes the kept-row masks
-        // (pure rhs functions), just against an empty certificate list.
-        let certs: Vec<&Certificate> = if self.screening {
-            self.pool.certificates().collect()
-        } else {
-            Vec::new()
-        };
-        self.solver.screen_cells(
-            &batch.panel,
-            tstarts_c.len(),
-            &certs,
-            self.pool.epoch(),
-            &mut batch.screen,
-        );
-        batch.ftarget_bits = ftarget_hz.to_bits();
-        batch.pool_epoch = self.pool.epoch();
-        batch.certs_screened = self.screening;
-        batch.valid = true;
-    }
-
-    /// Panel index of the prepared cell in the current batch, if the
-    /// batch covers it.
-    fn batch_panel_position(&self, tstart_c: f64, ftarget_hz: f64) -> Option<usize> {
-        if !self.batch.valid || self.batch.ftarget_bits != ftarget_hz.to_bits() {
-            return None;
-        }
-        self.batch
-            .coords
-            .iter()
-            .position(|&b| b == tstart_c.to_bits())
-    }
-
-    /// Like [`PointSolver::batch_panel_position`], but only for cells
-    /// whose cached verdict was a miss — the ones that carry a kept-row
-    /// mask (hit cells were meant to die at the screen, so no mask was
-    /// computed for them). Does not check the pool epoch: the mask is a
-    /// pure function of the cell rhs, valid regardless of later pool
-    /// mutations.
-    fn batch_cell_index(&self, tstart_c: f64, ftarget_hz: f64) -> Option<usize> {
-        self.batch_panel_position(tstart_c, ftarget_hz)
-            .filter(|&c| self.batch.screen.hit(c).is_none())
     }
 
     /// Number of infeasibility certificates currently held.
@@ -872,7 +735,7 @@ impl<'a> PointSolver<'a> {
     pub fn prepare(&mut self, tstart_c: f64, ftarget_hz: f64) {
         let off = self.offsets.get(self.ctx, tstart_c);
         self.ctx.point_rhs_into(off, ftarget_hz, &mut self.rhs);
-        self.prepared = Some((tstart_c, ftarget_hz));
+        self.prepared = Some(ftarget_hz);
     }
 
     /// Checks the prepared point against the pooled certificates only (no
@@ -884,34 +747,17 @@ impl<'a> PointSolver<'a> {
     ///
     /// Panics if no point is prepared.
     pub fn screen_current(&mut self) -> bool {
-        let (tstart_c, ftarget_hz) = self.prepared.expect("prepare() must precede screening");
+        assert!(self.prepared.is_some(), "prepare() must precede screening");
         if !self.screening || self.pool.is_empty() {
             return false;
-        }
-        // Batched fast path: the column screen already computed this
-        // cell's verdict. Consuming it is bit-identical to re-screening
-        // as long as the pool has not mutated since (same certificates,
-        // same check order), which the epoch gate guarantees.
-        if self.batch.valid
-            && self.batch.certs_screened
-            && self.batch.pool_epoch == self.pool.epoch()
-        {
-            if let Some(cell) = self.batch_panel_position(tstart_c, ftarget_hz) {
-                return match self.batch.screen.hit(cell) {
-                    Some(hit) => {
-                        self.pool.apply_hit(hit);
-                        true
-                    }
-                    None => false,
-                };
-            }
         }
         self.pool
             .screen_view(self.solver.family().view_with(&self.rhs))
     }
 
-    /// Checks the point against the inherited certificates only (no
-    /// solve): `true` means certified infeasible.
+    /// Checks the point against the pooled certificates only (no solve):
+    /// `true` means certified infeasible. The pool holds the certificates
+    /// this solver minted and any preloaded from a prior build.
     ///
     /// # Errors
     ///
@@ -931,7 +777,7 @@ impl<'a> PointSolver<'a> {
     /// `warm`. A cold solve seeds phase I with a domain-informed start that
     /// satisfies the workload and coupling constraints by construction.
     ///
-    /// With screening enabled, inherited certificates are tried first (a
+    /// With screening enabled, pooled certificates are tried first (a
     /// screened point returns `screened: true` with zero Newton steps) and
     /// any fresh certificate from a failed phase I joins the pool.
     ///
@@ -964,7 +810,7 @@ impl<'a> PointSolver<'a> {
     ///
     /// Panics if no point is prepared.
     pub fn solve_current(&mut self, warm: Option<&[f64]>, screen: bool) -> Result<PointOutcome> {
-        let (tstart_c, ftarget_hz) = self.prepared.expect("prepare() must precede solving");
+        let ftarget_hz = self.prepared.expect("prepare() must precede solving");
         if screen && self.screen_current() {
             return Ok(PointOutcome {
                 // A certificate screen is a proof of infeasibility.
@@ -978,17 +824,8 @@ impl<'a> PointSolver<'a> {
                 solution: None,
             });
         }
-        let batched = self
-            .batch_cell_index(tstart_c, ftarget_hz)
-            .map(|c| (&self.batch.screen, c));
-        let (outcome, cert) = solve_family_cell(
-            self.ctx,
-            &mut self.solver,
-            &self.rhs,
-            ftarget_hz,
-            warm,
-            batched,
-        )?;
+        let (outcome, cert) =
+            solve_family_cell(self.ctx, &mut self.solver, &self.rhs, ftarget_hz, warm)?;
         if let Some(cert) = cert {
             self.minted = Some(cert.clone());
             self.pool.remember(cert);
@@ -1002,18 +839,13 @@ impl<'a> PointSolver<'a> {
 /// run-time MPC bisection. A warm start passes through the stall-proof
 /// re-entry blend; a cold one seeds phase I with the heuristic start,
 /// since starting from the origin makes phase I stall on thin frontier
-/// cells and misreport them infeasible. When `batched` carries a
-/// [`ColumnScreen`] and the cell's panel index, the solve consumes the
-/// screen's cached kept-row mask instead of re-running row selection —
-/// the mask is a pure function of the cell rhs, so the solve is
-/// bit-identical either way.
+/// cells and misreport them infeasible.
 pub(crate) fn solve_family_cell(
     ctx: &AssignmentContext,
     solver: &mut FamilySolver,
     rhs: &[f64],
     ftarget_hz: f64,
     warm: Option<&[f64]>,
-    batched: Option<(&ColumnScreen, usize)>,
 ) -> Result<(PointOutcome, Option<Certificate>)> {
     let mut reentry = false;
     let seed: Option<Vec<f64>> = warm.map(|x0| {
@@ -1028,19 +860,11 @@ pub(crate) fn solve_family_cell(
         reentry = ps.reentry;
         ps.x
     });
-    let sol = match (&seed, batched) {
-        (Some(x), Some((screen, cell))) => {
-            solver.solve_cell_screened(rhs, CellSeed::Warm(x), screen, cell)?
-        }
-        (Some(x), None) => solver.solve_cell(rhs, CellSeed::Warm(x))?,
-        (None, batched) => {
+    let sol = match &seed {
+        Some(x) => solver.solve_cell(rhs, CellSeed::Warm(x))?,
+        None => {
             let h = heuristic_start(&ctx.platform, &ctx.cfg, ftarget_hz);
-            match batched {
-                Some((screen, cell)) => {
-                    solver.solve_cell_screened(rhs, CellSeed::Seeded(&h), screen, cell)?
-                }
-                None => solver.solve_cell(rhs, CellSeed::Seeded(&h))?,
-            }
+            solver.solve_cell(rhs, CellSeed::Seeded(&h))?
         }
     };
     let outcome = point_outcome(ctx, sol, reentry);

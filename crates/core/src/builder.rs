@@ -50,9 +50,11 @@ pub struct BuildStats {
     /// contribute more than one). Warm-chained interior solves skip
     /// phase I and don't count.
     pub phase1_solves: u64,
-    /// Cells rejected by an inherited infeasibility certificate — one
-    /// matvec instead of a phase-I run. Together with `phase1_solves` this
-    /// breaks down where the sweep's feasibility decisions came from.
+    /// Cells rejected by a pooled infeasibility certificate — one minted
+    /// earlier in the sweep by the same worker, or one inherited from a
+    /// prior artifact — at the cost of one certificate check instead of a
+    /// phase-I run. Together with `phase1_solves` this breaks down where
+    /// the sweep's feasibility decisions came from.
     pub certificate_screens: u64,
     /// Cells copied verbatim from a prior build artifact by
     /// [`TableBuilder::build_incremental`] (zero solver work): the grid
@@ -87,9 +89,8 @@ pub struct BuildStats {
     pub family_build_s: f64,
     /// Mean wall-clock seconds per *live* column (columns that ran at
     /// least one screen or solve; replayed and dead columns are free and
-    /// excluded) — the amortized cost of one batched column pass
-    /// ([`PointSolver::screen_column`]) plus its cell solves. Wall-clock
-    /// telemetry, excluded from bit-identity comparisons.
+    /// excluded): the column's certificate screens and cell solves.
+    /// Wall-clock telemetry, excluded from bit-identity comparisons.
     pub amortized_column_s: f64,
     /// Thermal constraint rows the full model would carry per design
     /// point (temperature + gradient). Reported whether or not modal
@@ -123,9 +124,9 @@ impl BuildStats {
 /// Phase 1 of Pro-Temp: sweeps the (starting temperature × target
 /// frequency) grid and solves the convex model at every point.
 ///
-/// Every cell is solved one way: through the context's sweep-shared
-/// [`crate::AssignmentContext::family`], after one fused certificate
-/// screen per column ([`PointSolver::screen_column`]). The grid columns
+/// Every cell is screened against the worker's pooled certificates
+/// ([`PointSolver::screen_current`]) and the survivors are solved on the
+/// context's shared [`crate::AssignmentContext::family`]. The grid columns
 /// are partitioned across scoped worker threads. Each worker owns one
 /// [`PointSolver`] — so all Newton temporaries live in that worker's
 /// solver scratch for the whole sweep — and walks each of its columns from
@@ -659,13 +660,6 @@ fn solve_column(
     // Live phase: identical to a cold build from `row` on.
     let live = !chain.dead && row < tstarts.len();
     let col_t0 = Instant::now();
-    if live {
-        // One fused batched screen over the whole remaining column: every
-        // cell's certificate verdict and kept-row mask from one pass over
-        // the column's rhs panel, consumed (epoch-gated, bit-identically)
-        // by the per-cell screens and solves below.
-        solver.screen_column(&tstarts[row..], ftarget);
-    }
     for &tstart in &tstarts[row..] {
         if chain.dead {
             entries.push(None);
@@ -684,10 +678,10 @@ fn solve_column(
         // Prepare the cell's rhs once; it serves the pre-hop screen and the
         // final solve.
         solver.prepare(tstart, ftarget);
-        // Screen the target against inherited certificates before paying
+        // Screen the target against the pooled certificates before paying
         // for continuation hops toward it: a certified cell (usually the
         // frontier crossing, already proven in a lower column) dies for
-        // the cost of one matvec.
+        // the cost of one certificate check.
         let pre_screened = chain.prev.is_some();
         if pre_screened && solver.screen_current() {
             // Screened cells record no time, like pruned cells:

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use protemp_cvx::{Certificate, ColumnScreen, FamilySolver};
+use protemp_cvx::{Certificate, FamilySolver};
 use serde::{Deserialize, Serialize};
 
 use crate::assign::{CertPool, OffsetsCache};
@@ -25,8 +25,7 @@ use crate::{solve_assignment, AssignmentContext, FrequencyAssignment, Result};
 pub struct ProbeStats {
     /// Feasibility probes the bisection issued.
     pub probes: usize,
-    /// Probes answered by an inherited infeasibility certificate (no
-    /// solve).
+    /// Probes answered by a pooled infeasibility certificate (no solve).
     pub screened: usize,
     /// Probes answered instantly because the previous feasible point was
     /// still strictly feasible (no Newton steps).
@@ -73,14 +72,6 @@ struct FrontierProber<'a> {
     seed: Option<Vec<f64>>,
     pool: CertPool,
     stats: ProbeStats,
-    /// One-cell batched screen: each probe runs through
-    /// [`FamilySolver::screen_cells`] with the probe rhs as a 1-column
-    /// panel, so the per-certificate aggregation is hoisted out of the
-    /// per-probe loop (re-derived only when the pool's epoch moves) and
-    /// the probe's kept-row mask is computed alongside the verdict for
-    /// the solve to consume. Verdicts and masks are bit-identical to the
-    /// scalar `screen_view` + `find_feasible_cell` path.
-    screen: ColumnScreen,
 }
 
 impl<'a> FrontierProber<'a> {
@@ -93,7 +84,6 @@ impl<'a> FrontierProber<'a> {
             seed: None,
             pool: CertPool::default(),
             stats: ProbeStats::default(),
-            screen: ColumnScreen::new(),
         }
     }
 
@@ -102,21 +92,17 @@ impl<'a> FrontierProber<'a> {
         self.stats.probes += 1;
         let off = self.offsets.get(self.ctx, tstart_c);
         self.ctx.point_rhs_into(off, ftarget_hz, &mut self.rhs);
-        let certs: Vec<&Certificate> = self.pool.certificates().collect();
-        self.solver
-            .screen_cells(&self.rhs, 1, &certs, self.pool.epoch(), &mut self.screen);
-        if let Some(hit) = self.screen.hit(0) {
-            self.pool.apply_hit(hit);
+        if self
+            .pool
+            .screen_view(self.solver.family().view_with(&self.rhs))
+        {
             self.stats.screened += 1;
             return Ok(false);
         }
         let had_seed = self.seed.is_some();
-        let out = self.solver.find_feasible_cell_screened(
-            &self.rhs,
-            self.seed.as_deref(),
-            &self.screen,
-            0,
-        )?;
+        let out = self
+            .solver
+            .find_feasible_cell(&self.rhs, self.seed.as_deref())?;
         self.stats.newton_steps += out.newton_steps as u64;
         self.stats.rows_pruned += out.rows_pruned as u64;
         if out.polished {

@@ -202,7 +202,6 @@ impl MpcBisection {
                         &self.rhs,
                         target,
                         self.last_x.as_deref(),
-                        None,
                     ) else {
                         tel.solver_errors += 1;
                         break 'window MpcOutcome::Degrade;

@@ -11,11 +11,11 @@
 //!   model (3)–(5) at each point with the [`protemp_cvx`] interior-point
 //!   solver, and stores the per-core frequency vectors in a
 //!   [`FrequencyTable`] (the paper's Figure 3/4). Every cell is solved one
-//!   way: a [`PointSolver`] over the context's sweep-shared
-//!   [`AssignmentContext::family`], after one fused certificate screen per
-//!   grid column. Frontier probes, MPC windows and the one-shot
-//!   [`solve_assignment`] and [`check_feasible`] solve on that same
-//!   family.
+//!   way: a [`PointSolver`] checks it against its pooled infeasibility
+//!   certificates, then solves it on the context's sweep-shared
+//!   [`AssignmentContext::family`]. Frontier probes, MPC windows and the
+//!   one-shot [`solve_assignment`] and [`check_feasible`] solve on that
+//!   same family.
 //! * **Phase 2 (run time)** — [`ProTempController`] implements the
 //!   simulator's [`protemp_sim::DfsPolicy`]: every DFS window it reads the
 //!   maximum core temperature and the required average frequency, and picks

@@ -53,7 +53,7 @@ use crate::barrier::{
     feasible_flow, lift, lift_into, project_problem, reduce_equalities, solve_flow, AugStorage,
     FeasFlow, FlowVerdict, ProjStorage, VecPool,
 };
-use crate::certificate::{boxed_bound_accepts, single_entry, ProblemView, RowsRef};
+use crate::certificate::{ProblemView, RowsRef};
 use crate::reduce::{ReduceAnalysis, RowReducer};
 use crate::scratch::SolverScratch;
 use crate::{
@@ -315,32 +315,7 @@ impl FamilySolver {
     ///
     /// Panics if `rhs` does not cover the family's rows.
     pub fn solve_cell(&mut self, rhs: &[f64], seed: CellSeed<'_>) -> Result<&Solution> {
-        self.solve_cell_impl(rhs, None, seed, None)
-    }
-
-    /// As [`FamilySolver::solve_cell`], consuming the kept-row mask a prior
-    /// [`FamilySolver::screen_cells`] call computed for `cell` instead of
-    /// re-running the per-cell reduction compare. Bit-identical to
-    /// [`FamilySolver::solve_cell`] on the same rhs: the cached mask *is*
-    /// the reducer's verdict for this rhs (a pure function of it), so the
-    /// solve consumes identical row subsets either way.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FamilySolver::solve_cell`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs` does not cover the family's rows or `cell` is out of
-    /// range for `screen`.
-    pub fn solve_cell_screened(
-        &mut self,
-        rhs: &[f64],
-        seed: CellSeed<'_>,
-        screen: &ColumnScreen,
-        cell: usize,
-    ) -> Result<&Solution> {
-        self.solve_cell_impl(rhs, None, seed, Some(screen.kept(cell)))
+        self.solve_cell_impl(rhs, None, seed)
     }
 
     /// As [`FamilySolver::solve_cell`], with a per-cell linear objective
@@ -363,7 +338,7 @@ impl FamilySolver {
         seed: CellSeed<'_>,
     ) -> Result<&Solution> {
         assert_eq!(objective.len(), self.family.num_vars(), "objective length");
-        self.solve_cell_impl(rhs, Some(objective), seed, None)
+        self.solve_cell_impl(rhs, Some(objective), seed)
     }
 
     fn solve_cell_impl(
@@ -371,7 +346,6 @@ impl FamilySolver {
         rhs: &[f64],
         objective: Option<&[f64]>,
         seed: CellSeed<'_>,
-        mask: Option<Option<&[usize]>>,
     ) -> Result<&Solution> {
         let family = Arc::clone(&self.family);
         let m = family.num_lin_rows();
@@ -385,14 +359,10 @@ impl FamilySolver {
         // equalities) and the objective override, reduce rows, seed.
         project_rhs(&family, rhs, &mut self.b_proj);
         let q0_active = project_override(&family, objective, &mut self.q0_override);
-        let kept = match mask {
-            // A batched screen already ran this rhs through the reducer;
-            // its cached mask is the same pure function of the rhs.
-            Some(k) => k,
-            None if self.opts.row_reduction && family.analysis.is_some() => {
-                self.reducer.select_rhs(rhs)
-            }
-            None => None,
+        let kept = if self.opts.row_reduction && family.analysis.is_some() {
+            self.reducer.select_rhs(rhs)
+        } else {
+            None
         };
         let rows_pruned = kept.map_or(0, |k| m - k.len());
         let (b, rows): (&[f64], Option<&[usize]>) = match kept {
@@ -512,38 +482,6 @@ impl FamilySolver {
         rhs: &[f64],
         seed: Option<&[f64]>,
     ) -> Result<&FeasibleOutcome> {
-        self.find_feasible_impl(rhs, seed, None)
-    }
-
-    /// As [`FamilySolver::find_feasible_cell`], consuming the kept-row mask
-    /// a prior [`FamilySolver::screen_cells`] call computed for `cell` —
-    /// the frontier prober's path, which screens each bisection probe as a
-    /// one-column panel and must not pay the reduction compare twice.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FamilySolver::solve_cell`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs` does not cover the family's rows or `cell` is out of
-    /// range for `screen`.
-    pub fn find_feasible_cell_screened(
-        &mut self,
-        rhs: &[f64],
-        seed: Option<&[f64]>,
-        screen: &ColumnScreen,
-        cell: usize,
-    ) -> Result<&FeasibleOutcome> {
-        self.find_feasible_impl(rhs, seed, Some(screen.kept(cell)))
-    }
-
-    fn find_feasible_impl(
-        &mut self,
-        rhs: &[f64],
-        seed: Option<&[f64]>,
-        mask: Option<Option<&[usize]>>,
-    ) -> Result<&FeasibleOutcome> {
         let family = Arc::clone(&self.family);
         let m = family.num_lin_rows();
         let n = family.num_vars();
@@ -553,12 +491,10 @@ impl FamilySolver {
         }
 
         project_rhs(&family, rhs, &mut self.b_proj);
-        let kept = match mask {
-            Some(k) => k,
-            None if self.opts.row_reduction && family.analysis.is_some() => {
-                self.reducer.select_rhs(rhs)
-            }
-            None => None,
+        let kept = if self.opts.row_reduction && family.analysis.is_some() {
+            self.reducer.select_rhs(rhs)
+        } else {
+            None
         };
         let rows_pruned = kept.map_or(0, |k| m - k.len());
         let (b, rows): (&[f64], Option<&[usize]>) = match kept {
@@ -628,323 +564,6 @@ impl FamilySolver {
             }
         }
         Ok(&self.out_feas)
-    }
-
-    /// One fused pass over an entire grid column of cells: runs the
-    /// certificate screen *and* the box-free reduction rhs-compare for
-    /// every cell of a column-major rhs panel (`rhs_ncols` columns of
-    /// length `num_lin_rows`, one column per cell), leaving per-cell
-    /// verdicts and kept-row masks in `out`.
-    ///
-    /// Per-certificate work that does not depend on the rhs — validity,
-    /// the aggregated gradient `ρ = Σλᵢ∇fᵢ(x̂)`, the anchor dot products
-    /// `A·x̂` for **all** certificates via one
-    /// [`Matrix::matvec_panel_into`], the quadratic terms, the single-entry
-    /// row list — is hoisted into a prep keyed on `(certs_epoch,
-    /// certs.len())` and reused across calls while the pool is unchanged.
-    /// Each cell then costs only `O(nnz(λ))` rhs-compares per certificate
-    /// instead of a full `O(m·n)` re-aggregation.
-    ///
-    /// # Bit-identity with the scalar path
-    ///
-    /// For every cell, `out.hit(cell)` equals the index the scalar
-    /// `certs.iter().position(|c| c.certifies_view(view, ws))` loop would
-    /// return, and `out.kept(cell)` equals the reducer's `select_rhs`
-    /// verdict (masks are computed only for unscreened cells — screened
-    /// cells are never solved). This holds because every floating-point
-    /// operation is the same operation in the same order as
-    /// [`Certificate::certifies_view`]: the panel matvec folds each anchor
-    /// dot exactly as `vecops::dot`; the hoisted ρ accumulates the same
-    /// axpy sequence into a zeroed buffer; the box harvest replays the
-    /// single-entry min/max sequence in row order; the per-cell fold adds
-    /// linear terms in row order and then the cached quadratic terms in
-    /// constraint order, exactly as the scalar loop interleaves them (the
-    /// lin/quad accumulators never mix); and the final verdict funnels
-    /// through the same `boxed_bound_accepts`. Splitting the scalar
-    /// fused loop into prep + per-cell phases is bit-safe because the
-    /// lo/hi harvest and the value/mag/ρ aggregation write disjoint
-    /// accumulators.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs_panel.len() != num_lin_rows() * rhs_ncols`.
-    pub fn screen_cells(
-        &mut self,
-        rhs_panel: &[f64],
-        rhs_ncols: usize,
-        certs: &[&Certificate],
-        certs_epoch: u64,
-        out: &mut ColumnScreen,
-    ) {
-        let family = Arc::clone(&self.family);
-        let m = family.num_lin_rows();
-        assert_eq!(rhs_panel.len(), m * rhs_ncols, "rhs panel length");
-        out.prepare_certs(&family, certs, certs_epoch);
-        out.ncells = rhs_ncols;
-        out.hits.clear();
-        out.kept_flat.clear();
-        out.kept_span.clear();
-        let reduce = self.opts.row_reduction && family.analysis.is_some();
-        for c in 0..rhs_ncols {
-            let rhs = &rhs_panel[c * m..(c + 1) * m];
-            let hit = out.screen_one(certs, rhs);
-            out.hits.push(hit);
-            let span = if reduce && hit.is_none() {
-                self.reducer.select_rhs(rhs).map(|k| {
-                    let start = out.kept_flat.len();
-                    out.kept_flat.extend_from_slice(k);
-                    (start, out.kept_flat.len())
-                })
-            } else {
-                None
-            };
-            out.kept_span.push(span);
-        }
-    }
-}
-
-/// Caller-owned scratch and results for [`FamilySolver::screen_cells`]:
-/// the hoisted per-certificate prep (reused across calls while the
-/// certificate pool is unchanged) plus the per-cell verdicts and kept-row
-/// masks of the most recent screened column. Hold one per worker next to
-/// its [`FamilySolver`].
-#[derive(Debug, Clone, Default)]
-pub struct ColumnScreen {
-    /// Prep identity: `(certs_epoch, certs.len())` of the hoisted state.
-    prep_key: Option<(u64, usize)>,
-    /// Family dimensions the prep was taken at.
-    m: usize,
-    n: usize,
-    /// Per input certificate: passes the shape/structural gate?
-    valid: Vec<bool>,
-    /// Per input certificate: its column in the valid-cert panels
-    /// (`usize::MAX` when invalid).
-    slot: Vec<usize>,
-    /// Aggregated gradients, one `n`-column per valid certificate.
-    rho: Vec<f64>,
-    /// Anchor dot products `A·x̂`, one `m`-column per valid certificate.
-    d: Vec<f64>,
-    /// Anchor panel (`n` × valid), column-major.
-    anchors: Vec<f64>,
-    /// Nonzero-λ linear terms, flattened: row index and multiplier…
-    lin_idx: Vec<u32>,
-    lin_l: Vec<f64>,
-    /// …with one `(start, end)` span per valid certificate.
-    lin_span: Vec<(usize, usize)>,
-    /// Cached quadratic `(λ·f, λ·|f|)` terms (rhs-independent), flattened…
-    quad_terms: Vec<(f64, f64)>,
-    /// …with one span per valid certificate.
-    quad_span: Vec<(usize, usize)>,
-    /// Single-entry rows `(row, var, coeff)` in row order.
-    singles: Vec<(u32, u32, f64)>,
-    /// Quadratic-gradient temporary.
-    qgrad: Vec<f64>,
-    /// Per-cell box harvest.
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    /// Cells in the most recent screened panel.
-    ncells: usize,
-    /// Per cell: index of the first certifying certificate, if any.
-    hits: Vec<Option<usize>>,
-    /// Kept-row masks, flattened into one arena…
-    kept_flat: Vec<usize>,
-    /// …with one optional span per cell (`None` = keep all rows).
-    kept_span: Vec<Option<(usize, usize)>>,
-}
-
-impl ColumnScreen {
-    /// An empty screen; buffers grow on first use.
-    pub fn new() -> ColumnScreen {
-        ColumnScreen::default()
-    }
-
-    /// Cells in the most recently screened panel.
-    pub fn ncells(&self) -> usize {
-        self.ncells
-    }
-
-    /// The index (into the `certs` slice handed to
-    /// [`FamilySolver::screen_cells`]) of the first certificate that
-    /// certifies `cell` infeasible, or `None` when the cell survived the
-    /// screen — exactly the scalar first-hit verdict.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is out of range.
-    pub fn hit(&self, cell: usize) -> Option<usize> {
-        self.hits[cell]
-    }
-
-    /// The reducer's kept-row mask for `cell` (`None` = all rows kept, or
-    /// the cell was screened and never needed one).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is out of range.
-    pub fn kept(&self, cell: usize) -> Option<&[usize]> {
-        self.kept_span[cell].map(|(s, e)| &self.kept_flat[s..e])
-    }
-
-    /// Hoists everything rhs-independent out of the per-cell screen; a
-    /// no-op when the pool is unchanged since the last prep (same epoch,
-    /// same length).
-    fn prepare_certs(&mut self, family: &ProblemFamily, certs: &[&Certificate], epoch: u64) {
-        if self.prep_key == Some((epoch, certs.len())) {
-            return;
-        }
-        let m = family.num_lin_rows();
-        let n = family.num_vars();
-        let quad = family.proto.quad_constraints();
-        let rows = if family.f_basis.is_none() {
-            RowsRef::Packed(&family.proj.a)
-        } else {
-            RowsRef::Slices(family.proto.lin_rows())
-        };
-        self.m = m;
-        self.n = n;
-
-        self.valid.clear();
-        self.slot.clear();
-        let mut nvalid = 0usize;
-        for c in certs {
-            // The same gate `certifies_view` applies before aggregating.
-            let ok = c.anchor.len() == n
-                && c.lambda_lin.len() == m
-                && c.lambda_quad.len() == quad.len()
-                && c.structurally_valid();
-            self.valid.push(ok);
-            self.slot.push(if ok {
-                nvalid += 1;
-                nvalid - 1
-            } else {
-                usize::MAX
-            });
-        }
-
-        self.singles.clear();
-        for i in 0..m {
-            if let Some((j, c)) = single_entry(rows.row(i)) {
-                self.singles.push((i as u32, j as u32, c));
-            }
-        }
-
-        self.anchors.clear();
-        self.anchors.resize(n * nvalid, 0.0);
-        self.rho.clear();
-        self.rho.resize(n * nvalid, 0.0);
-        self.qgrad.clear();
-        self.qgrad.resize(n, 0.0);
-        self.lin_idx.clear();
-        self.lin_l.clear();
-        self.lin_span.clear();
-        self.quad_terms.clear();
-        self.quad_span.clear();
-        for (k, c) in certs.iter().enumerate() {
-            if !self.valid[k] {
-                continue;
-            }
-            let v = self.slot[k];
-            self.anchors[v * n..(v + 1) * n].copy_from_slice(&c.anchor);
-            // Same axpy sequence into a zeroed buffer as the scalar
-            // aggregation: linear rows in row order, then quadratic
-            // gradients in constraint order.
-            let rho = &mut self.rho[v * n..(v + 1) * n];
-            let lin_start = self.lin_idx.len();
-            for (i, &l) in c.lambda_lin.iter().enumerate() {
-                if l == 0.0 {
-                    continue;
-                }
-                self.lin_idx.push(i as u32);
-                self.lin_l.push(l);
-                vecops::axpy(l, rows.row(i), rho);
-            }
-            self.lin_span.push((lin_start, self.lin_idx.len()));
-            let quad_start = self.quad_terms.len();
-            for (q, &l) in quad.iter().zip(&c.lambda_quad) {
-                if l == 0.0 {
-                    continue;
-                }
-                let f = q.eval(&c.anchor);
-                self.quad_terms.push((l * f, l * f.abs()));
-                q.gradient_into(&c.anchor, &mut self.qgrad);
-                vecops::axpy(l, &self.qgrad, rho);
-            }
-            self.quad_span.push((quad_start, self.quad_terms.len()));
-        }
-
-        // Anchor dots for all rows × all valid certificates in one panel
-        // matvec (the packed family case; equality families keep per-row
-        // slices and fall back to the identical scalar fold).
-        self.d.clear();
-        self.d.resize(m * nvalid, 0.0);
-        match rows {
-            RowsRef::Packed(a) => a.matvec_panel_into(&self.anchors, nvalid, &mut self.d),
-            RowsRef::Slices(rs) => {
-                for v in 0..nvalid {
-                    let anchor = &self.anchors[v * n..(v + 1) * n];
-                    for (i, row) in rs.iter().enumerate() {
-                        self.d[v * m + i] = vecops::dot(row, anchor);
-                    }
-                }
-            }
-        }
-        self.prep_key = Some((epoch, certs.len()));
-    }
-
-    /// The scalar first-hit screen for one cell, over the hoisted prep.
-    fn screen_one(&mut self, certs: &[&Certificate], rhs: &[f64]) -> Option<usize> {
-        if certs.is_empty() {
-            return None;
-        }
-        let (m, n) = (self.m, self.n);
-        // Box harvest: the same min/max sequence in row order the scalar
-        // screen replays per certificate (a pure function of the rhs, so
-        // harvesting once per cell yields the identical bounds).
-        self.lo.clear();
-        self.lo.resize(n, f64::NEG_INFINITY);
-        self.hi.clear();
-        self.hi.resize(n, f64::INFINITY);
-        for &(i, j, c) in &self.singles {
-            let bound = rhs[i as usize] / c;
-            if c > 0.0 {
-                self.hi[j as usize] = self.hi[j as usize].min(bound);
-            } else {
-                self.lo[j as usize] = self.lo[j as usize].max(bound);
-            }
-        }
-        for (k, cert) in certs.iter().enumerate() {
-            if !self.valid[k] {
-                continue;
-            }
-            let v = self.slot[k];
-            let mut value = 0.0;
-            let mut mag = 0.0;
-            let d = &self.d[v * m..(v + 1) * m];
-            let (ls, le) = self.lin_span[v];
-            for t in ls..le {
-                let i = self.lin_idx[t] as usize;
-                let l = self.lin_l[t];
-                let f = d[i] - rhs[i];
-                value += l * f;
-                mag += l * f.abs();
-            }
-            let (qs, qe) = self.quad_span[v];
-            for &(qv, qm) in &self.quad_terms[qs..qe] {
-                value += qv;
-                mag += qm;
-            }
-            if boxed_bound_accepts(
-                value,
-                mag,
-                &self.rho[v * n..(v + 1) * n],
-                &self.lo,
-                &self.hi,
-                &cert.anchor,
-            ) {
-                return Some(k);
-            }
-        }
-        None
     }
 }
 
@@ -1211,99 +830,6 @@ mod tests {
         assert_eq!(over.x, cell.x, "override must be bit-identical too");
     }
 
-    /// A mixed panel: feasible cells, a linearly infeasible cell, then
-    /// more feasible ones — the shape of a sweep column around the
-    /// feasibility frontier.
-    fn mixed_panel() -> (Vec<Vec<f64>>, Vec<f64>) {
-        let cells: Vec<Vec<f64>> = [-0.5, -1.0, -30.0, -2.0, -0.25]
-            .iter()
-            .map(|&w| {
-                let mut rhs = rhs_for(w);
-                if w == -30.0 {
-                    rhs[8] = 4.0;
-                }
-                rhs
-            })
-            .collect();
-        let mut panel = Vec::new();
-        for rhs in &cells {
-            panel.extend_from_slice(rhs);
-        }
-        (cells, panel)
-    }
-
-    /// Mints a verified certificate from the family's infeasible cell.
-    fn minted_certificate(family: &Arc<ProblemFamily>, opts: SolverOptions) -> Certificate {
-        let mut fam = FamilySolver::new(Arc::clone(family), opts);
-        let mut rhs = rhs_for(-30.0);
-        rhs[8] = 4.0;
-        let sol = fam.solve_cell(&rhs, CellSeed::None).unwrap();
-        sol.certificate.clone().expect("infeasible cell must mint")
-    }
-
-    #[test]
-    fn screen_cells_matches_sequential_scalar_screen() {
-        let opts = SolverOptions::default();
-        let family = Arc::new(ProblemFamily::new(prototype(), &opts).unwrap());
-        let cert = minted_certificate(&family, opts);
-        // A second, structurally invalid certificate exercises the prep's
-        // validity gate (scalar `certifies_view` rejects it per call).
-        let bogus = Certificate {
-            lambda_lin: vec![1.0],
-            lambda_quad: vec![],
-            anchor: vec![0.0],
-        };
-        let certs: Vec<&Certificate> = vec![&bogus, &cert];
-        let (cells, panel) = mixed_panel();
-
-        let mut fam = FamilySolver::new(Arc::clone(&family), opts);
-        let mut screen = ColumnScreen::new();
-        fam.screen_cells(&panel, cells.len(), &certs, 0, &mut screen);
-        assert_eq!(screen.ncells(), cells.len());
-
-        let mut ws = crate::CertScratch::new();
-        let analysis = family.analysis().expect("family has analysis");
-        let mut reducer = RowReducer::new(Some(Arc::clone(analysis)));
-        for (i, rhs) in cells.iter().enumerate() {
-            let scalar_hit = certs
-                .iter()
-                .position(|c| c.certifies_view(family.view_with(rhs), &mut ws));
-            assert_eq!(screen.hit(i), scalar_hit, "cell {i} verdict");
-            if scalar_hit.is_none() {
-                let scalar_kept = reducer.select_rhs(rhs).map(<[usize]>::to_vec);
-                assert_eq!(screen.kept(i), scalar_kept.as_deref(), "cell {i} kept mask");
-            }
-        }
-        // The infeasible cell must actually be hit by the real certificate
-        // (index 1 — the bogus one at index 0 never certifies).
-        assert_eq!(screen.hit(2), Some(1), "minted cert kills its own cell");
-
-        // Re-screening at the same epoch reuses the prep and reproduces
-        // the verdicts bit-identically.
-        let hits: Vec<_> = (0..cells.len()).map(|i| screen.hit(i)).collect();
-        fam.screen_cells(&panel, cells.len(), &certs, 0, &mut screen);
-        assert_eq!(
-            hits,
-            (0..cells.len()).map(|i| screen.hit(i)).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn screen_cells_without_certificates_still_yields_masks() {
-        let opts = SolverOptions::default();
-        let family = Arc::new(ProblemFamily::new(prototype(), &opts).unwrap());
-        let mut fam = FamilySolver::new(Arc::clone(&family), opts);
-        let (cells, panel) = mixed_panel();
-        let mut screen = ColumnScreen::new();
-        fam.screen_cells(&panel, cells.len(), &[], 0, &mut screen);
-        let mut reducer = RowReducer::new(family.analysis().cloned());
-        for (i, rhs) in cells.iter().enumerate() {
-            assert_eq!(screen.hit(i), None);
-            let scalar_kept = reducer.select_rhs(rhs).map(<[usize]>::to_vec);
-            assert_eq!(screen.kept(i), scalar_kept.as_deref(), "cell {i}");
-        }
-    }
-
     #[test]
     fn family_rejects_foreign_problems() {
         let opts = SolverOptions::default();
@@ -1343,17 +869,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_cell_screened_rejects_non_finite_rhs() {
-        let mut fam = fresh_solver();
-        let mut screen = ColumnScreen::new();
-        for rhs in non_finite_cells() {
-            fam.screen_cells(&rhs, 1, &[], 0, &mut screen);
-            let out = fam.solve_cell_screened(&rhs, CellSeed::None, &screen, 0);
-            assert!(matches!(out, Err(crate::CvxError::NotFinite)), "{out:?}");
-        }
-    }
-
-    #[test]
     fn solve_cell_objective_rejects_non_finite_data() {
         let mut fam = fresh_solver();
         let rhs = rhs_for(-0.5);
@@ -1373,17 +888,6 @@ mod tests {
         let mut fam = fresh_solver();
         for rhs in non_finite_cells() {
             let out = fam.find_feasible_cell(&rhs, None);
-            assert!(matches!(out, Err(crate::CvxError::NotFinite)), "{out:?}");
-        }
-    }
-
-    #[test]
-    fn find_feasible_cell_screened_rejects_non_finite_rhs() {
-        let mut fam = fresh_solver();
-        let mut screen = ColumnScreen::new();
-        for rhs in non_finite_cells() {
-            fam.screen_cells(&rhs, 1, &[], 0, &mut screen);
-            let out = fam.find_feasible_cell_screened(&rhs, None, &screen, 0);
             assert!(matches!(out, Err(crate::CvxError::NotFinite)), "{out:?}");
         }
     }

@@ -78,7 +78,7 @@ pub use barrier::{BarrierSolver, FeasibleOutcome};
 pub use certificate::{check_certificate, CertScratch, Certificate, ProblemView};
 pub use error::CvxError;
 pub use expr::{Expr, Var};
-pub use family::{CellSeed, ColumnScreen, FamilySolver, ProblemFamily};
+pub use family::{CellSeed, FamilySolver, ProblemFamily};
 pub use model::{Model, ModelSolution};
 pub use options::SolverOptions;
 pub use problem::{Problem, QuadConstraint};

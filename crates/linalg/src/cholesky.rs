@@ -212,32 +212,6 @@ impl Cholesky {
         }
     }
 
-    /// Solves `A X = B` in place for a column-major right-hand-side panel:
-    /// on return each of the `rhs_ncols` columns of `b` (column `c`
-    /// occupies `b[c*dim..(c+1)*dim]`) holds the solution for that column.
-    ///
-    /// One factorization serves every column of the panel — the batched
-    /// counterpart of [`Cholesky::solve_in_place`] for sweeps that solve
-    /// the same system against many right-hand sides. Each column runs the
-    /// exact forward/back substitution of the single-rhs kernel (same
-    /// index order), so a one-column panel is bit-equal to it.
-    /// Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.dim() * rhs_ncols`.
-    pub fn solve_panel_in_place(&self, b: &mut [f64], rhs_ncols: usize) {
-        let n = self.dim();
-        assert_eq!(
-            b.len(),
-            n * rhs_ncols,
-            "cholesky panel solve dimension mismatch"
-        );
-        for col in b.chunks_exact_mut(n.max(1)) {
-            self.solve_in_place(col);
-        }
-    }
-
     /// Log-determinant of `A` (twice the log-determinant of `L`).
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0

@@ -288,137 +288,6 @@ impl Matrix {
         }
     }
 
-    /// Panel matrix–vector product over a column-major right-hand-side
-    /// panel: `Y[:, c] = self * X[:, c]` for `c` in `0..rhs_ncols`.
-    ///
-    /// `x` holds `rhs_ncols` columns of length `self.cols()` stored
-    /// column-major (column `c` occupies `x[c*cols..(c+1)*cols]`), and `y`
-    /// holds `rhs_ncols` columns of length `self.rows()` laid out the same
-    /// way. One column per problem instance is the layout of a design-space
-    /// sweep: the matrix is shared, only the vectors vary. Each output
-    /// column is computed by exactly the arithmetic of
-    /// [`Matrix::matvec_into`] (same accumulation order), so a one-column
-    /// panel is bit-equal to the single-rhs kernel; the panel loop merely
-    /// streams each matrix row once for *all* columns instead of once per
-    /// column. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols() * rhs_ncols` or
-    /// `y.len() != self.rows() * rhs_ncols`.
-    pub fn matvec_panel_into(&self, x: &[f64], rhs_ncols: usize, y: &mut [f64]) {
-        assert_eq!(
-            x.len(),
-            self.cols * rhs_ncols,
-            "matvec_panel dimension mismatch"
-        );
-        assert_eq!(
-            y.len(),
-            self.rows * rhs_ncols,
-            "matvec_panel output length mismatch"
-        );
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for c in 0..rhs_ncols {
-                let xc = &x[c * self.cols..(c + 1) * self.cols];
-                let mut acc = 0.0;
-                for (a, b) in row.iter().zip(xc) {
-                    acc += a * b;
-                }
-                y[c * self.rows + r] = acc;
-            }
-        }
-    }
-
-    /// Row-subset panel matrix–vector product:
-    /// `Y[i, c] = row(rows[i]) · X[:, c]` over a column-major panel.
-    ///
-    /// The panel variant of [`Matrix::matvec_rows_into`]; see
-    /// [`Matrix::matvec_panel_into`] for the panel layout. Each column is
-    /// the exact single-rhs arithmetic, so a one-column panel is bit-equal
-    /// to [`Matrix::matvec_rows_into`]. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols() * rhs_ncols`,
-    /// `y.len() != rows.len() * rhs_ncols`, or any index is out of range.
-    pub fn matvec_rows_panel_into(
-        &self,
-        rows: &[usize],
-        x: &[f64],
-        rhs_ncols: usize,
-        y: &mut [f64],
-    ) {
-        assert_eq!(
-            x.len(),
-            self.cols * rhs_ncols,
-            "matvec_rows_panel dimension mismatch"
-        );
-        assert_eq!(
-            y.len(),
-            rows.len() * rhs_ncols,
-            "matvec_rows_panel output length mismatch"
-        );
-        for (i, &r) in rows.iter().enumerate() {
-            let row = self.row(r);
-            for c in 0..rhs_ncols {
-                let xc = &x[c * self.cols..(c + 1) * self.cols];
-                let mut acc = 0.0;
-                for (a, b) in row.iter().zip(xc) {
-                    acc += a * b;
-                }
-                y[c * rows.len() + i] = acc;
-            }
-        }
-    }
-
-    /// Row-subset transposed panel product:
-    /// `Y[:, c] = Σᵢ W[i, c] · row(rows[i])` over column-major panels.
-    ///
-    /// The panel variant of [`Matrix::matvec_t_rows_into`]: `w` holds
-    /// `rhs_ncols` weight columns of length `rows.len()` (column-major) and
-    /// `y` holds `rhs_ncols` output columns of length `self.cols()`. Each
-    /// column accumulates subset rows in order with the same
-    /// zero-weight skip as the single-rhs kernel, so a one-column panel is
-    /// bit-equal to it. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w.len() != rows.len() * rhs_ncols`,
-    /// `y.len() != self.cols() * rhs_ncols`, or any index is out of range.
-    pub fn matvec_t_rows_panel_into(
-        &self,
-        rows: &[usize],
-        w: &[f64],
-        rhs_ncols: usize,
-        y: &mut [f64],
-    ) {
-        assert_eq!(
-            w.len(),
-            rows.len() * rhs_ncols,
-            "matvec_t_rows_panel weight length"
-        );
-        assert_eq!(
-            y.len(),
-            self.cols * rhs_ncols,
-            "matvec_t_rows_panel output length mismatch"
-        );
-        y.fill(0.0);
-        for (i, &r) in rows.iter().enumerate() {
-            let row = self.row(r);
-            for c in 0..rhs_ncols {
-                let wr = w[c * rows.len() + i];
-                if wr == 0.0 {
-                    continue;
-                }
-                let yc = &mut y[c * self.cols..(c + 1) * self.cols];
-                for (yv, a) in yc.iter_mut().zip(row) {
-                    *yv += a * wr;
-                }
-            }
-        }
-    }
-
     /// Copies `other`'s contents into `self`, resizing only on shape
     /// change.
     pub fn copy_from(&mut self, other: &Matrix) {

@@ -165,128 +165,6 @@ proptest! {
         }
     }
 
-    /// Panel kernels over a one-column panel are *bit-equal* to the
-    /// single-rhs kernels: per column they run the same arithmetic in the
-    /// same order, so equality is exact, not approximate.
-    #[test]
-    fn panel_kernels_one_column_bit_equal_single_rhs(
-        data in prop::collection::vec(-2.0..2.0f64, 6 * 4),
-        x in prop::collection::vec(-3.0..3.0f64, 4),
-        w in prop::collection::vec(-5.0..5.0f64, 6),
-        mask in prop::collection::vec(0..2usize, 6),
-    ) {
-        let a = Matrix::from_vec(6, 4, data);
-        let rows: Vec<usize> = (0..6).filter(|&i| mask[i] == 1).collect();
-        let wsub: Vec<f64> = rows.iter().map(|&i| w[i]).collect();
-
-        let mut y_single = vec![0.0; 6];
-        a.matvec_into(&x, &mut y_single);
-        let mut y_panel = vec![f64::NAN; 6];
-        a.matvec_panel_into(&x, 1, &mut y_panel);
-        prop_assert_eq!(&y_panel, &y_single);
-
-        let mut r_single = vec![0.0; rows.len()];
-        a.matvec_rows_into(&rows, &x, &mut r_single);
-        let mut r_panel = vec![f64::NAN; rows.len()];
-        a.matvec_rows_panel_into(&rows, &x, 1, &mut r_panel);
-        prop_assert_eq!(&r_panel, &r_single);
-
-        let mut t_single = vec![0.0; 4];
-        a.matvec_t_rows_into(&rows, &wsub, &mut t_single);
-        let mut t_panel = vec![f64::NAN; 4];
-        a.matvec_t_rows_panel_into(&rows, &wsub, 1, &mut t_panel);
-        prop_assert_eq!(&t_panel, &t_single);
-    }
-
-    /// A multi-column panel is, column for column, the single-rhs kernel
-    /// run on that column — including over non-contiguous row subsets.
-    #[test]
-    fn panel_kernels_match_per_column_scalar(
-        data in prop::collection::vec(-2.0..2.0f64, 7 * 3),
-        xs in prop::collection::vec(-3.0..3.0f64, 3 * 4),
-        ws in prop::collection::vec(-4.0..4.0f64, 7 * 4),
-        mask in prop::collection::vec(0..2usize, 7),
-    ) {
-        let a = Matrix::from_vec(7, 3, data);
-        let rows: Vec<usize> = (0..7).filter(|&i| mask[i] == 1).collect();
-        let k = rows.len();
-        let ncols = 4;
-
-        let mut y_panel = vec![f64::NAN; 7 * ncols];
-        a.matvec_panel_into(&xs, ncols, &mut y_panel);
-        let mut r_panel = vec![f64::NAN; k * ncols];
-        a.matvec_rows_panel_into(&rows, &xs, ncols, &mut r_panel);
-        let mut wsubs = Vec::with_capacity(k * ncols);
-        for c in 0..ncols {
-            wsubs.extend(rows.iter().map(|&i| ws[c * 7 + i]));
-        }
-        let mut t_panel = vec![f64::NAN; 3 * ncols];
-        a.matvec_t_rows_panel_into(&rows, &wsubs, ncols, &mut t_panel);
-
-        for c in 0..ncols {
-            let xc = &xs[c * 3..(c + 1) * 3];
-            let mut y = vec![0.0; 7];
-            a.matvec_into(xc, &mut y);
-            prop_assert_eq!(&y_panel[c * 7..(c + 1) * 7], &y[..]);
-            let mut r = vec![0.0; k];
-            a.matvec_rows_into(&rows, xc, &mut r);
-            prop_assert_eq!(&r_panel[c * k..(c + 1) * k], &r[..]);
-            let wc = &wsubs[c * k..(c + 1) * k];
-            let mut t = vec![0.0; 3];
-            a.matvec_t_rows_into(&rows, wc, &mut t);
-            prop_assert_eq!(&t_panel[c * 3..(c + 1) * 3], &t[..]);
-        }
-    }
-
-    /// Degenerate panels: `rhs_ncols == 0` touches nothing, an empty row
-    /// subset produces empty/zero outputs.
-    #[test]
-    fn panel_kernels_degenerate_shapes(
-        data in prop::collection::vec(-2.0..2.0f64, 5 * 3),
-        x in prop::collection::vec(-3.0..3.0f64, 3),
-    ) {
-        let a = Matrix::from_vec(5, 3, data);
-        // rhs_ncols == 0: empty panels in, empty panels out, no panic.
-        a.matvec_panel_into(&[], 0, &mut []);
-        a.matvec_rows_panel_into(&[0, 2], &[], 0, &mut []);
-        a.matvec_t_rows_panel_into(&[0, 2], &[], 0, &mut []);
-        // Empty row subset: rows output panel is empty, transposed panel
-        // accumulates nothing (all-zero columns).
-        let empty: [usize; 0] = [];
-        let mut xs = Vec::new();
-        xs.extend_from_slice(&x);
-        xs.extend_from_slice(&x);
-        a.matvec_rows_panel_into(&empty, &xs, 2, &mut []);
-        let mut t = vec![f64::NAN; 3 * 2];
-        a.matvec_t_rows_panel_into(&empty, &[], 2, &mut t);
-        prop_assert!(t.iter().all(|&v| v == 0.0));
-    }
-
-    /// One factorization, many right-hand sides: each panel column of
-    /// `solve_panel_in_place` is bit-equal to `solve_in_place` on that
-    /// column, and a one-column panel is bit-equal to the single-rhs solve.
-    #[test]
-    fn cholesky_panel_solve_bit_equal_per_column(
-        a in spd_matrix(5),
-        bs in prop::collection::vec(-10.0..10.0f64, 5 * 3),
-    ) {
-        let ch = Cholesky::factor(&a).unwrap();
-        let mut panel = bs.clone();
-        ch.solve_panel_in_place(&mut panel, 3);
-        for c in 0..3 {
-            let mut col = bs[c * 5..(c + 1) * 5].to_vec();
-            ch.solve_in_place(&mut col);
-            prop_assert_eq!(&panel[c * 5..(c + 1) * 5], &col[..]);
-        }
-        // Degenerate widths.
-        ch.solve_panel_in_place(&mut [], 0);
-        let mut one = bs[..5].to_vec();
-        ch.solve_panel_in_place(&mut one, 1);
-        let mut single = bs[..5].to_vec();
-        ch.solve_in_place(&mut single);
-        prop_assert_eq!(&one, &single);
-    }
-
     /// The Jacobi eigensolver agrees with the shifted power iterations on
     /// the extremal eigenvalues of random SPD matrices, its eigenvalues come
     /// back sorted, and `V·diag(λ)·Vᵀ` reconstructs the input.
