@@ -268,6 +268,20 @@ fn run_windows(policy: &mut dyn DfsPolicy, platform: &Platform) -> u64 {
     digest.0
 }
 
+/// A policy that serves its inner policy's frequencies and reports no
+/// ladder rung, so [`run_windows`] digests the frequency bits alone.
+struct FrequenciesOnly<P>(P);
+
+impl<P: DfsPolicy> DfsPolicy for FrequenciesOnly<P> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn frequencies(&mut self, obs: &Observation, platform: &Platform) -> Vec<f64> {
+        self.0.frequencies(obs, platform)
+    }
+}
+
 #[test]
 fn controllers_reproduce_pinned_window_outputs() {
     let platform = Platform::niagara8();
@@ -280,6 +294,12 @@ fn controllers_reproduce_pinned_window_outputs() {
     assert_eq!(online.warm_solves(), 10);
     assert_eq!(online.screened_windows(), 35);
     assert_eq!(online.certificate_count(), 3);
+
+    // With no table and no deadline, the ladder serves the online
+    // controller's frequency bits: its rung is hidden from the digest.
+    let mut plain_mpc = FrequenciesOnly(LadderController::new(ctx.clone(), 0));
+    let digest = run_windows(&mut plain_mpc, &platform);
+    assert_eq!(digest, 0xd421_a086_525b_408b, "plain MPC digest");
 
     let mut ladder = LadderController::new(ctx.clone(), 0);
     let digest = run_windows(&mut ladder, &platform);
