@@ -22,9 +22,6 @@
 //!   alone, with no per-iteration heap allocation after its first solve.
 //!   A [`BarrierSolver`] is a family solver over a one-cell family built
 //!   from the problem it is handed.
-//! * [`Model`] — a small modeling layer (variables, affine expressions,
-//!   `≤`/`≥`/`=` constraints) that compiles to a [`Problem`], standing in
-//!   for the disciplined-convex-programming front end of CVX.
 //! * [`Certificate`] — Farkas-style infeasibility certificates extracted
 //!   from failed phase-I runs: [`Certificate::certifies`] soundly rejects
 //!   a related problem with one matvec-equivalent pass instead of a
@@ -37,25 +34,20 @@
 //!   carry many near-copies); the feasible set, and therefore every
 //!   verdict, is unchanged, while `m` and the degenerate active sets
 //!   shrink at the source.
-//! * [`solve_lp`] / [`solve_qp`] — one-call convenience wrappers.
 //!
 //! # Example
 //!
 //! ```
-//! use protemp_cvx::{Model, SolverOptions};
+//! use protemp_cvx::{Problem, SolverOptions};
 //!
 //! // minimize x + y  s.t.  x + 2y >= 2, x >= 0, y >= 0
-//! let mut m = Model::new();
-//! let x = m.add_var("x");
-//! let y = m.add_var("y");
-//! m.bound(x, 0.0, f64::INFINITY);
-//! m.bound(y, 0.0, f64::INFINITY);
-//! let lhs = m.expr(&[(x, 1.0), (y, 2.0)]);
-//! m.constrain_ge(lhs, 2.0);
-//! let obj = m.expr(&[(x, 1.0), (y, 1.0)]);
-//! m.minimize(obj);
-//! let sol = m.solve(&SolverOptions::default()).unwrap();
-//! assert!((sol.objective() - 1.0).abs() < 1e-5); // x=0, y=1
+//! let mut p = Problem::new(2);
+//! p.set_linear_objective(vec![1.0, 1.0]);
+//! p.add_linear_le(vec![-1.0, -2.0], -2.0);
+//! p.add_box(0, 0.0, f64::INFINITY);
+//! p.add_box(1, 0.0, f64::INFINITY);
+//! let sol = p.solve(&SolverOptions::default()).unwrap();
+//! assert!((sol.objective - 1.0).abs() < 1e-5); // x=0, y=1
 //! ```
 
 #![forbid(unsafe_code)]
@@ -64,27 +56,21 @@
 mod barrier;
 mod certificate;
 mod error;
-mod expr;
 mod family;
-mod model;
 mod options;
 mod problem;
 mod reduce;
 mod scratch;
 mod status;
-mod wrappers;
 
 pub use barrier::{BarrierSolver, FeasibleOutcome};
 pub use certificate::{check_certificate, CertScratch, Certificate, ProblemView};
 pub use error::CvxError;
-pub use expr::{Expr, Var};
 pub use family::{CellSeed, FamilySolver, ProblemFamily};
-pub use model::{Model, ModelSolution};
 pub use options::SolverOptions;
 pub use problem::{Problem, QuadConstraint};
 pub use reduce::ReduceAnalysis;
 pub use status::{Solution, SolveStatus};
-pub use wrappers::{solve_lp, solve_qp};
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, CvxError>;

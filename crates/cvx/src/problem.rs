@@ -61,8 +61,7 @@ impl QuadConstraint {
 ///             A x = b                    (rows of `eq`)
 /// ```
 ///
-/// Build a problem either directly with the `add_*` methods or through the
-/// [`crate::Model`] layer, then call [`Problem::solve`].
+/// Build a problem with the `add_*` methods, then call [`Problem::solve`].
 ///
 /// # Example
 ///
