@@ -601,7 +601,6 @@ pub(crate) fn solve_flow(
     scratch: &mut SolverScratch,
     pool: &mut VecPool,
     proj: &ProjStorage,
-    q0_override: Option<&[f64]>,
     b: &[f64],
     rows: Option<&[usize]>,
     aug: &AugStorage,
@@ -609,10 +608,7 @@ pub(crate) fn solve_flow(
     x0: Option<&[f64]>,
     estimate_t: bool,
 ) -> Result<FlowOutcome> {
-    let mut dense = proj.view(b, rows);
-    if let Some(q0) = q0_override {
-        dense.q0 = q0;
-    }
+    let dense = proj.view(b, rows);
     let nz = dense.n;
 
     let mut outer_total = 0;
@@ -880,17 +876,13 @@ pub(crate) fn feasible_flow(
     scratch: &mut SolverScratch,
     pool: &mut VecPool,
     proj: &ProjStorage,
-    q0_override: Option<&[f64]>,
     b: &[f64],
     rows: Option<&[usize]>,
     aug: &AugStorage,
     reduced: bool,
     z0: &[f64],
 ) -> Result<FeasFlow> {
-    let mut dense = proj.view(b, rows);
-    if let Some(q0) = q0_override {
-        dense.q0 = q0;
-    }
+    let dense = proj.view(b, rows);
     if dense.num_ineq() == 0 || dense.max_violation(z0) < -opts.phase1_margin {
         return Ok(FeasFlow::Instant);
     }

@@ -13,9 +13,9 @@
 //! and the prototype [`Problem`] itself (for certificate checks and
 //! structural comparisons). A [`FamilySolver`] then solves one cell at a
 //! time through [`FamilySolver::solve_cell`], touching only per-cell data —
-//! right-hand sides, optional objective override, seed — with **zero heap
-//! allocation and zero re-analysis** on the feasible hot path once its
-//! buffers have grown (the counting-allocator test pins this down).
+//! right-hand sides and seed — with **zero heap allocation and zero
+//! re-analysis** on the feasible hot path once its buffers have grown (the
+//! counting-allocator test pins this down).
 //!
 //! Sweeps, frontier probes and MPC windows hold a family directly; the
 //! one-shot [`crate::BarrierSolver`] is a [`FamilySolver`] over a one-cell
@@ -35,14 +35,13 @@
 //! # When a family must be rebuilt
 //!
 //! A family is valid for exactly the cells whose problems differ from the
-//! prototype only in linear-inequality right-hand sides (and, via the
-//! explicit override, the linear objective). Any change to constraint
-//! coefficients, quadratic constraints, equality rows *or equality
-//! right-hand sides*, the variable count, or the solver options that shape
-//! the analysis (`row_reduction`) requires a new [`ProblemFamily`] —
-//! [`ProblemFamily::matches`] checks this structurally, and the Pro-Temp
-//! layer keys its family cache on the context fingerprint for the same
-//! reason.
+//! prototype only in linear-inequality right-hand sides. Any change to
+//! constraint coefficients, quadratic constraints, equality rows *or
+//! equality right-hand sides*, the objective, the variable count, or the
+//! solver options that shape the analysis (`row_reduction`) requires a new
+//! [`ProblemFamily`] — [`ProblemFamily::matches`] checks this structurally,
+//! and the Pro-Temp layer keys its family cache on the context fingerprint
+//! for the same reason.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -233,8 +232,6 @@ pub struct FamilySolver {
     z0: Vec<f64>,
     /// Original-space temporary (seed projection).
     tmp_n: Vec<f64>,
-    /// Projected objective override, when one is supplied.
-    q0_override: Vec<f64>,
     /// Reused solve output.
     out: Solution,
     /// Reused feasibility-query output.
@@ -261,7 +258,6 @@ impl FamilySolver {
             b_active: Vec::new(),
             z0: Vec::new(),
             tmp_n: Vec::new(),
-            q0_override: Vec::new(),
             out: Solution::infeasible(0, 0, 0, None, 0, false),
             out_feas: FeasibleOutcome {
                 point: None,
@@ -315,50 +311,17 @@ impl FamilySolver {
     ///
     /// Panics if `rhs` does not cover the family's rows.
     pub fn solve_cell(&mut self, rhs: &[f64], seed: CellSeed<'_>) -> Result<&Solution> {
-        self.solve_cell_impl(rhs, None, seed)
-    }
-
-    /// As [`FamilySolver::solve_cell`], with a per-cell linear objective
-    /// `q₀` override (length = variable count). The quadratic objective
-    /// part and constant stay the prototype's.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FamilySolver::solve_cell`];
-    /// [`CvxError::NotFinite`] also when `objective` holds a non-finite
-    /// value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs` or `objective` have the wrong length.
-    pub fn solve_cell_objective(
-        &mut self,
-        rhs: &[f64],
-        objective: &[f64],
-        seed: CellSeed<'_>,
-    ) -> Result<&Solution> {
-        assert_eq!(objective.len(), self.family.num_vars(), "objective length");
-        self.solve_cell_impl(rhs, Some(objective), seed)
-    }
-
-    fn solve_cell_impl(
-        &mut self,
-        rhs: &[f64],
-        objective: Option<&[f64]>,
-        seed: CellSeed<'_>,
-    ) -> Result<&Solution> {
         let family = Arc::clone(&self.family);
         let m = family.num_lin_rows();
         let n = family.num_vars();
         assert_eq!(rhs.len(), m, "cell rhs length");
-        if !all_finite(rhs) || objective.is_some_and(|q| !all_finite(q)) {
+        if !all_finite(rhs) {
             return Err(CvxError::NotFinite);
         }
 
         // Per-cell system data: project the rhs (no-op copy without
-        // equalities) and the objective override, reduce rows, seed.
+        // equalities), reduce rows, seed.
         project_rhs(&family, rhs, &mut self.b_proj);
-        let q0_active = project_override(&family, objective, &mut self.q0_override);
         let kept = if self.opts.row_reduction && family.analysis.is_some() {
             self.reducer.select_rhs(rhs)
         } else {
@@ -383,7 +346,6 @@ impl FamilySolver {
             &mut self.scratch,
             &mut self.pool,
             &family.proj,
-            q0_active,
             b,
             rows,
             &family.aug,
@@ -407,9 +369,8 @@ impl FamilySolver {
                 // Same accumulation shape as `Problem::objective_value`,
                 // without its temporary (bit-identical result).
                 let quad = objective_quad(&family.proto, &out.x);
-                let (_, proto_q0, c0) = family.proto.objective();
-                let q0_full = objective.unwrap_or(proto_q0);
-                out.objective = quad + vecops::dot(q0_full, &out.x) + c0;
+                let (_, q0, c0) = family.proto.objective();
+                out.objective = quad + vecops::dot(q0, &out.x) + c0;
                 out.gap_bound = run.gap;
                 out.certificate = None;
                 out.polished = false;
@@ -446,9 +407,8 @@ impl FamilySolver {
                         // and price it exactly like the feasible path.
                         lift_into(&family.x_p, family.f_basis.as_ref(), &run.x, &mut out.x);
                         let quad = objective_quad(&family.proto, &out.x);
-                        let (_, proto_q0, c0) = family.proto.objective();
-                        let q0_full = objective.unwrap_or(proto_q0);
-                        out.objective = quad + vecops::dot(q0_full, &out.x) + c0;
+                        let (_, q0, c0) = family.proto.objective();
+                        out.objective = quad + vecops::dot(q0, &out.x) + c0;
                         out.gap_bound = run.gap;
                         self.pool.put(run.x);
                     }
@@ -518,7 +478,6 @@ impl FamilySolver {
             &mut self.scratch,
             &mut self.pool,
             &family.proj,
-            None,
             b,
             rows,
             &family.aug,
@@ -590,35 +549,6 @@ fn project_rhs(family: &ProblemFamily, rhs: &[f64], out: &mut Vec<f64>) {
     }
 }
 
-/// Projects a per-cell linear-objective override into the reduced space
-/// when the family has equalities (the same `Fᵀ(P x_p + q₀)` formula
-/// `project_problem` uses for the prototype's); returns the active
-/// reduced-space q₀ slice, or
-/// `None` when no override was supplied (the family's own stays active).
-fn project_override<'a>(
-    family: &ProblemFamily,
-    objective: Option<&'a [f64]>,
-    buf: &'a mut Vec<f64>,
-) -> Option<&'a [f64]> {
-    let q0 = objective?;
-    match &family.f_basis {
-        Some(f) => {
-            let (p0, _, _) = family.proto.objective();
-            buf.clear();
-            buf.resize(family.proj.n, 0.0);
-            match p0 {
-                Some(p) => {
-                    let px = p.matvec(&family.x_p);
-                    f.matvec_t_into(&vecops::add(&px, q0), buf);
-                }
-                None => f.matvec_t_into(q0, buf),
-            }
-            Some(buf)
-        }
-        None => Some(q0),
-    }
-}
-
 /// Projects a seed into the reduced space: `z = Fᵀ(x₀ − x_p)` with
 /// equalities, a plain copy without. Allocation-free once the buffers have
 /// grown.
@@ -658,7 +588,6 @@ fn objective_quad(proto: &Problem, x: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BarrierSolver;
 
     /// A small family shaped like the Pro-Temp design points: boxes, a
     /// multi-entry coupling row family (prunable near-duplicates), a
@@ -808,29 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn objective_override_is_respected() {
-        let opts = SolverOptions::default();
-        let family = Arc::new(ProblemFamily::new(prototype(), &opts).unwrap());
-        let mut fam = FamilySolver::new(Arc::clone(&family), opts);
-        let rhs = rhs_for(-0.5);
-        let base = fam.solve_cell(&rhs, CellSeed::None).unwrap().x.clone();
-        // Flip the objective: maximize instead of minimize the first var.
-        let q0 = vec![-5.0, 1.0, 0.5, 0.25];
-        let over = fam.solve_cell_objective(&rhs, &q0, CellSeed::None).unwrap();
-        assert!(
-            over.x[0] > base[0] + 0.5,
-            "override must push x0 up: {} vs {}",
-            over.x[0],
-            base[0]
-        );
-        // And it matches a one-shot solve of the same problem.
-        let mut prob = cell_problem(&rhs);
-        prob.set_linear_objective(q0);
-        let cell = BarrierSolver::new(opts).solve(&prob).unwrap();
-        assert_eq!(over.x, cell.x, "override must be bit-identical too");
-    }
-
-    #[test]
     fn family_rejects_foreign_problems() {
         let opts = SolverOptions::default();
         let family = ProblemFamily::new(prototype(), &opts).unwrap();
@@ -864,21 +770,6 @@ mod tests {
         let mut fam = fresh_solver();
         for rhs in non_finite_cells() {
             let out = fam.solve_cell(&rhs, CellSeed::None);
-            assert!(matches!(out, Err(crate::CvxError::NotFinite)), "{out:?}");
-        }
-    }
-
-    #[test]
-    fn solve_cell_objective_rejects_non_finite_data() {
-        let mut fam = fresh_solver();
-        let rhs = rhs_for(-0.5);
-        for bad in [f64::NAN, f64::NEG_INFINITY] {
-            let q0 = vec![1.0, bad, 0.5, 0.25];
-            let out = fam.solve_cell_objective(&rhs, &q0, CellSeed::None);
-            assert!(matches!(out, Err(crate::CvxError::NotFinite)), "{out:?}");
-        }
-        for rhs in non_finite_cells() {
-            let out = fam.solve_cell_objective(&rhs, &[1.0, 1.0, 0.5, 0.25], CellSeed::None);
             assert!(matches!(out, Err(crate::CvxError::NotFinite)), "{out:?}");
         }
     }
