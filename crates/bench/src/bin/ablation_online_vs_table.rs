@@ -2,6 +2,10 @@
 //! MPC-style controller that re-solves the convex program at run time for
 //! the exact observed temperature.
 //!
+//! The online policy is the plain MPC controller: `LadderController` with
+//! no table and no deadline. It differs from a bare per-window bisection
+//! only on a solver error or a non-finite reading, where it backs off to
+//! its guard-banded integral rung instead of shutting the window down.
 //! The online controller removes the grid-rounding conservatism but pays a
 //! solve per DFS window; the paper's table amortizes all solves offline.
 //!
@@ -15,7 +19,7 @@
 use std::time::Instant;
 
 use protemp::prelude::*;
-use protemp::OnlineController;
+use protemp::LadderController;
 use protemp_bench::{
     control_config, mixed_trace, platform, run_policy, screened_window_latency, write_csv,
 };
@@ -38,11 +42,12 @@ fn main() {
     let table_wall = t0.elapsed().as_secs_f64();
 
     // Online MPC-style.
-    let mut online_policy = OnlineController::new(ctx.clone());
+    let mut online_policy = LadderController::new(ctx.clone(), 0);
     let t0 = Instant::now();
     let online_report = run_policy(&trace, &mut online_policy, &mut FirstIdle, false);
     let online_wall = t0.elapsed().as_secs_f64();
-    let (solves, infeasible) = online_policy.counters();
+    let telemetry = online_policy.telemetry();
+    let (solves, infeasible) = (telemetry.ticks, telemetry.infeasible_probes);
 
     println!("controller | peak C | >100C % | mean wait ms | sim wall s");
     println!(

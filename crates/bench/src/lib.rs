@@ -145,7 +145,7 @@ pub fn build_small_table(cfg: &ControlConfig) -> FrequencyTable {
 /// certificate fails to screen it (either would mean the measurement no
 /// longer isolates the screen).
 pub fn screened_window_latency(ctx: &AssignmentContext) -> (f64, f64, u64) {
-    use protemp::{OnlineController, PointSolver};
+    use protemp::{LadderController, PointSolver};
     use protemp_sim::Observation;
     use std::time::Instant;
 
@@ -189,23 +189,23 @@ pub fn screened_window_latency(ctx: &AssignmentContext) -> (f64, f64, u64) {
     let mut screened_s = f64::INFINITY;
     let mut screens = 0;
     for _ in 0..REPS {
-        let mut bisect = OnlineController::new(ctx.clone());
+        let mut bisect = LadderController::new(ctx.clone(), 0);
         let _ = bisect.frequencies(&warmup, &p);
         let t0 = Instant::now();
         let _ = bisect.frequencies(&obs, &p);
         bisection_s = bisection_s.min(t0.elapsed().as_secs_f64());
 
-        let mut screened = OnlineController::new(ctx.clone());
+        let mut screened = LadderController::new(ctx.clone(), 0);
         screened.preload_certificates([cert.clone()]);
         let _ = screened.frequencies(&warmup, &p);
         let t0 = Instant::now();
         let _ = screened.frequencies(&obs, &p);
         screened_s = screened_s.min(t0.elapsed().as_secs_f64());
+        screens = screened.telemetry().screened_probes;
         assert!(
-            screened.screened_windows() >= 1,
+            screens >= 1,
             "the pooled certificate must actually screen the probe"
         );
-        screens = screened.screened_windows();
     }
     (screened_s, bisection_s, screens)
 }

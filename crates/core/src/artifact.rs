@@ -162,7 +162,7 @@ impl BuildArtifact {
     }
 
     /// The verified certificates as a plain pool (helper for seeding
-    /// [`crate::PointSolver`] / [`crate::OnlineController`] /
+    /// [`crate::PointSolver`] / [`crate::LadderController`] /
     /// [`crate::frontier::sweep_seeded`] screening pools).
     pub fn certificate_pool(&self) -> Vec<Certificate> {
         self.certificates

@@ -28,8 +28,8 @@ pub(crate) const MAX_CERTIFICATES: usize = 6;
 
 /// An MRU pool of infeasibility certificates with a reusable check
 /// workspace — the screening state shared by [`PointSolver`] (the table
-/// sweep), the MPC bisection behind [`crate::OnlineController`] and
-/// [`crate::LadderController`] (DFS windows) and the frontier prober.
+/// sweep), the MPC bisection behind [`crate::LadderController`] (DFS
+/// windows) and the frontier prober.
 /// Certificates enter either freshly minted from a failed phase I
 /// ([`CertPool::remember`], capped at [`MAX_CERTIFICATES`]) or inherited
 /// from a persisted prior build ([`CertPool::preload`], never evicted).

@@ -31,8 +31,11 @@
 //! overruns — is exposed through [`LadderTelemetry`] and the simulator's
 //! `DfsPolicy::ladder_level` hook.
 //!
-//! Rungs 0–1 are [`MpcBisection`], which [`crate::OnlineController`]
-//! runs too, without the fallback rungs.
+//! With no table and no deadline, [`LadderController::new`]`(ctx, 0)` is
+//! the plain MPC controller: every window with a finite reading and no
+//! solver error is served from rungs 0–1 or certified shut down. Only a
+//! non-finite reading or a solver `Err` reaches the fallback rungs, and
+//! with no table those land on the guard-banded integral rung.
 
 use std::sync::Arc;
 
@@ -104,24 +107,23 @@ enum TableAnswer {
 }
 
 /// Outcome of one window's MPC bisection.
-pub(crate) enum MpcOutcome {
+enum MpcOutcome {
     /// A usable frequency vector, at rung 0 or 1.
     Served {
         freqs_hz: Vec<f64>,
         rung: LadderRung,
-        /// The serving solve started from the previous window's point.
-        warm: bool,
     },
-    /// Every probe down to 1% of `f_max` was *certified* infeasible.
+    /// Every probe was *certified* infeasible: the demand and five
+    /// halvings of it, or fewer when a halving fell below 1% of `f_max`.
     CertifiedShutdown,
     /// The solver erred or the budget expired undecided.
     Degrade,
 }
 
-/// The per-window MPC solve behind [`LadderController`]'s rungs 0–1 and
-/// [`crate::OnlineController`]: bisect on the achievable target below the
-/// demand — try the demand, halve on every certified-infeasible probe, at
-/// most six probes — through the context's sweep-shared family.
+/// The per-window MPC solve behind [`LadderController`]'s rungs 0–1:
+/// bisect on the achievable target below the demand — try the demand,
+/// halve on every certified-infeasible probe, at most six probes — through
+/// the context's sweep-shared family.
 ///
 /// Each probe is first screened against the pooled certificates (one
 /// matvec each; a hit skips phase I), failed phase-I runs add their
@@ -131,18 +133,18 @@ pub(crate) enum MpcOutcome {
 /// (halved) target. A non-zero `tick_budget` caps the Newton steps of the
 /// whole window: each probe is granted only what the window has left.
 #[derive(Debug, Clone)]
-pub(crate) struct MpcBisection {
-    pub(crate) ctx: AssignmentContext,
+struct MpcBisection {
+    ctx: AssignmentContext,
     solver: FamilySolver,
     rhs: Vec<f64>,
     offsets: OffsetsCache,
-    pub(crate) pool: CertPool,
+    pool: CertPool,
     last_x: Option<Vec<f64>>,
     tick_budget: usize,
 }
 
 impl MpcBisection {
-    pub(crate) fn new(ctx: AssignmentContext, tick_budget: usize) -> Self {
+    fn new(ctx: AssignmentContext, tick_budget: usize) -> Self {
         let mut opts = *ctx.solver_options();
         opts.tick_budget = tick_budget;
         let solver = FamilySolver::new(Arc::clone(ctx.family()), opts);
@@ -157,11 +159,11 @@ impl MpcBisection {
         }
     }
 
-    pub(crate) fn tick_budget(&self) -> usize {
+    fn tick_budget(&self) -> usize {
         self.tick_budget
     }
 
-    pub(crate) fn set_tick_budget(&mut self, budget: usize) {
+    fn set_tick_budget(&mut self, budget: usize) {
         self.tick_budget = budget;
         self.solver.set_tick_budget(budget);
     }
@@ -169,7 +171,7 @@ impl MpcBisection {
     /// Runs one window's bisection at the measured temperature `temp_c`,
     /// counting probes, truncated serves and solver errors into `tel`.
     /// Returns the outcome and the Newton steps the window spent.
-    pub(crate) fn run(
+    fn run(
         &mut self,
         temp_c: f64,
         demand_hz: f64,
@@ -195,7 +197,6 @@ impl MpcBisection {
                 {
                     tel.screened_probes += 1;
                 } else {
-                    let warm = self.last_x.is_some();
                     let Ok((outcome, cert)) = solve_family_cell(
                         &self.ctx,
                         &mut self.solver,
@@ -216,14 +217,14 @@ impl MpcBisection {
                         // above tol after the outer cap). Only a deadline
                         // truncation is rung 1.
                         (SolveStatus::Optimal | SolveStatus::MaxIterations, Some(p)) => {
-                            break 'window self.serve(p, LadderRung::FullMpc, warm);
+                            break 'window self.serve(p, LadderRung::FullMpc);
                         }
                         // A truncated iterate is strictly feasible — every
                         // thermal and workload constraint holds — just not
                         // power-optimal. Serve it rather than degrade.
                         (SolveStatus::Budgeted, Some(p)) => {
                             tel.truncated_serves += 1;
-                            break 'window self.serve(p, LadderRung::TruncatedSolve, warm);
+                            break 'window self.serve(p, LadderRung::TruncatedSolve);
                         }
                         (SolveStatus::Infeasible, _) => {}
                         // Budgeted with no point: the deadline expired
@@ -246,12 +247,11 @@ impl MpcBisection {
     }
 
     /// Serves `p` at `rung` and carries its point into the next window.
-    fn serve(&mut self, p: SolvedPoint, rung: LadderRung, warm: bool) -> MpcOutcome {
+    fn serve(&mut self, p: SolvedPoint, rung: LadderRung) -> MpcOutcome {
         self.last_x = Some(p.x);
         MpcOutcome::Served {
             freqs_hz: p.assignment.freqs_hz,
             rung,
-            warm,
         }
     }
 }
@@ -488,7 +488,7 @@ impl DfsPolicy for LadderController {
                 );
                 tick_newton = newton;
                 match outcome {
-                    MpcOutcome::Served { freqs_hz, rung, .. } => {
+                    MpcOutcome::Served { freqs_hz, rung } => {
                         if rung == LadderRung::FullMpc {
                             // A full solve heals the ladder: reset the
                             // backoff ramp.
@@ -680,5 +680,76 @@ mod tests {
         assert_eq!(c.last_rung(), LadderRung::Shutdown);
         assert!(f.iter().all(|&x| x == 0.0));
         assert!(c.telemetry().infeasible_probes >= 1);
+    }
+
+    #[test]
+    fn preloaded_certificate_screens_the_certified_probe() {
+        use crate::PointSolver;
+        let platform = Platform::niagara8();
+        let ctx = ctx();
+        // Mint a certificate at an infeasible design point (the same kind
+        // the table store persists next to a build).
+        let mut ps = PointSolver::new(&ctx);
+        ps.set_screening(true);
+        let out = ps.solve_point(100.0, 0.6e9, None).unwrap();
+        assert!(out.solution.is_none(), "100 C / 600 MHz must be infeasible");
+        let cert = ps
+            .take_minted_certificate()
+            .expect("failed phase I at the frontier mints a certificate");
+
+        let mut c = LadderController::new(ctx, 0);
+        c.preload_certificates([cert]);
+        // A window at the certified design point dies in one matvec — no
+        // phase-I run — and the bisection degrades from there.
+        let _ = c.frequencies(&obs_at(0, 100.0, 0.6e9), &platform);
+        let t = c.telemetry();
+        assert!(
+            t.screened_probes >= 1,
+            "the pooled certificate must reject the certified probe"
+        );
+        assert!(
+            t.infeasible_probes >= 1,
+            "screens count as infeasible probes"
+        );
+    }
+
+    #[test]
+    fn failed_probe_certificate_screens_the_next_window() {
+        let platform = Platform::niagara8();
+        let mut c = LadderController::new(ctx(), 0);
+        // The demand is infeasible: its failed phase-I run mints a
+        // certificate into the pool...
+        let _ = c.frequencies(&obs_at(0, 100.0, 0.6e9), &platform);
+        let before = c.telemetry().screened_probes;
+        // ...which rejects the same probe in the next window.
+        let _ = c.frequencies(&obs_at(1, 100.0, 0.6e9), &platform);
+        assert!(
+            c.telemetry().screened_probes > before,
+            "a failed window must feed the certificate pool"
+        );
+    }
+
+    #[test]
+    fn window_after_an_unserved_one_starts_cold() {
+        let platform = Platform::niagara8();
+        let fresh = |t: f64| {
+            let mut c = LadderController::new(ctx(), 0);
+            c.frequencies(&obs_at(0, t, 0.4e9), &platform)
+        };
+        let mut c = LadderController::new(ctx(), 0);
+        // Window 0: feasible, carries its optimum into window 1, whose
+        // warm-started solve serves other bits than a cold one.
+        let _ = c.frequencies(&obs_at(0, 60.0, 0.4e9), &platform);
+        let warm = c.frequencies(&obs_at(1, 61.0, 0.4e9), &platform);
+        assert_ne!(warm, fresh(61.0), "a served window warm-starts the next");
+        // Window 2: hopelessly hot — every probe is certified infeasible
+        // and the window shuts down, dropping the carried point.
+        let f = c.frequencies(&obs_at(2, 150.0, 0.4e9), &platform);
+        assert_eq!(c.last_rung(), LadderRung::Shutdown);
+        assert!(f.iter().all(|&x| x == 0.0));
+        // Window 3 must start cold: warm-starting from the point carried
+        // across the shutdown would serve other bits, as window 1 shows.
+        let cold = c.frequencies(&obs_at(3, 62.0, 0.4e9), &platform);
+        assert_eq!(cold, fresh(62.0), "window after a shutdown starts cold");
     }
 }

@@ -25,13 +25,13 @@
 //! Supporting APIs: [`solve_assignment`] is the one-shot convex solve
 //! (the CODES-ISSS'07 primitive the paper builds on), [`frontier`] computes
 //! the uniform-vs-variable feasibility frontiers of Figure 9,
-//! [`OnlineController`] is an MPC-style extension that re-solves the convex
-//! program at run time instead of using the table, [`LadderController`]
-//! runs the same per-window bisection behind a ladder of certified
-//! fallback rungs, and [`TableService`] is the production serving tier:
-//! lock-free multi-resolution lookups over every stored artifact,
-//! refreshed by atomically published snapshots while a background build
-//! refines the grid.
+//! [`LadderController`] is an MPC-style extension that re-solves the
+//! convex program at run time — `LadderController::new(ctx, 0)` is the
+//! plain MPC controller — behind a ladder of certified fallback rungs, and
+//! [`TableService`] is the production serving tier: lock-free
+//! multi-resolution lookups over every stored artifact, refreshed by
+//! atomically published snapshots while a background build refines the
+//! grid.
 //!
 //! # Quickstart
 //!
@@ -71,7 +71,7 @@ pub use assign::{
     PointSolver, SolvedPoint,
 };
 pub use builder::{BuildStats, TableBuilder};
-pub use controller::{OnlineController, ProTempController};
+pub use controller::ProTempController;
 pub use error::ProTempError;
 pub use io::{
     read_certificates, read_table, read_table_v2, write_certificates, write_table, write_table_v2,

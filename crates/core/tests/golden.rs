@@ -10,9 +10,11 @@
 //!   deterministic build counters;
 //! * the default contexts of the three built-in platforms keep their
 //!   fingerprints, so persisted artifacts stay valid;
-//! * `OnlineController` and `LadderController` serve the same frequency
-//!   bits and counters over a fixed window sequence that crosses
-//!   certified-infeasible, screened and warm-chained windows;
+//! * `LadderController` keeps its frequency bits, rungs and counters over
+//!   a fixed window sequence that crosses certified-infeasible, screened
+//!   and warm-chained windows, with and without a tick budget; with no
+//!   budget its frequency bits alone match the plain MPC controller's
+//!   pinned digest;
 //! * closed-loop `run_simulation` reports with a recorded trajectory stay
 //!   bit-identical for the table controller on `stacked3d`, the integral
 //!   baseline on `biglittle8` and the MPC ladder on `niagara8`;
@@ -24,8 +26,8 @@ use std::path::PathBuf;
 
 use protemp::{
     check_feasible, frontier, solve_assignment, AssignmentContext, BuildArtifact, BuildStats,
-    ControlConfig, FreqMode, LadderController, LadderTelemetry, OnlineController,
-    ProTempController, TableBuilder, TableStore,
+    ControlConfig, FreqMode, LadderController, LadderTelemetry, ProTempController, TableBuilder,
+    TableStore,
 };
 use protemp_sim::{
     run_simulation, DfsPolicy, FirstIdle, IntegralController, Observation, Platform, SimConfig,
@@ -287,16 +289,8 @@ fn controllers_reproduce_pinned_window_outputs() {
     let platform = Platform::niagara8();
     let ctx = default_ctx(&platform);
 
-    let mut online = OnlineController::new(ctx.clone());
-    let digest = run_windows(&mut online, &platform);
-    assert_eq!(digest, 0xd421_a086_525b_408b, "online digest");
-    assert_eq!(online.counters(), (20, 38), "online (solves, infeasible)");
-    assert_eq!(online.warm_solves(), 10);
-    assert_eq!(online.screened_windows(), 35);
-    assert_eq!(online.certificate_count(), 3);
-
-    // With no table and no deadline, the ladder serves the online
-    // controller's frequency bits: its rung is hidden from the digest.
+    // With no table and no deadline the ladder is the plain MPC
+    // controller: its frequency bits alone, rung hidden, are pinned too.
     let mut plain_mpc = FrequenciesOnly(LadderController::new(ctx.clone(), 0));
     let digest = run_windows(&mut plain_mpc, &platform);
     assert_eq!(digest, 0xd421_a086_525b_408b, "plain MPC digest");

@@ -144,7 +144,8 @@ fn waiting_time_mechanism_visible_in_frequency_residency() {
 
 #[test]
 fn online_controller_matches_guarantee() {
-    // The MPC-style extension must preserve the temperature guarantee.
+    // The MPC-style extension — the plain MPC controller, a ladder with no
+    // table and no deadline — must preserve the temperature guarantee.
     let platform = Platform::niagara8();
     let ctx = AssignmentContext::new(&platform, &ControlConfig::default()).expect("ctx");
     let trace = TraceGenerator::new(13).generate(&BenchmarkProfile::multimedia(), 3.0, 8);
@@ -152,7 +153,7 @@ fn online_controller_matches_guarantee() {
         t_init_c: 70.0,
         ..SimConfig::default()
     };
-    let mut policy = protemp::OnlineController::new(ctx);
+    let mut policy = protemp::LadderController::new(ctx, 0);
     let report = run_simulation(&platform, &trace, &mut policy, &mut FirstIdle, &cfg).expect("sim");
     assert_eq!(report.violation_fraction, 0.0);
     assert!(report.completed > 0);
