@@ -302,29 +302,36 @@ fn check_grid_axis(what: &str, axis: &[f64]) -> Result<()> {
     Ok(())
 }
 
-/// Places parsed `entry` lines into a row-major grid, rejecting duplicate
-/// and out-of-range cells (bitset-tracked) and incomplete files — the
-/// shared tail of both the v1 and v2 readers.
+/// Places parsed `entry` lines into a row-major grid, rejecting
+/// out-of-range cells, a wrong entry count and duplicate cells
+/// (bitset-tracked) — the shared tail of both the v1 and v2 readers.
+///
+/// The grid is allocated only once the entry count matches `rows × cols`:
+/// a file that declares huge axes but holds few entries is rejected
+/// without allocating the cells its axes describe.
 fn assemble_grid(
     entries: Vec<(usize, usize, Option<FrequencyAssignment>)>,
     rows: usize,
     cols: usize,
 ) -> Result<Vec<Option<FrequencyAssignment>>> {
-    let mut grid: Vec<Option<FrequencyAssignment>> = vec![None; rows * cols];
+    for &(r, c, _) in &entries {
+        cell_index(r, c, rows, cols, "entry")?;
+    }
+    if rows.checked_mul(cols) != Some(entries.len()) {
+        return Err(bad(format!(
+            "expected {} entries, found {}",
+            rows as u128 * cols as u128,
+            entries.len()
+        )));
+    }
+    let mut grid: Vec<Option<FrequencyAssignment>> = vec![None; entries.len()];
     let mut seen = SeenCells::new(grid.len());
     for (r, c, a) in entries {
-        let idx = cell_index(r, c, rows, cols, "entry")?;
+        let idx = r * cols + c;
         if !seen.insert(idx) {
             return Err(bad(format!("duplicate entry ({r},{c})")));
         }
         grid[idx] = a;
-    }
-    if seen.count != grid.len() {
-        return Err(bad(format!(
-            "expected {} entries, found {}",
-            grid.len(),
-            seen.count
-        )));
     }
     Ok(grid)
 }
@@ -519,9 +526,8 @@ fn read_table_v2_text(text: &str) -> Result<BuildArtifact> {
     check_grid_axis("ftargets", &ftargets)?;
     let rows = tstarts.len();
     let cols = ftargets.len();
-    let total = rows * cols;
-
     let grid = assemble_grid(entries, rows, cols)?;
+    let total = grid.len();
 
     let mut cells: Vec<Option<CellRecord>> = vec![None; total];
     let mut seen_stats = SeenCells::new(total);
