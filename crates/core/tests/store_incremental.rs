@@ -4,7 +4,11 @@
 //! * the `protemp-table v2` format round-trips arbitrary artifacts exactly
 //!   (infeasible cells, `tgrad none`, optimizer points, certificates),
 //! * corruption in any byte is detected (checksums) or degraded safely
-//!   (the `.certs` side file never gates the table), and
+//!   (the `.certs` side file never gates the table),
+//! * the three readers are total: arbitrary bytes and structured
+//!   mutations of valid files never panic, and no mutation of a
+//!   checksum-framed file is accepted unless its checksum is recomputed,
+//!   and
 //! * `build_incremental` from a coarse prior grid produces a table
 //!   *bit-identical* to a cold build of the fine grid while spending
 //!   measurably fewer Newton steps.
@@ -18,8 +22,9 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 use protemp::prelude::*;
 use protemp::{
-    read_certificates, read_table_v2, write_certificates, write_table_v2, AssignmentContext,
-    BuildArtifact, CellRecord, CellStatus, Certificate, StoredCertificate, TableStore,
+    read_certificates, read_table, read_table_v2, write_certificates, write_table, write_table_v2,
+    AssignmentContext, BuildArtifact, CellRecord, CellStatus, Certificate, StoredCertificate,
+    TableStore,
 };
 
 /// The paper's controller config with a 50-step horizon for test speed.
@@ -209,6 +214,218 @@ proptest! {
                 prop_assert_eq!(parsed.table, artifact.table);
                 prop_assert_eq!(parsed.cells, artifact.cells);
             }
+        }
+    }
+}
+
+/// Values a structured mutation writes into a file: non-finite,
+/// negative, overflowing and huge numbers, and status tags and block
+/// keywords where numbers belong.
+const HOSTILE_TOKENS: [&str; 9] = [
+    "nan",
+    "inf",
+    "-1",
+    "18446744073709551616",
+    "1e308",
+    "feasible",
+    "infeasible",
+    "screened",
+    "endcert",
+];
+
+/// Words the arbitrary-input strategy strings together: every header and
+/// keyword the three readers dispatch on, small numbers and the hostile
+/// values.
+const VOCABULARY: [&str; 33] = [
+    "protemp-table v1",
+    "protemp-table v2",
+    "protemp-certs v1",
+    "mode",
+    "variable",
+    "tstarts",
+    "ftargets",
+    "entry",
+    "freqs",
+    "powers",
+    "tgrad",
+    "none",
+    "objective",
+    "fingerprint",
+    "warmstart",
+    "x",
+    "stats",
+    "cert",
+    "lambda_lin",
+    "lambda_quad",
+    "anchor",
+    "checksum",
+    "0",
+    "1",
+    "60",
+    "nan",
+    "inf",
+    "-1",
+    "18446744073709551616",
+    "1e308",
+    "feasible",
+    "infeasible",
+    "endcert",
+];
+
+/// 64-bit FNV-1a, the checksum that frames v2 table and certificate files.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// `content` followed by its checksum line.
+fn frame(content: &str) -> String {
+    format!("{content}checksum {:016x}\n", fnv1a(content.as_bytes()))
+}
+
+/// The content a framed file's checksum covers.
+fn unframe(framed: &str) -> &str {
+    &framed[..framed.rfind("checksum ").expect("framed file")]
+}
+
+/// A file as one of the writers renders it.
+fn written(write: impl FnOnce(&mut Vec<u8>) -> protemp::Result<()>) -> String {
+    let mut buf = Vec::new();
+    write(&mut buf).expect("write to memory");
+    String::from_utf8(buf).expect("writers emit UTF-8")
+}
+
+/// The v1 table, v2 table and certificate files of an artifact.
+fn artifact_files(artifact: &BuildArtifact) -> [String; 3] {
+    [
+        written(|w| write_table(&artifact.table, w)),
+        written(|w| write_table_v2(artifact, w)),
+        written(|w| write_certificates(artifact.fingerprint, &artifact.certificates, w)),
+    ]
+}
+
+/// `(kind, line, token, value)`: delete (0) or duplicate (1) a line, or
+/// replace (2), insert (3) or drop (4) a space-separated token, with
+/// `line` and `token` taken modulo the counts and `value` indexing
+/// [`HOSTILE_TOKENS`].
+type Mutation = (u64, usize, usize, usize);
+
+fn mutation_strategy() -> impl Strategy<Value = Mutation> {
+    (
+        0u64..5,
+        0usize..1 << 16,
+        0usize..1 << 16,
+        0..HOSTILE_TOKENS.len(),
+    )
+}
+
+/// Applies one structured mutation to a line-oriented file.
+fn mutate(text: &str, (kind, line, token, value): Mutation) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let li = line % lines.len();
+    match kind {
+        0 => {
+            lines.remove(li);
+        }
+        1 => lines.insert(li, lines[li].clone()),
+        _ => {
+            let mut tokens: Vec<&str> = lines[li].split(' ').collect();
+            let ti = token % tokens.len();
+            match kind {
+                2 => tokens[ti] = HOSTILE_TOKENS[value],
+                3 => tokens.insert(ti, HOSTILE_TOKENS[value]),
+                _ => {
+                    tokens.remove(ti);
+                }
+            }
+            lines[li] = tokens.join(" ");
+        }
+    }
+    lines.iter().map(|l| format!("{l}\n")).collect()
+}
+
+/// Feeds `bytes` to every reader; each may reject it but none may panic.
+fn read_with_every_reader(bytes: &[u8]) {
+    let _ = read_table(bytes);
+    let _ = read_table_v2(bytes);
+    let _ = read_certificates(bytes);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    /// Arbitrary input, with or without a valid header line and with or
+    /// without a valid checksum frame, never panics a reader: strings of
+    /// raw bytes (ASCII in three cases of four) and reader keywords
+    /// separated by spaces and newlines.
+    #[test]
+    fn readers_are_total_on_arbitrary_input(
+        header in 0usize..4,
+        ascii_only in 0u64..4,
+        pieces in prop::collection::vec((0u64..3, 0u32..256, 0..VOCABULARY.len()), 0..160),
+        framed in 0u64..2,
+    ) {
+        let mut text = ["", "protemp-table v1\n", "protemp-table v2\n", "protemp-certs v1\n"]
+            [header]
+            .as_bytes()
+            .to_vec();
+        for (kind, byte, word) in pieces {
+            match kind {
+                0 if ascii_only > 0 => text.push((byte % 128) as u8),
+                0 => text.push(byte as u8),
+                _ => {
+                    text.extend_from_slice(VOCABULARY[word].as_bytes());
+                    text.push(if kind == 1 { b' ' } else { b'\n' });
+                }
+            }
+        }
+        if framed == 1 {
+            let sum = fnv1a(&text);
+            text.extend_from_slice(format!("checksum {sum:016x}\n").as_bytes());
+        }
+        read_with_every_reader(&text);
+    }
+
+    /// A structured mutation of a valid file never panics a reader, even
+    /// when the mutated content is framed with a fresh checksum so that
+    /// only the parser stands between it and the caller.
+    #[test]
+    fn readers_are_total_on_mutated_files(
+        artifact in artifact_strategy(),
+        edit in mutation_strategy(),
+    ) {
+        let [v1, v2, certs] = artifact_files(&artifact);
+        read_with_every_reader(mutate(&v1, edit).as_bytes());
+        for framed in [&v2, &certs] {
+            read_with_every_reader(frame(&mutate(unframe(framed), edit)).as_bytes());
+        }
+    }
+
+    /// The same mutations without a fresh checksum: no reader accepts a
+    /// mutated v2 table or certificate file.
+    #[test]
+    fn readers_reject_unframed_mutations(
+        artifact in artifact_strategy(),
+        edit in mutation_strategy(),
+    ) {
+        let [_, v2, certs] = artifact_files(&artifact);
+        for framed in [&v2, &certs] {
+            let mutated = mutate(framed, edit);
+            if mutated == *framed {
+                // Replacing a token by itself changes nothing.
+                continue;
+            }
+            let bytes = mutated.as_bytes();
+            prop_assert!(read_table(bytes).is_err(), "read_table accepted:\n{mutated}");
+            prop_assert!(read_table_v2(bytes).is_err(), "read_table_v2 accepted:\n{mutated}");
+            prop_assert!(
+                read_certificates(bytes).is_err(),
+                "read_certificates accepted:\n{mutated}"
+            );
         }
     }
 }
