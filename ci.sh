@@ -2,7 +2,7 @@
 # Tier-1 verification pipeline. Everything here must pass before merging:
 #
 #   ./ci.sh          # fmt + clippy + rustdoc + release build + full test
-#                    # suite + the benchmark's own tests and smoke runs
+#                    # suite + the benchmark's own lint, tests and smoke runs
 #   ./ci.sh quick    # skip the release build (debug tests only)
 #
 # The workspace builds fully offline: crates.io dependencies are replaced by
@@ -212,8 +212,11 @@ EOF
 # benchmark, or a workload that stops passing its own output checks —
 # design_sweep compares the paper-grid feasibility map with its stored
 # reference — fails CI instead of the next benchmark run. Only correctness
-# is asserted; the smoke runs' timings are not.
-echo "==> perfbench: cargo test + one-second smoke run of every workload"
+# is asserted; the smoke runs' timings are not. The benchmark's code is
+# held to the same fmt and clippy bar as the code it measures.
+echo "==> perfbench: fmt + clippy + cargo test + one-second smoke run of every workload"
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 for workload in design_sweep mpc_loop table_loop_3d; do
     smoke="$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
