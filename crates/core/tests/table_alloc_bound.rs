@@ -15,24 +15,26 @@ use protemp::{read_table, read_table_v2, ProTempError};
 /// The largest single allocation this test binary grants.
 const MAX_REQUEST_BYTES: usize = 1 << 30;
 
+/// The system allocator, refusing any single request above
+/// [`MAX_REQUEST_BYTES`]. A refusal returns null, which the standard
+/// collections turn into an abort.
 struct BoundedAlloc;
 
+// SAFETY: every method either returns null — the `GlobalAlloc` contract's
+// way to report an allocation failure — or forwards its arguments
+// unchanged to `System`, so `System`'s guarantees carry over. Every block
+// `dealloc` or `realloc` receives was handed out by `System` here.
 unsafe impl GlobalAlloc for BoundedAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if layout.size() > MAX_REQUEST_BYTES {
             return std::ptr::null_mut();
         }
+        // SAFETY: the caller's `layout` obligations are passed on as is.
         unsafe { System.alloc(layout) }
     }
 
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if layout.size() > MAX_REQUEST_BYTES {
-            return std::ptr::null_mut();
-        }
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
@@ -40,6 +42,8 @@ unsafe impl GlobalAlloc for BoundedAlloc {
         if new_size > MAX_REQUEST_BYTES {
             return std::ptr::null_mut();
         }
+        // SAFETY: `ptr` came from `System` with this `layout`, and the
+        // caller's `new_size` obligations are passed on as is.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
