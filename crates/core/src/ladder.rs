@@ -343,7 +343,13 @@ impl LadderController {
         }
     }
 
-    /// Seeds the screening pool with certificates from a prior build.
+    /// Seeds the screening pool with certificates from a prior build
+    /// (e.g. [`crate::BuildArtifact::certificate_pool`] after
+    /// [`crate::BuildArtifact::verify_certificates`]). Screening is sound
+    /// regardless — a certificate re-derives its infeasibility bound
+    /// against each window's own constraint data and can never reject a
+    /// feasible window — but verified certificates keep dead weight out
+    /// of the pool.
     pub fn preload_certificates(&mut self, certs: impl IntoIterator<Item = Certificate>) {
         self.mpc.pool.preload(certs);
     }

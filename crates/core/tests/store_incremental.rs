@@ -233,10 +233,10 @@ const HOSTILE_TOKENS: [&str; 9] = [
     "endcert",
 ];
 
-/// Words the arbitrary-input strategy strings together: every header and
-/// keyword the three readers dispatch on, small numbers and the hostile
-/// values.
-const VOCABULARY: [&str; 33] = [
+/// Headers and keywords the three readers dispatch on, and small
+/// numbers: with [`HOSTILE_TOKENS`], the words the arbitrary-input
+/// strategy strings together.
+const KEYWORDS: [&str; 25] = [
     "protemp-table v1",
     "protemp-table v2",
     "protemp-certs v1",
@@ -262,14 +262,6 @@ const VOCABULARY: [&str; 33] = [
     "0",
     "1",
     "60",
-    "nan",
-    "inf",
-    "-1",
-    "18446744073709551616",
-    "1e308",
-    "feasible",
-    "infeasible",
-    "endcert",
 ];
 
 /// 64-bit FNV-1a, the checksum that frames v2 table and certificate files.
@@ -366,7 +358,10 @@ proptest! {
     fn readers_are_total_on_arbitrary_input(
         header in 0usize..4,
         ascii_only in 0u64..4,
-        pieces in prop::collection::vec((0u64..3, 0u32..256, 0..VOCABULARY.len()), 0..160),
+        pieces in prop::collection::vec(
+            (0u64..3, 0u32..256, 0..KEYWORDS.len() + HOSTILE_TOKENS.len()),
+            0..160,
+        ),
         framed in 0u64..2,
     ) {
         let mut text = ["", "protemp-table v1\n", "protemp-table v2\n", "protemp-certs v1\n"]
@@ -378,7 +373,8 @@ proptest! {
                 0 if ascii_only > 0 => text.push((byte % 128) as u8),
                 0 => text.push(byte as u8),
                 _ => {
-                    text.extend_from_slice(VOCABULARY[word].as_bytes());
+                    let word = KEYWORDS.iter().chain(&HOSTILE_TOKENS).nth(word);
+                    text.extend_from_slice(word.expect("index below both lengths").as_bytes());
                     text.push(if kind == 1 { b' ' } else { b'\n' });
                 }
             }
