@@ -2,8 +2,10 @@
 # Tier-1 verification pipeline. Everything here must pass before merging:
 #
 #   ./ci.sh          # fmt + clippy + rustdoc + release build + full test
-#                    # suite + the benchmark's own lint, tests and smoke runs
-#   ./ci.sh quick    # skip the release build (debug tests only)
+#                    # suite + the bit-identity pins under --release + the
+#                    # benchmark's own lint, tests and smoke runs
+#   ./ci.sh quick    # skip the release build and the release-profile pins
+#                    # (test-profile tests only)
 #
 # The workspace builds fully offline: crates.io dependencies are replaced by
 # the API-subset shims under shims/ (see Cargo.toml [workspace.dependencies]).
@@ -29,6 +31,17 @@ fi
 
 echo "==> cargo test"
 cargo test -q
+
+# The bit-identity pins on the code the benchmark measures: the row-kernel
+# proptests (span-aware kernels vs the dense reference), the
+# counting-allocator tests and both golden pin sets, built with the release
+# profile (no debug assertions, full optimization) instead of the test
+# profile above.
+if [[ "$quick" != "quick" ]]; then
+    echo "==> cargo test --release (linalg, cvx, core golden pins)"
+    cargo test --release -q -p protemp-linalg -p protemp-cvx
+    cargo test --release -q -p protemp --test golden
+fi
 
 # Perf-telemetry smoke test: a reduced-grid tab_solver_runtime run must
 # still emit parseable JSON with the sweep-breakdown fields, so the perf

@@ -1,6 +1,6 @@
 use std::sync::{Arc, OnceLock};
 
-use protemp_linalg::{vecops, Matrix, Qr};
+use protemp_linalg::{vecops, Matrix, Qr, RowSpan};
 
 use crate::scratch::{DimScratch, SolverScratch};
 use crate::{
@@ -85,7 +85,7 @@ fn debug_enabled() -> bool {
 /// gap `m/t`, the Newton assembly cost and, decisively, the
 /// near-degenerate active sets that redundant row families create. The
 /// full packed row matrix is kept and the KKT assembly runs over the
-/// surviving subset through the row-subset linalg kernels, so no reduced
+/// surviving subset through the row-view linalg kernels, so no reduced
 /// copy is materialized. Systems with equality constraints skip the pass
 /// (their projected rows lose the box structure).
 ///
@@ -179,9 +179,16 @@ struct RunCtrl<'a> {
 /// can run matvecs and the blocked `AᵀDA` update over contiguous memory.
 /// After the row-reduction pass `rows` lists the surviving base rows and
 /// `b` holds their right-hand sides: the KKT assembly runs that subset
-/// through the row-subset linalg kernels instead of materializing a
+/// through the row-view linalg kernels instead of materializing a
 /// reduced copy per solve. [`crate::FamilySolver`] builds one of these per
 /// cell over its family's storage and the cell's right-hand sides.
+///
+/// Every per-row pass of a Newton step — slacks, `Aᵀw`, the `AᵀDA`
+/// update, the line search's barrier values and [`Dense::max_step`] —
+/// reads a row only over its nonzero span, recorded once per family in
+/// `spans`. That is exact for finite operands (see [`RowSpan`]): the
+/// coefficients and right-hand sides are checked finite before a solve
+/// starts, and so are seeds.
 #[derive(Clone, Copy)]
 pub(crate) struct Dense<'a> {
     pub(crate) n: usize,
@@ -189,6 +196,8 @@ pub(crate) struct Dense<'a> {
     pub(crate) q0: &'a [f64],
     /// Packed linear inequality rows (`m_full × n`).
     pub(crate) a: &'a Matrix,
+    /// Nonzero span of every row of `a` (`m_full` entries).
+    pub(crate) spans: &'a [RowSpan],
     /// Linear right-hand sides, aligned with the *active* rows.
     pub(crate) b: &'a [f64],
     /// Active base-row indices into `a` when a reduction pruned rows
@@ -206,6 +215,8 @@ pub(crate) struct ProjStorage {
     pub(crate) p0: Option<Matrix>,
     pub(crate) q0: Vec<f64>,
     pub(crate) a: Matrix,
+    /// `a.row_spans()`, recorded once.
+    pub(crate) spans: Vec<RowSpan>,
     pub(crate) quad: Vec<QuadConstraint>,
 }
 
@@ -218,6 +229,7 @@ impl ProjStorage {
             p0: self.p0.as_ref(),
             q0: &self.q0,
             a: &self.a,
+            spans: &self.spans,
             b,
             rows,
             quad: &self.quad,
@@ -227,11 +239,13 @@ impl ProjStorage {
 
 /// Owned phase-I (augmented) system storage: rows `[aᵢ, −1]` over the
 /// *full* packed row matrix — the per-cell active subset indexes into it —
-/// objective `minimize s`, and the augmented quadratic constraints. A
+/// with their nonzero spans (each ends at the `−1` column), objective
+/// `minimize s`, and the augmented quadratic constraints. A
 /// [`crate::ProblemFamily`] builds it once, for every cell.
 #[derive(Debug, Clone)]
 pub(crate) struct AugStorage {
     pub(crate) a: Matrix,
+    pub(crate) spans: Vec<RowSpan>,
     pub(crate) q0: Vec<f64>,
     pub(crate) quad: Vec<QuadConstraint>,
 }
@@ -265,7 +279,8 @@ impl AugStorage {
                 QuadConstraint { p, q: qv, r: q.r }
             })
             .collect();
-        AugStorage { a, q0, quad }
+        let spans = a.row_spans();
+        AugStorage { a, spans, q0, quad }
     }
 
     /// The phase-I view sharing the phase-II view's `b` and row subset.
@@ -275,6 +290,7 @@ impl AugStorage {
             p0: None,
             q0: &self.q0,
             a: &self.a,
+            spans: &self.spans,
             b: dense.b,
             rows: dense.rows,
             quad: &self.quad,
@@ -295,13 +311,18 @@ impl Dense<'_> {
         }
     }
 
+    /// The `i`-th *active* linear row's nonzero span and its coefficients
+    /// over that span.
+    fn lin_row_span(&self, i: usize) -> (std::ops::Range<usize>, &[f64]) {
+        let r = self.rows.map_or(i, |rows| rows[i]);
+        let cols = self.spans[r].range();
+        (cols.clone(), &self.a.row(r)[cols])
+    }
+
     /// Active slacks `s = b − Ax` written into `slack` (length
     /// [`Dense::num_lin`]).
     fn slacks_into(&self, x: &[f64], slack: &mut [f64]) {
-        match self.rows {
-            Some(r) => self.a.matvec_rows_into(r, x, slack),
-            None => self.a.matvec_into(x, slack),
-        }
+        self.a.matvec_rows_into(self.spans, self.rows, x, slack);
         for (sl, &bi) in slack.iter_mut().zip(self.b) {
             *sl = bi - *sl;
         }
@@ -309,10 +330,7 @@ impl Dense<'_> {
 
     /// `y = Aᵀw` over the active rows (`w` aligned with them).
     fn lin_combine_into(&self, w: &[f64], y: &mut [f64]) {
-        match self.rows {
-            Some(r) => self.a.matvec_t_rows_into(r, w, y),
-            None => self.a.matvec_t_into(w, y),
-        }
+        self.a.matvec_t_rows_into(self.spans, self.rows, w, y);
     }
 
     fn num_ineq(&self) -> usize {
@@ -351,9 +369,32 @@ impl Dense<'_> {
 
     /// Barrier function `t·f₀(x) − Σ log(sᵢ)`; `None` if any slack ≤ 0.
     fn barrier_value(&self, t: f64, x: &[f64]) -> Option<f64> {
+        let slacks = (0..self.num_lin()).map(|i| {
+            let (cols, row) = self.lin_row_span(i);
+            self.b[i] - vecops::dot(row, &x[cols])
+        });
+        self.barrier_with(t, x, slacks)
+    }
+
+    /// [`Dense::barrier_value`] at the point whose linear slacks
+    /// [`Dense::grad_hess_into`] just wrote into `slack`, without
+    /// recomputing them.
+    ///
+    /// The same bits as `barrier_value(t, x)`. The two slack sums differ
+    /// only in the sign of an all-zero sum: `vecops::dot` folds from
+    /// `−0.0`, [`Matrix::matvec_rows_into`] from `+0.0`. `bᵢ − ·` maps both
+    /// signs to the same slack unless `bᵢ = ±0.0`, and then both slacks are
+    /// `≤ 0`, so both paths return `None`.
+    fn barrier_value_at_slacks(&self, t: f64, x: &[f64], slack: &[f64]) -> Option<f64> {
+        self.barrier_with(t, x, slack.iter().copied())
+    }
+
+    /// `t·f₀(x) − Σ log(sᵢ)` over the linear slacks `slacks` (in row
+    /// order, pulled only while they stay positive) and the quadratic
+    /// ones.
+    fn barrier_with(&self, t: f64, x: &[f64], slacks: impl Iterator<Item = f64>) -> Option<f64> {
         let mut v = t * self.objective(x);
-        for i in 0..self.num_lin() {
-            let s = self.b[i] - vecops::dot(self.lin_row(i), x);
+        for s in slacks {
             if s <= 0.0 {
                 return None;
             }
@@ -375,15 +416,17 @@ impl Dense<'_> {
     /// instead of at `α = 1` matters when `x` hugs the boundary — a warm
     /// start from a neighbouring optimum — where a full Newton step lands
     /// far outside the region and Armijo would shrink `α` to nothing.
-    /// `tmp` is clobbered (a length-`n` buffer). Allocation-free.
-    fn max_step(&self, x: &[f64], dx: &[f64], tmp: &mut [f64]) -> f64 {
+    /// `slack` holds the linear slacks at `x` as [`Dense::grad_hess_into`]
+    /// wrote them; at a strictly feasible `x` each is positive and equals
+    /// `bᵢ − aᵢ·x` bit for bit. `tmp` is clobbered (a length-`n` buffer).
+    /// Allocation-free.
+    fn max_step(&self, x: &[f64], dx: &[f64], slack: &[f64], tmp: &mut [f64]) -> f64 {
         let mut alpha = 1.0_f64;
-        for i in 0..self.num_lin() {
-            let row = self.lin_row(i);
-            let deriv = vecops::dot(row, dx);
+        for (i, &sl) in slack.iter().enumerate() {
+            let (cols, row) = self.lin_row_span(i);
+            let deriv = vecops::dot(row, &dx[cols]);
             if deriv > 0.0 {
-                let slack = self.b[i] - vecops::dot(row, x);
-                alpha = alpha.min(0.99 * slack / deriv);
+                alpha = alpha.min(0.99 * sl / deriv);
             }
         }
         for q in self.quad {
@@ -476,10 +519,7 @@ impl Dense<'_> {
             for wi in w.iter_mut() {
                 *wi *= *wi;
             }
-            match self.rows {
-                Some(r) => hess.syrk_lower_update_rows(self.a, r, w),
-                None => hess.syrk_lower_update(self.a, w),
-            }
+            hess.syrk_lower_update_rows(self.a, self.spans, self.rows, w);
         }
         // Quadratic constraints.
         for q in self.quad {
@@ -1146,6 +1186,7 @@ fn run_barrier(
     let newton_budget = ctrl.newton_budget.unwrap_or(usize::MAX);
     let s = scratch.for_dim(dense.n);
     let m = dense.num_ineq() as f64;
+    let m_lin = dense.num_lin();
     let mut x = x0;
     let mut newton_total = 0;
 
@@ -1201,6 +1242,10 @@ fn run_barrier(
         let mut centered = false;
         let mut best_lambda2 = f64::INFINITY;
         let mut steps_since_progress = 0usize;
+        // The barrier value at `x` for this `t`, once a step of this
+        // centering has been accepted: the line search already evaluated
+        // it at the accepted trial point, which is now `x`.
+        let mut psi_x: Option<f64> = None;
         for _ in 0..o.max_newton {
             dense.grad_hess_into(t, &x, s);
             solve_spd_in_place(s)?;
@@ -1226,19 +1271,33 @@ fn run_barrier(
             }
             // Backtracking line search on the barrier function, entered
             // at the fraction-to-boundary step so near-boundary starts
-            // get real candidates instead of infeasible ones.
-            let psi0 = dense
-                .barrier_value(t, &x)
-                .ok_or(CvxError::NumericalTrouble {
-                    phase: "line search",
-                })?;
-            let mut alpha = dense.max_step(&x, &s.dx, &mut s.qgrad);
+            // get real candidates instead of infeasible ones. Its start
+            // value ψ₀ = ψ(x) is already known after an accepted step of
+            // this centering; on the centering's first step it comes from
+            // the slacks `grad_hess_into` just wrote. Either way it is the
+            // same expression on the same inputs as a fresh
+            // `barrier_value(t, x)`, which debug builds check.
+            let slack = &s.slack[..m_lin];
+            let psi0 = match psi_x {
+                Some(v) => Some(v),
+                None => dense.barrier_value_at_slacks(t, &x, slack),
+            }
+            .ok_or(CvxError::NumericalTrouble {
+                phase: "line search",
+            })?;
+            debug_assert_eq!(
+                Some(psi0.to_bits()),
+                dense.barrier_value(t, &x).map(f64::to_bits),
+                "the reused line-search start value must equal a fresh one"
+            );
+            let mut alpha = dense.max_step(&x, &s.dx, slack, &mut s.qgrad);
             let mut accepted = false;
             while alpha > 1e-14 {
                 vecops::add_scaled_into(&x, alpha, &s.dx, &mut s.cand);
                 if let Some(psi) = dense.barrier_value(t, &s.cand) {
                     if psi <= psi0 - o.armijo * alpha * lambda2 {
                         std::mem::swap(&mut x, &mut s.cand);
+                        psi_x = Some(psi);
                         accepted = true;
                         break;
                     }
@@ -1415,7 +1474,8 @@ impl BarrierSolver {
     ///
     /// # Errors
     ///
-    /// See [`Problem::solve`].
+    /// See [`Problem::solve`]; also [`CvxError::NotFinite`] when `x0` holds
+    /// a non-finite value, before any Newton step.
     pub fn solve_warm(&mut self, prob: &Problem, x0: &[f64]) -> Result<Solution> {
         self.solve_with_start(prob, Some(x0))
     }
@@ -1425,7 +1485,8 @@ impl BarrierSolver {
     ///
     /// # Errors
     ///
-    /// See [`Problem::solve`].
+    /// See [`Problem::solve`]; also [`CvxError::NotFinite`] when `x0` holds
+    /// a non-finite value, before any Newton step.
     pub fn solve_with_start(&mut self, prob: &Problem, x0: Option<&[f64]>) -> Result<Solution> {
         let seed = match x0 {
             Some(x0) => CellSeed::Warm(x0),
@@ -1447,7 +1508,8 @@ impl BarrierSolver {
     ///
     /// # Errors
     ///
-    /// See [`Problem::solve`].
+    /// See [`Problem::solve`]; also [`CvxError::NotFinite`] when `x0` holds
+    /// a non-finite value, before any Newton step.
     pub fn solve_seeded(&mut self, prob: &Problem, x0: &[f64]) -> Result<Solution> {
         self.cell_solver(prob)?
             .solve_cell(prob.lin_rhs(), CellSeed::Seeded(x0))
@@ -1476,7 +1538,9 @@ impl BarrierSolver {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`BarrierSolver::solve`].
+    /// Same conditions as [`BarrierSolver::solve`]; also
+    /// [`CvxError::NotFinite`] when `seed` holds a non-finite value, before
+    /// any Newton step.
     pub fn find_feasible_with(
         &mut self,
         prob: &Problem,
@@ -1755,7 +1819,8 @@ fn solve_spd_in_place(s: &mut DimScratch) -> Result<()> {
 
 /// Projects the problem into the reduced space `x = x_p + F z`, packing the
 /// linear inequality rows into one contiguous matrix for the blocked
-/// Newton assembly. Right-hand sides are left out: they vary per cell.
+/// Newton assembly and recording each packed row's nonzero span once.
+/// Right-hand sides are left out: they vary per cell.
 pub(crate) fn project_problem(prob: &Problem, x_p: &[f64], f: Option<&Matrix>) -> ProjStorage {
     let (p0, q0, _) = prob.objective();
     let m_lin = prob.lin_rows().len();
@@ -1770,6 +1835,7 @@ pub(crate) fn project_problem(prob: &Problem, x_p: &[f64], f: Option<&Matrix>) -
                 n,
                 p0: p0.cloned(),
                 q0: q0.to_vec(),
+                spans: a.row_spans(),
                 a,
                 quad: prob.quad_constraints().to_vec(),
             }
@@ -1814,6 +1880,7 @@ pub(crate) fn project_problem(prob: &Problem, x_p: &[f64], f: Option<&Matrix>) -
                 n: nz,
                 p0: p0_z,
                 q0: q0_z,
+                spans: a.row_spans(),
                 a,
                 quad,
             }

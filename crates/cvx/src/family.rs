@@ -303,9 +303,9 @@ impl FamilySolver {
     ///
     /// # Errors
     ///
-    /// [`CvxError::NotFinite`] when `rhs` holds a non-finite value, before
-    /// any work; otherwise the same conditions as [`Problem::solve`].
-    /// Infeasibility is *not* an error.
+    /// [`CvxError::NotFinite`] when `rhs` or the seed point holds a
+    /// non-finite value, before any work; otherwise the same conditions as
+    /// [`Problem::solve`]. Infeasibility is *not* an error.
     ///
     /// # Panics
     ///
@@ -315,9 +315,7 @@ impl FamilySolver {
         let m = family.num_lin_rows();
         let n = family.num_vars();
         assert_eq!(rhs.len(), m, "cell rhs length");
-        if !all_finite(rhs) {
-            return Err(CvxError::NotFinite);
-        }
+        check_finite(rhs, seed.point())?;
 
         // Per-cell system data: project the rhs (no-op copy without
         // equalities), reduce rows, seed.
@@ -432,7 +430,9 @@ impl FamilySolver {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`FamilySolver::solve_cell`].
+    /// Same conditions as [`FamilySolver::solve_cell`]:
+    /// [`CvxError::NotFinite`] when `rhs` or `seed` holds a non-finite
+    /// value, before any work.
     ///
     /// # Panics
     ///
@@ -446,9 +446,7 @@ impl FamilySolver {
         let m = family.num_lin_rows();
         let n = family.num_vars();
         assert_eq!(rhs.len(), m, "cell rhs length");
-        if !all_finite(rhs) {
-            return Err(CvxError::NotFinite);
-        }
+        check_finite(rhs, seed)?;
 
         project_rhs(&family, rhs, &mut self.b_proj);
         let kept = if self.opts.row_reduction && family.analysis.is_some() {
@@ -526,9 +524,18 @@ impl FamilySolver {
     }
 }
 
-/// `true` when every value is finite.
-fn all_finite(v: &[f64]) -> bool {
-    v.iter().all(|x| x.is_finite())
+/// [`CvxError::NotFinite`] unless the cell's right-hand sides and its seed
+/// point, if any, are all finite. Without the seed check a NaN coordinate
+/// would score as strictly feasible (`f64::max` drops NaN operands in
+/// `Dense::max_violation`), and the span-aware row kernels match the dense
+/// products bit for bit only on finite iterates.
+fn check_finite(rhs: &[f64], seed: Option<&[f64]>) -> Result<()> {
+    let finite = |v: &[f64]| v.iter().all(|x| x.is_finite());
+    if finite(rhs) && seed.is_none_or(finite) {
+        Ok(())
+    } else {
+        Err(CvxError::NotFinite)
+    }
 }
 
 /// Projects a cell's original-space rhs into the family's (possibly

@@ -312,7 +312,8 @@ impl Problem {
     ///
     /// # Errors
     ///
-    /// Same as [`Problem::solve`].
+    /// Same as [`Problem::solve`]; also [`CvxError::NotFinite`] when `x0`
+    /// holds a non-finite value.
     pub fn solve_warm(&self, opts: &crate::SolverOptions, x0: &[f64]) -> Result<crate::Solution> {
         crate::BarrierSolver::new(*opts).solve_warm(self, x0)
     }

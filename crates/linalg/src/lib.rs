@@ -18,10 +18,13 @@
 //!   dimensions (the faer `*_req` idiom); hot loops factor and solve with
 //!   zero heap traffic after the first iteration.
 //!
-//! The matrices in this workspace are small (tens to a few hundred rows), so
-//! the implementations favour clarity and numerical robustness over blocked
-//! performance. The allocation discipline, not the kernel blocking, is what
-//! the Phase-1 sweep's throughput depends on.
+//! The square matrices in this workspace are small (tens of rows), so the
+//! factorizations favour clarity and numerical robustness over blocked
+//! performance. The one tall matrix is the solver's packed constraint
+//! matrix (thousands of rows, each with a short run of nonzeros): its row
+//! kernels ([`Matrix::matvec_rows_into`], [`Matrix::matvec_t_rows_into`],
+//! [`Matrix::syrk_lower_update_rows`]) touch only each row's [`RowSpan`],
+//! recorded once by the caller.
 //!
 //! # Example
 //!
@@ -53,7 +56,7 @@ pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use expm::expm;
 pub use lu::Lu;
-pub use matrix::Matrix;
+pub use matrix::{Matrix, RowSpan};
 pub use qr::Qr;
 pub use workspace::{SolveWorkspace, Stack, StackReq};
 

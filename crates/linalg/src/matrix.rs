@@ -9,8 +9,10 @@ use crate::{LinalgError, Result};
 ///
 /// `Matrix` is the workhorse container of the workspace: the thermal state
 /// matrices, the optimizer KKT systems and the reachability operators are all
-/// `Matrix` values. Sizes in this project are small (≤ a few hundred rows),
-/// so storage is a single contiguous `Vec<f64>`.
+/// `Matrix` values. Square matrices stay small (tens of rows: the thermal
+/// nodes, the solver's variables); the tallest is the solver's packed
+/// constraint matrix, a few thousand rows by a few tens of columns (4 835 ×
+/// 17 on the paper model). Storage is a single contiguous `Vec<f64>`.
 ///
 /// # Example
 ///
@@ -239,50 +241,120 @@ impl Matrix {
         }
     }
 
-    /// Row-subset matrix–vector product: `y[i] = row(rows[i]) · x`.
+    /// Nonzero span of every row, in row order: what the span-aware row
+    /// kernels ([`Matrix::matvec_rows_into`], [`Matrix::matvec_t_rows_into`],
+    /// [`Matrix::syrk_lower_update_rows`]) take. Computed once by whoever
+    /// owns a matrix that those kernels run over many times.
+    pub fn row_spans(&self) -> Vec<RowSpan> {
+        (0..self.rows).map(|r| RowSpan::of(self.row(r))).collect()
+    }
+
+    /// Row-view matrix–vector product: `y[i] = row(base(i)) · x`, where
+    /// `base(i)` is `rows[i]` for a row subset and `i` for `rows = None`
+    /// (every row). Each product reads only the row's span
+    /// `spans[base(i)]`.
     ///
-    /// The subset variant of [`Matrix::matvec_into`]: callers that solve a
-    /// *pruned* constraint system keep the full packed row matrix and hand
-    /// the surviving row indices here instead of materializing a reduced
-    /// copy. Allocation-free; `rows` may list base rows in any order (the
-    /// barrier's pruned KKT assembly keeps them ascending).
+    /// The kernel behind the barrier's slacks `b − Ax`. A *pruned*
+    /// constraint system keeps the full packed row matrix and hands the
+    /// surviving row indices here instead of materializing a reduced copy;
+    /// an unpruned one passes `None`. `spans` is [`Matrix::row_spans`],
+    /// computed once, never per call.
+    ///
+    /// Bit-identical to the dense product for finite operands: each entry
+    /// is a fold `acc += a·x` from `+0.0` in column order, and the columns
+    /// the span leaves out hold `±0.0` coefficients whose products cannot
+    /// change such a fold (see the [`RowSpan`] docs). An all-zero row
+    /// gives `+0.0`. Allocation-free.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != self.cols()`, `y.len() != rows.len()`, or any
-    /// index is out of range.
-    pub fn matvec_rows_into(&self, rows: &[usize], x: &[f64], y: &mut [f64]) {
+    /// Panics if `x.len() != self.cols()`, `spans.len() != self.rows()`,
+    /// `y` does not have one entry per viewed row, or any index is out of
+    /// range.
+    pub fn matvec_rows_into(
+        &self,
+        spans: &[RowSpan],
+        rows: Option<&[usize]>,
+        x: &[f64],
+        y: &mut [f64],
+    ) {
         assert_eq!(x.len(), self.cols, "matvec_rows dimension mismatch");
-        assert_eq!(y.len(), rows.len(), "matvec_rows output length mismatch");
-        for (yr, &r) in y.iter_mut().zip(rows) {
-            let row = self.row(r);
+        assert_eq!(spans.len(), self.rows, "matvec_rows span count");
+        let m = rows.map_or(self.rows, <[usize]>::len);
+        assert_eq!(y.len(), m, "matvec_rows output length mismatch");
+        match rows {
+            Some(r) => self.matvec_span_impl(spans, r.iter().copied(), x, y),
+            None => self.matvec_span_impl(spans, 0..self.rows, x, y),
+        }
+    }
+
+    /// The one implementation behind [`Matrix::matvec_rows_into`]'s subset
+    /// and full views: `base` yields the row behind each output entry.
+    fn matvec_span_impl(
+        &self,
+        spans: &[RowSpan],
+        base: impl Iterator<Item = usize>,
+        x: &[f64],
+        y: &mut [f64],
+    ) {
+        for (yr, r) in y.iter_mut().zip(base) {
+            let cols = spans[r].range();
             let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x) {
+            for (a, b) in self.row(r)[cols.clone()].iter().zip(&x[cols]) {
                 acc += a * b;
             }
             *yr = acc;
         }
     }
 
-    /// Row-subset transposed matrix–vector product:
-    /// `y = Σᵢ w[i] · row(rows[i])` (with `w` indexed by subset position).
+    /// Row-view transposed matrix–vector product:
+    /// `y = Σᵢ w[i] · row(base(i))`, with `w` indexed by view position and
+    /// `base` as in [`Matrix::matvec_rows_into`]. Each row adds into its
+    /// span's columns only, and zero-weight rows are skipped.
     ///
-    /// The subset variant of [`Matrix::matvec_t_into`]; see
-    /// [`Matrix::matvec_rows_into`] for when to use it. Allocation-free.
+    /// The kernel behind the barrier gradient's `Aᵀw`. Bit-identical to
+    /// the dense product for finite operands: every `y[c]` is a fold from
+    /// `+0.0` over the rows in order, and the skipped terms are `±0.0`
+    /// products (see [`RowSpan`]). Allocation-free.
     ///
     /// # Panics
     ///
-    /// Panics if `w.len() != rows.len()`, `y.len() != self.cols()`, or any
-    /// index is out of range.
-    pub fn matvec_t_rows_into(&self, rows: &[usize], w: &[f64], y: &mut [f64]) {
-        assert_eq!(w.len(), rows.len(), "matvec_t_rows weight length");
+    /// Panics if `y.len() != self.cols()`, `spans.len() != self.rows()`,
+    /// `w` does not have one entry per viewed row, or any index is out of
+    /// range.
+    pub fn matvec_t_rows_into(
+        &self,
+        spans: &[RowSpan],
+        rows: Option<&[usize]>,
+        w: &[f64],
+        y: &mut [f64],
+    ) {
         assert_eq!(y.len(), self.cols, "matvec_t_rows output length mismatch");
+        assert_eq!(spans.len(), self.rows, "matvec_t_rows span count");
+        let m = rows.map_or(self.rows, <[usize]>::len);
+        assert_eq!(w.len(), m, "matvec_t_rows weight length");
         y.fill(0.0);
-        for (&r, &wr) in rows.iter().zip(w) {
+        match rows {
+            Some(r) => self.matvec_t_span_impl(spans, r.iter().copied(), w, y),
+            None => self.matvec_t_span_impl(spans, 0..self.rows, w, y),
+        }
+    }
+
+    /// The one implementation behind [`Matrix::matvec_t_rows_into`]'s
+    /// subset and full views.
+    fn matvec_t_span_impl(
+        &self,
+        spans: &[RowSpan],
+        base: impl Iterator<Item = usize>,
+        w: &[f64],
+        y: &mut [f64],
+    ) {
+        for (r, &wr) in base.zip(w) {
             if wr == 0.0 {
                 continue;
             }
-            for (yc, a) in y.iter_mut().zip(self.row(r)) {
+            let cols = spans[r].range();
+            for (yc, a) in y[cols.clone()].iter_mut().zip(&self.row(r)[cols]) {
                 *yc += a * wr;
             }
         }
@@ -397,12 +469,15 @@ impl Matrix {
     /// the strict upper triangle is left untouched.
     ///
     /// Rows of `a` are consumed in panels of up to eight consecutive rows
-    /// that share the same nonzero span `[first, last]`, so each output row
-    /// is streamed once per panel instead of once per constraint row, and
-    /// columns outside the span are never touched. Constraint families lay
-    /// out exactly like this: box rows touch one column, temperature rows
-    /// touch the contiguous power block, so the span pruning skips most of
-    /// the matrix. Rows with zero weight are skipped. Allocation-free.
+    /// that share the same nonzero span, so each output row is streamed
+    /// once per panel instead of once per constraint row, and columns
+    /// outside the span are never touched. Constraint families lay out
+    /// exactly like this: box rows touch one column, temperature rows touch
+    /// the contiguous power block, so the span pruning skips most of the
+    /// matrix. Rows with zero weight are skipped. This entry point finds
+    /// each row's span as it goes; a caller that runs the update over the
+    /// same matrix many times records the spans once and calls
+    /// [`Matrix::syrk_lower_update_rows`] instead. Allocation-free.
     ///
     /// # Panics
     ///
@@ -414,82 +489,100 @@ impl Matrix {
             "syrk_lower_update shape"
         );
         assert_eq!(a.rows(), w.len(), "syrk_lower_update weight length");
-        self.syrk_lower_impl(a, a.rows(), |i| i, w);
+        self.syrk_lower_impl(a, a.rows(), |i| i, |r| RowSpan::of(a.row(r)), w);
     }
 
-    /// Adds `Aᵀ diag(w) A` restricted to a row subset to the lower triangle:
-    /// only rows `rows[i]` of `a` participate, each weighted by `w[i]`
-    /// (`w` is indexed by subset *position*, matching the packed slack
-    /// buffers of a pruned solve). The strict upper triangle is left
-    /// untouched.
+    /// Adds `Aᵀ diag(w) A` over a row view of `a` to the lower triangle:
+    /// the rows `base(i)` — `rows[i]` for a subset, `i` for `rows = None` —
+    /// each weighted by `w[i]` (`w` is indexed by view *position*, matching
+    /// the packed slack buffers of a pruned solve), with each row's span
+    /// read from `spans` ([`Matrix::row_spans`] of `a`, computed once). The
+    /// strict upper triangle is left untouched.
     ///
-    /// The subset variant of [`Matrix::syrk_lower_update`]: a pruned
-    /// constraint system reuses the full packed row matrix through this
-    /// view instead of materializing a reduced copy per solve. The same
-    /// span-panel blocking applies — panels form over consecutive subset
-    /// positions whose base rows share a nonzero span, which pruned
-    /// constraint families (temperature rows, gradient rows) still do.
-    /// Allocation-free.
+    /// The barrier Newton assembly's kernel: a pruned constraint system
+    /// reuses the full packed row matrix through this view instead of
+    /// materializing a reduced copy per solve. Panels form exactly as in
+    /// [`Matrix::syrk_lower_update`], over consecutive view positions whose
+    /// base rows share a span, which pruned constraint families
+    /// (temperature rows, gradient rows) still do; with the spans of `a`
+    /// both entry points compute the same bits. Allocation-free.
     ///
     /// # Panics
     ///
     /// Panics if `self` is not square with side `a.cols()`,
-    /// `w.len() != rows.len()`, or any index is out of range.
-    pub fn syrk_lower_update_rows(&mut self, a: &Matrix, rows: &[usize], w: &[f64]) {
+    /// `spans.len() != a.rows()`, `w` does not have one entry per viewed
+    /// row, or any index is out of range.
+    pub fn syrk_lower_update_rows(
+        &mut self,
+        a: &Matrix,
+        spans: &[RowSpan],
+        rows: Option<&[usize]>,
+        w: &[f64],
+    ) {
         assert!(
             self.is_square() && a.cols() == self.rows,
             "syrk_lower_update_rows shape"
         );
-        assert_eq!(rows.len(), w.len(), "syrk_lower_update_rows weight length");
-        self.syrk_lower_impl(a, rows.len(), |i| rows[i], w);
+        assert_eq!(spans.len(), a.rows(), "syrk_lower_update_rows span count");
+        let m = rows.map_or(a.rows(), <[usize]>::len);
+        assert_eq!(w.len(), m, "syrk_lower_update_rows weight length");
+        match rows {
+            Some(r) => self.syrk_lower_impl(a, m, |i| r[i], |b| spans[b], w),
+            None => self.syrk_lower_impl(a, m, |i| i, |b| spans[b], w),
+        }
     }
 
     /// The one blocked span-panel syrk implementation behind both
-    /// [`Matrix::syrk_lower_update`] (identity mapping) and
-    /// [`Matrix::syrk_lower_update_rows`] (subset mapping): `base(i)` maps
-    /// position `i` (which indexes `w`) to a row of `a`. Generic so each
-    /// caller monomorphizes — the identity instantiation compiles to the
-    /// original full-matrix kernel — and the two public entry points can
-    /// never drift numerically (the row-subset proptests assert bitwise
-    /// equality between them).
-    fn syrk_lower_impl<F: Fn(usize) -> usize>(&mut self, a: &Matrix, m: usize, base: F, w: &[f64]) {
-        const PANEL: usize = 8;
+    /// [`Matrix::syrk_lower_update`] and
+    /// [`Matrix::syrk_lower_update_rows`]: `base(i)` maps position `i`
+    /// (which indexes `w`) to a row of `a`, and `span(r)` gives row `r`'s
+    /// nonzero span. Generic so each caller monomorphizes, and the public
+    /// entry points can never drift numerically.
+    ///
+    /// A panel is a run of up to [`SYRK_PANEL`] consecutive positions with
+    /// nonzero weight and one shared, nonempty span; a zero weight or a new
+    /// span ends it. Each lower-triangle entry `h` inside the span then
+    /// receives `acc = 0.0; acc += (wⱼ·aⱼ[r])·aⱼ[c]` for the panel's rows
+    /// `j` in order, then `h += acc` — see [`syrk_panel`].
+    fn syrk_lower_impl(
+        &mut self,
+        a: &Matrix,
+        m: usize,
+        base: impl Fn(usize) -> usize,
+        span: impl Fn(usize) -> RowSpan,
+        w: &[f64],
+    ) {
         let n = self.rows;
         let mut k = 0;
-        let mut coef = [0.0_f64; PANEL];
         while k < m {
-            if w[k] == 0.0 {
+            let s = span(base(k));
+            if w[k] == 0.0 || s.is_empty() {
                 k += 1;
                 continue;
             }
-            let Some((lo, hi)) = nonzero_span(a.row(base(k))) else {
-                k += 1;
-                continue;
-            };
             // Extend the panel over consecutive positions whose rows share
             // the same span.
             let mut end = k + 1;
-            while end < m
-                && end - k < PANEL
-                && w[end] != 0.0
-                && nonzero_span(a.row(base(end))) == Some((lo, hi))
-            {
+            while end < m && end - k < SYRK_PANEL && w[end] != 0.0 && span(base(end)) == s {
                 end += 1;
             }
-            for r in lo..=hi {
-                for (j, c) in coef.iter_mut().enumerate().take(end - k) {
-                    let row = a.row(base(k + j));
-                    *c = w[k + j] * row[r];
-                }
-                let dst = &mut self.data[r * n + lo..r * n + r + 1];
-                for (ci, h) in dst.iter_mut().enumerate() {
-                    let col = lo + ci;
-                    let mut acc = 0.0;
-                    for (j, c) in coef.iter().enumerate().take(end - k) {
-                        acc += c * a.data[base(k + j) * a.cols + col];
-                    }
-                    *h += acc;
-                }
+            let cols = s.range();
+            let mut rows: [&[f64]; SYRK_PANEL] = [&[]; SYRK_PANEL];
+            let mut wts = [0.0_f64; SYRK_PANEL];
+            for (j, (row, wt)) in rows.iter_mut().zip(&mut wts).take(end - k).enumerate() {
+                *row = &a.row(base(k + j))[cols.clone()];
+                *wt = w[k + j];
+            }
+            let h = &mut self.data;
+            match end - k {
+                1 => syrk_panel::<1>(h, n, s.start, &rows, &wts),
+                2 => syrk_panel::<2>(h, n, s.start, &rows, &wts),
+                3 => syrk_panel::<3>(h, n, s.start, &rows, &wts),
+                4 => syrk_panel::<4>(h, n, s.start, &rows, &wts),
+                5 => syrk_panel::<5>(h, n, s.start, &rows, &wts),
+                6 => syrk_panel::<6>(h, n, s.start, &rows, &wts),
+                7 => syrk_panel::<7>(h, n, s.start, &rows, &wts),
+                _ => syrk_panel::<SYRK_PANEL>(h, n, s.start, &rows, &wts),
             }
             k = end;
         }
@@ -598,12 +691,96 @@ impl Matrix {
     }
 }
 
-/// Inclusive `[first, last]` indices of the nonzero entries of `row`, or
-/// `None` when the row is entirely zero.
-fn nonzero_span(row: &[f64]) -> Option<(usize, usize)> {
-    let lo = row.iter().position(|&v| v != 0.0)?;
-    let hi = row.iter().rposition(|&v| v != 0.0)?;
-    Some((lo, hi))
+/// The columns `start..end` of one matrix row that hold all its nonzero
+/// entries: `start` is the first column whose entry is not `±0.0` and
+/// `end` is one past the last. An all-zero row has the empty span `0..0`.
+///
+/// The span-aware row kernels read a row only over its span. For finite
+/// operands this is exact, not an approximation. A dense fold
+/// `acc += a·x` from `acc = +0.0` meets `±0.0` products in the columns
+/// outside the span, and those cannot change it: a round-to-nearest sum is
+/// `−0.0` only when both addends are, so an accumulator that starts at
+/// `+0.0` never becomes `−0.0`, and adding `±0.0` to any other value leaves
+/// it unchanged. A non-finite operand outside the span would break this
+/// (`0·∞` is NaN), so callers keep the operands finite.
+///
+/// # Example
+///
+/// ```
+/// use protemp_linalg::RowSpan;
+///
+/// let s = RowSpan::of(&[0.0, -0.0, 2.0, 0.0, 1.0, 0.0]);
+/// assert_eq!(s.range(), 2..5);
+/// assert!(RowSpan::of(&[0.0, -0.0]).is_empty());
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RowSpan {
+    /// First column holding a nonzero entry (`0` for an all-zero row).
+    pub start: usize,
+    /// One past the last column holding a nonzero entry (`0` for an
+    /// all-zero row).
+    pub end: usize,
+}
+
+impl RowSpan {
+    /// The span of `row`'s nonzero entries.
+    pub fn of(row: &[f64]) -> RowSpan {
+        match row.iter().position(|&v| v != 0.0) {
+            Some(start) => {
+                let last = row.iter().rposition(|&v| v != 0.0).unwrap_or(start);
+                RowSpan {
+                    start,
+                    end: last + 1,
+                }
+            }
+            None => RowSpan::default(),
+        }
+    }
+
+    /// `true` for an all-zero row.
+    pub fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+
+    /// The span as a column range, for slicing a row.
+    pub fn range(self) -> std::ops::Range<usize> {
+        self.start..self.end
+    }
+}
+
+/// Rows per panel of the span-panel syrk.
+const SYRK_PANEL: usize = 8;
+
+/// The syrk micro-kernel: adds one panel of `P` rows that share the span
+/// `lo..lo + width` to the lower triangle of the row-major `n × n` matrix
+/// `h`. `rows[j]` holds row `j`'s coefficients over the span, `w[j]` its
+/// weight; entries `P..` of both arrays are ignored.
+///
+/// Entry `(lo + r, lo + c)`, `c ≤ r`, receives `acc = 0.0`, then
+/// `acc += (w[j]·rows[j][r])·rows[j][c]` for `j = 0, 1, …, P − 1`, then
+/// `h += acc`. `P` is a constant, so the chain over `j` unrolls while
+/// keeping that order; the row slices are cut once per panel.
+fn syrk_panel<const P: usize>(
+    h: &mut [f64],
+    n: usize,
+    lo: usize,
+    rows: &[&[f64]; SYRK_PANEL],
+    w: &[f64; SYRK_PANEL],
+) {
+    let rows: [&[f64]; P] = std::array::from_fn(|j| rows[j]);
+    let width = rows[0].len();
+    for r in 0..width {
+        let coef: [f64; P] = std::array::from_fn(|j| w[j] * rows[j][r]);
+        let tri: [&[f64]; P] = std::array::from_fn(|j| &rows[j][..=r]);
+        let dst = &mut h[(lo + r) * n + lo..][..=r];
+        for (c, hv) in dst.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (cj, tj) in coef.iter().zip(&tri) {
+                acc += cj * tj[c];
+            }
+            *hv += acc;
+        }
+    }
 }
 
 impl Index<(usize, usize)> for Matrix {

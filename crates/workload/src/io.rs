@@ -57,9 +57,15 @@ pub fn write_trace_csv<W: Write>(trace: &Trace, mut w: W) -> Result<(), TraceIoE
 
 /// Reads a trace written by [`write_trace_csv`].
 ///
+/// Strict and total: every data line must hold exactly the three `u64`
+/// fields `write_trace_csv` writes (blank lines are skipped), and any
+/// input, however malformed, yields a trace or an error, never a panic.
+///
 /// # Errors
 ///
-/// Returns [`TraceIoError`] on malformed input.
+/// Returns [`TraceIoError`] on malformed input: a missing or wrong header,
+/// a line with fewer or more than three fields, a field that is not a
+/// `u64`, or a zero `work_us`.
 pub fn read_trace_csv<R: BufRead>(r: R) -> Result<Trace, TraceIoError> {
     let mut lines = r.lines();
     let header = lines
@@ -88,6 +94,9 @@ pub fn read_trace_csv<R: BufRead>(r: R) -> Result<Trace, TraceIoError> {
         let id = field("id")?;
         let arrival = field("arrival_us")?;
         let work = field("work_us")?;
+        if parts.next().is_some() {
+            return Err(err(format!("line {}: more than three fields", lineno + 2)));
+        }
         if work == 0 {
             return Err(err(format!("line {}: zero work", lineno + 2)));
         }
@@ -122,6 +131,10 @@ mod tests {
         let text = "id,arrival_us,work_us\n1,x,3\n";
         assert!(read_trace_csv(text.as_bytes()).is_err());
         let text = "id,arrival_us,work_us\n1,2,0\n";
+        assert!(read_trace_csv(text.as_bytes()).is_err());
+        let text = "id,arrival_us,work_us\n1,2,3,junk\n";
+        assert!(read_trace_csv(text.as_bytes()).is_err());
+        let text = "id,arrival_us,work_us\n1,2,3,\n";
         assert!(read_trace_csv(text.as_bytes()).is_err());
     }
 
