@@ -34,12 +34,12 @@ cargo test -q
 
 # The bit-identity pins on the code the benchmark measures: the row-kernel
 # proptests (span-aware kernels vs the dense reference), the
-# counting-allocator tests and both golden pin sets, built with the release
-# profile (no debug assertions, full optimization) instead of the test
-# profile above.
+# counting-allocator tests (the solver's and the thermal step's) and both
+# golden pin sets, built with the release profile (no debug assertions,
+# full optimization) instead of the test profile above.
 if [[ "$quick" != "quick" ]]; then
-    echo "==> cargo test --release (linalg, cvx, core golden pins)"
-    cargo test --release -q -p protemp-linalg -p protemp-cvx
+    echo "==> cargo test --release (linalg, cvx, thermal, core golden pins)"
+    cargo test --release -q -p protemp-linalg -p protemp-cvx -p protemp-thermal
     cargo test --release -q -p protemp --test golden
 fi
 
@@ -62,13 +62,13 @@ import json
 with open("results/tab_solver_runtime_quick.json") as f:
     data = json.load(f)
 for section in ("screened", "unscreened", "incremental", "unpruned",
-                "cold", "unpruned_cold", "modal_sweep"):
+                "cold", "unpruned_cold"):
     for field in ("newton_steps", "phase1_solves", "certificate_screens",
                   "seed_reuses", "incremental_screens",
                   "rows_pruned", "polish_mints", "chain_reentries",
                   "amortized_column_s",
                   "reduce_s", "family_build_s",
-                  "rows_full", "rows_reduced", "modal_build_s"):
+                  "rows_full"):
         assert field in data[section], f"missing {section}.{field}"
         assert data[section][field] >= 0, f"negative {section}.{field}"
 assert data["tables_identical"] is True
@@ -100,17 +100,6 @@ assert data["screened_windows"] >= 1
 assert data["incremental"]["seed_reuses"] >= 1
 # The per-column amortized time must be a sane measurement.
 assert data["screened"]["amortized_column_s"] >= 0
-# Modal truncation: the reduced sweep must be conservative (the binary
-# asserts the cell-by-cell contract before writing this flag), actually
-# shrink the thermal row count, and report its one-time build cost. The
-# default (non-modal) sections must report the full count on both sides.
-assert data["modal"]["conservative_ok"] is True
-assert data["modal"]["rows_reduced"] * 2 < data["modal"]["rows_full"]
-assert data["modal"]["modal_build_s"] >= 0
-assert data["modal"]["coverage_lost"] >= 0
-assert data["modal_sweep"]["rows_reduced"] == data["modal"]["rows_reduced"]
-assert data["screened"]["rows_reduced"] == data["screened"]["rows_full"]
-assert data["screened"]["modal_build_s"] == 0
 # Serving tier: the lock-free read path must sustain at least 1M
 # lookups/s aggregate on the quick grid (the paper's runtime does one
 # lookup per DFS window; the serving tier answers for a fleet), the
@@ -180,8 +169,6 @@ print("telemetry check: ok "
       f"incremental {data['incremental']['newton_steps']} newton steps, "
       f"{data['incremental']['seed_reuses']} reused cells, "
       f"{data['incremental']['incremental_screens']} inherited screens; "
-      f"modal {data['modal']['rows_full']} -> {data['modal']['rows_reduced']} "
-      f"thermal rows, {data['modal']['coverage_lost']} cells lost; "
       f"screened window {data['screened_window_s']*1e3:.1f} ms vs "
       f"bisection {data['bisection_window_s']*1e3:.1f} ms)")
 for scenario in ("niagara8", "biglittle8", "stacked3d"):

@@ -78,7 +78,7 @@ fn stats_json(label: &str, s: &BuildStats) -> String {
          \"rows_pruned\": {}, \"polish_mints\": {}, \"chain_reentries\": {}, \
          \"amortized_column_s\": {:.5}, \
          \"reduce_s\": {:.4}, \"family_build_s\": {:.4}, \
-         \"rows_full\": {}, \"rows_reduced\": {}, \"modal_build_s\": {:.4}, \
+         \"rows_full\": {}, \
          \"total_s\": {:.3}, \"mean_point_s\": {:.4}, \"max_point_s\": {:.4}, \
          \"points_per_s\": {:.3}}}",
         s.threads,
@@ -96,77 +96,11 @@ fn stats_json(label: &str, s: &BuildStats) -> String {
         s.reduce_s,
         s.family_build_s,
         s.rows_full,
-        s.rows_reduced,
-        s.modal_build_s,
         s.total_s,
         s.mean_point_s,
         s.max_point_s,
         s.points_per_s()
     )
-}
-
-/// A context solving against the modal-truncated banded constraint set
-/// (24 of 37 modes retained — past the spectrum's self-heating cliff, so
-/// the truncation cushions stay well under the guard margin).
-fn modal_context() -> AssignmentContext {
-    let cfg = ControlConfig {
-        modal_order: Some(24),
-        ..control_config()
-    };
-    AssignmentContext::new(&platform(), &cfg).expect("modal ctx")
-}
-
-/// Asserts the modal table's one-sided contract against the full-model
-/// table — no cell feasible where the full model is infeasible, and every
-/// modal solution re-propagates through the *full* reachability operator
-/// within the temperature limit and its own achieved gradient bound —
-/// then returns the coverage loss (full-feasible cells the conservative
-/// reduction forfeited).
-fn assert_modal_conservative(
-    ctx_full: &AssignmentContext,
-    full: &FrequencyTable,
-    modal: &FrequencyTable,
-) -> usize {
-    let cfg = ctx_full.config();
-    let limit = cfg.tmax_c - cfg.margin_c;
-    let n = ctx_full.platform().num_cores();
-    let stride = cfg.gradient_stride.max(1);
-    let mut lost = 0usize;
-    for (r, &tstart) in full.tstarts_c().iter().enumerate() {
-        let offsets = ctx_full.offsets_for(tstart);
-        for c in 0..full.ftargets_hz().len() {
-            let full_ok = full.entry(r, c).is_some();
-            let Some(a) = modal.entry(r, c) else {
-                lost += full_ok as usize;
-                continue;
-            };
-            assert!(
-                full_ok,
-                "UNSOUND: modal feasible at ({tstart} C, col {c}) where full is not"
-            );
-            let tgrad = a.tgrad_c.unwrap_or(f64::INFINITY);
-            for (k, h) in ctx_full.reach().sensitivities().iter().enumerate() {
-                let hp = h.matvec(&a.powers_w);
-                for i in 0..n {
-                    let t = hp[i] + offsets[k][i];
-                    assert!(
-                        t <= limit + 1e-6,
-                        "UNSOUND: step {k} core {i} at ({tstart} C, col {c}): {t} > {limit}"
-                    );
-                    if cfg.tgrad_weight > 0.0 && k % stride == 0 {
-                        for j in 0..n {
-                            let g = (hp[i] + offsets[k][i]) - (hp[j] + offsets[k][j]);
-                            assert!(
-                                g <= tgrad + 1e-6,
-                                "UNSOUND: gradient ({i},{j}) step {k}: {g} > {tgrad}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-    lost
 }
 
 /// A context whose solver runs with the row-reduction pass and certificate
@@ -572,22 +506,6 @@ fn quick_run() {
         "mid-flight republish broke a serving guarantee"
     );
 
-    // Modal-truncation A/B on the quick grid: the banded reduced rows must
-    // stay provably conservative (asserted cell by cell against the full
-    // table) while carrying a fraction of the thermal rows.
-    let modal_ctx = modal_context();
-    let (modal_table, modal_stats) = quick_grid().build(&modal_ctx).expect("quick modal build");
-    let modal_lost = assert_modal_conservative(&ctx, &table, &modal_table);
-    println!(
-        "quick modal: {} → {} thermal rows ({} modal-feasible cells, {} lost \
-         to conservatism, modal build {:.3}s)",
-        modal_stats.rows_full,
-        modal_stats.rows_reduced,
-        modal_table.feasible_count(),
-        modal_lost,
-        modal_stats.modal_build_s,
-    );
-
     // Scenario substrate A/B: every built-in platform through the integral
     // baseline and the convex controller (CI asserts off these fields).
     println!("\nScenario A/B (integral baseline vs convex controller):");
@@ -599,14 +517,12 @@ fn quick_run() {
 
     let json = format!(
         "{{\n  \"bench\": \"tab_solver_runtime_quick\",\n  \"platform\": \"niagara8\",\n  \
-         \"grid_rows\": {},\n  \"grid_cols\": {},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n\
+         \"grid_rows\": {},\n  \"grid_cols\": {},\n{},\n{},\n{},\n{},\n{},\n{},\n\
          {scenarios_json},\n{fault_json},\n  \
          \"screened_window_s\": {:.6},\n  \"bisection_window_s\": {:.6},\n  \
          \"screened_windows\": {screened_windows},\n  \
          \"pruning_cold_wall_ratio\": {:.4},\n  \
          \"family_build_s\": {:.4},\n  \
-         \"modal\": {{\"conservative_ok\": true, \"coverage_lost\": {modal_lost}, \
-         \"rows_full\": {}, \"rows_reduced\": {}, \"modal_build_s\": {:.4}}},\n  \
          \"serve_threads\": {},\n  \"serve_lookups\": {},\n  \
          \"serve_lookups_per_s\": {:.1},\n  \
          \"serve_p50_us\": {:.3},\n  \"serve_p99_us\": {:.3},\n  \
@@ -621,14 +537,10 @@ fn quick_run() {
         stats_json("unpruned", &unpruned_stats),
         stats_json("cold", &cold_stats),
         stats_json("unpruned_cold", &unpruned_cold_stats),
-        stats_json("modal_sweep", &modal_stats),
         screened_s,
         bisection_s,
         wall_ratio,
         stats.family_build_s,
-        modal_stats.rows_full,
-        modal_stats.rows_reduced,
-        modal_stats.modal_build_s,
         serve.threads,
         serve.total_lookups,
         serve.lookups_per_s,
@@ -799,28 +711,6 @@ fn main() {
         store.table_path("paper_8x10").display()
     );
     let (fine_cold_art, fine_cold) = fine_grid().build_artifact(&ctx).expect("fine cold build");
-    // Modal-truncation A/B on the same fine grid: the banded reduced
-    // constraint set must hold its one-sided conservativeness contract
-    // cell by cell while cutting the thermal row count severalfold — the
-    // wall-clock and Newton savings are the headline, the coverage loss
-    // the price.
-    let modal_ctx = modal_context();
-    let (fine_modal_table, fine_modal) = fine_grid().build(&modal_ctx).expect("fine modal build");
-    let modal_lost = assert_modal_conservative(&ctx, &fine_cold_art.table, &fine_modal_table);
-    let modal_speedup = fine_cold.total_s / fine_modal.total_s.max(1e-9);
-    println!(
-        "  modal 16×20       : {:6.1} s vs {:6.1} s full ({:.2}x wall, {} → {} thermal rows, \
-         {} newton steps vs {}, {} cells lost to conservatism, modal build {:.3} s)",
-        fine_modal.total_s,
-        fine_cold.total_s,
-        modal_speedup,
-        fine_modal.rows_full,
-        fine_modal.rows_reduced,
-        fine_modal.newton_steps,
-        fine_cold.newton_steps,
-        modal_lost,
-        fine_modal.modal_build_s,
-    );
 
     let (fine_inc_art, fine_inc) = fine_grid()
         .build_incremental(&ctx, &prior)
@@ -958,15 +848,12 @@ fn main() {
         "{{\n  \"bench\": \"tab_solver_runtime\",\n  \"platform\": \"niagara8\",\n  \
          \"grid_rows\": {},\n  \"grid_cols\": {},\n  \"available_cores\": {cores},\n\
          {scenarios_json},\n\
-         {},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n  \
+         {},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n  \
          \"fine_grid_rows\": {},\n  \"fine_grid_cols\": {},\n  \
          \"incremental_identical\": true,\n  \
          \"pruning_cold_saving\": {:.4},\n  \"pruning_warm_saving\": {:.4},\n  \
          \"pruning_cold_wall_ratio\": {wall_ratio:.4},\n  \
          \"family_build_s\": {:.4},\n  \
-         \"modal\": {{\"conservative_ok\": true, \"coverage_lost\": {modal_lost}, \
-         \"rows_full\": {}, \"rows_reduced\": {}, \"modal_build_s\": {:.4}, \
-         \"wall_speedup\": {modal_speedup:.3}}},\n  \
          \"pruning_verdicts_identical\": true,\n  \
          \"serve_threads\": {},\n  \"serve_lookups\": {},\n  \
          \"serve_lookups_per_s\": {:.1},\n  \
@@ -983,7 +870,6 @@ fn main() {
         stats_json("serial_warm", &serial_warm),
         stats_json("parallel_warm", &parallel_warm),
         stats_json("fine_cold", &fine_cold),
-        stats_json("fine_modal", &fine_modal),
         stats_json("fine_incremental", &fine_inc),
         stats_json("unpruned_cold", &unpruned_cold),
         stats_json("unpruned_warm", &unpruned_warm),
@@ -992,9 +878,6 @@ fn main() {
         cold_saving,
         warm_saving,
         cold.family_build_s,
-        fine_modal.rows_full,
-        fine_modal.rows_reduced,
-        fine_modal.modal_build_s,
         serve.threads,
         serve.total_lookups,
         serve.lookups_per_s,

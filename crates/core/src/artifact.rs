@@ -162,8 +162,8 @@ impl BuildArtifact {
     }
 
     /// The verified certificates as a plain pool (helper for seeding
-    /// [`crate::PointSolver`] / [`crate::LadderController`] /
-    /// [`crate::frontier::sweep_seeded`] screening pools).
+    /// [`crate::PointSolver`] / [`crate::LadderController`] screening
+    /// pools).
     pub fn certificate_pool(&self) -> Vec<Certificate> {
         self.certificates
             .iter()

@@ -5,15 +5,10 @@ use protemp_cvx::{
     Solution, SolveStatus, SolverOptions,
 };
 use protemp_sim::Platform;
-use protemp_thermal::{
-    AffineReach, DiscreteModel, IntegrationMethod, ModalModel, ModalReach, ModalSpec, RcNetwork,
-};
+use protemp_thermal::{AffineReach, DiscreteModel, IntegrationMethod, RcNetwork};
 use serde::{Deserialize, Serialize};
 
-use crate::problem::{
-    build_problem, build_problem_modal, f_var, fill_point_rhs, fill_point_rhs_modal, p_var,
-    tgrad_var,
-};
+use crate::problem::{build_problem, f_var, fill_point_rhs, p_var, tgrad_var};
 use crate::{ControlConfig, Result};
 
 /// How many *freshly minted* infeasibility certificates a [`CertPool`]
@@ -178,12 +173,6 @@ pub struct AssignmentContext {
     cfg: ControlConfig,
     net: RcNetwork,
     reach: AffineReach,
-    /// Banded reduced constraint structure, present exactly when the
-    /// config enables modal truncation (`modal_order`/`modal_tol`). With
-    /// it, [`AssignmentContext::point_problem`] and
-    /// [`AssignmentContext::point_rhs_into`] emit the conservative
-    /// reduced rows instead of the per-step full rows.
-    modal: Option<Arc<ModalReach>>,
     solver_opts: SolverOptions,
     /// Sweep-shared problem structure, built on first use and shared (via
     /// `Arc`) by every worker's [`FamilySolver`]. Reset whenever the
@@ -203,7 +192,6 @@ impl Clone for AssignmentContext {
             cfg: self.cfg,
             net: self.net.clone(),
             reach: self.reach.clone(),
-            modal: self.modal.clone(),
             solver_opts: self.solver_opts,
             family,
         }
@@ -229,37 +217,16 @@ impl AssignmentContext {
         )?;
         // Watch list convention: the core nodes first (global limit), then
         // every per-node capped block in configured order (its own cap).
-        // `fill_point_rhs` / `fill_point_rhs_modal` rely on exactly this
-        // ordering to assign per-row limits.
+        // `fill_point_rhs` relies on exactly this ordering to assign
+        // per-row limits.
         let mut watch = net.core_nodes().to_vec();
         watch.extend(platform.resolved_node_caps().iter().map(|&(node, _)| node));
         let reach = AffineReach::with_watch(&net, &model, cfg.steps_per_window(), watch)?;
-        let modal = match (cfg.modal_order, cfg.modal_tol) {
-            (None, None) => None,
-            (order, tol) => {
-                let spec = match (order, tol) {
-                    (Some(r), _) => ModalSpec::Order(r),
-                    (_, Some(f)) => ModalSpec::Tol(f),
-                    _ => unreachable!("validate() rejects both knobs unset here"),
-                };
-                let mm = ModalModel::reduce(&net, &model, cfg.steps_per_window(), spec)?;
-                let mr = ModalReach::new(
-                    &mm,
-                    &reach,
-                    platform.max_core_peak_power(),
-                    cfg.gradient_stride.max(1),
-                    cfg.modal_temp_budget_c(),
-                    cfg.modal_grad_budget_c(),
-                )?;
-                Some(Arc::new(mr))
-            }
-        };
         Ok(AssignmentContext {
             platform: platform.clone(),
             cfg: *cfg,
             net,
             reach,
-            modal,
             solver_opts: SolverOptions::fast(),
             family: OnceLock::new(),
         })
@@ -285,12 +252,7 @@ impl AssignmentContext {
         &self.reach
     }
 
-    /// The banded modal reduction, when the config enables it.
-    pub fn modal_reach(&self) -> Option<&ModalReach> {
-        self.modal.as_deref()
-    }
-
-    /// Thermal constraint rows (temperature + gradient) the *full* model
+    /// Thermal constraint rows (temperature + gradient) the full model
     /// carries per design point. Temperature rows cover every watched
     /// node (cores plus capped blocks); gradient rows pair cores only.
     pub fn thermal_rows_full(&self) -> usize {
@@ -303,29 +265,6 @@ impl AssignmentContext {
             0
         };
         m * nw + grad
-    }
-
-    /// Thermal constraint rows each design point actually solves with:
-    /// the banded reduced count under modal truncation, otherwise the full
-    /// count.
-    pub fn thermal_rows_reduced(&self) -> usize {
-        match &self.modal {
-            Some(mr) => {
-                let grad = if self.cfg.tgrad_weight > 0.0 {
-                    mr.reduced_grad_rows()
-                } else {
-                    0
-                };
-                mr.reduced_temp_rows() + grad
-            }
-            None => self.thermal_rows_full(),
-        }
-    }
-
-    /// Wall-clock seconds spent building the modal basis and the banded
-    /// reduction (0 when modal truncation is off).
-    pub fn modal_build_seconds(&self) -> f64 {
-        self.modal.as_ref().map_or(0.0, |mr| mr.build_seconds())
     }
 
     /// Overrides the solver options (default: [`SolverOptions::fast`]).
@@ -353,12 +292,7 @@ impl AssignmentContext {
     /// run against it without trusting the family's storage.
     pub fn point_problem(&self, tstart_c: f64, ftarget_hz: f64) -> Problem {
         let offsets = self.offsets_for(tstart_c);
-        match &self.modal {
-            Some(mreach) => {
-                build_problem_modal(&self.platform, &self.cfg, mreach, &offsets, ftarget_hz)
-            }
-            None => build_problem(&self.platform, &self.cfg, &self.reach, &offsets, ftarget_hz),
-        }
+        build_problem(&self.platform, &self.cfg, &self.reach, &offsets, ftarget_hz)
     }
 
     /// The sweep-shared [`ProblemFamily`] for this context's design
@@ -397,12 +331,7 @@ impl AssignmentContext {
         let proto = self.family().prototype();
         rhs.clear();
         rhs.extend_from_slice(proto.lin_rhs());
-        match &self.modal {
-            Some(mreach) => {
-                fill_point_rhs_modal(&self.platform, &self.cfg, mreach, offsets, ftarget_hz, rhs)
-            }
-            None => fill_point_rhs(&self.platform, &self.cfg, offsets, ftarget_hz, rhs),
-        }
+        fill_point_rhs(&self.platform, &self.cfg, offsets, ftarget_hz, rhs);
     }
 
     /// A 64-bit fingerprint of everything that determines a design-point
@@ -505,8 +434,8 @@ pub struct SolvedPoint {
 pub struct PointOutcome {
     /// Raw solver verdict for the point. `Optimal` and `Infeasible` are
     /// certified; `Budgeted` marks a deterministic tick-budget truncation
-    /// ([`protemp_cvx::SolverOptions::tick_budget`]) whose `solution` — if
-    /// present — is a strictly feasible but non-optimal iterate, and
+    /// ([`protemp_cvx::FamilySolver::set_tick_budget`]) whose `solution`
+    /// — if present — is a strictly feasible but non-optimal iterate, and
     /// whose absence means the verdict is *undecided*, not proven
     /// infeasible. Screened points report `Infeasible` (the certificate
     /// is a proof).

@@ -92,20 +92,9 @@ pub struct BuildStats {
     /// excluded): the column's certificate screens and cell solves.
     /// Wall-clock telemetry, excluded from bit-identity comparisons.
     pub amortized_column_s: f64,
-    /// Thermal constraint rows the full model would carry per design
-    /// point (temperature + gradient). Reported whether or not modal
-    /// truncation is on, so A/B runs can compare against the same
-    /// denominator.
+    /// Thermal constraint rows each design point carries (temperature +
+    /// gradient), before the per-cell row reduction.
     pub rows_full: usize,
-    /// Thermal constraint rows each design point actually solved with —
-    /// the banded reduced count under modal truncation, equal to
-    /// `rows_full` otherwise.
-    pub rows_reduced: usize,
-    /// One-time wall-clock seconds spent building the modal basis
-    /// (eigendecomposition) and the banded reduction; `0` with modal
-    /// truncation off. Wall-clock telemetry, excluded from bit-identity
-    /// comparisons.
-    pub modal_build_s: f64,
 }
 
 impl BuildStats {
@@ -539,8 +528,6 @@ impl TableBuilder {
             family_build_s,
             amortized_column_s: totals.column_s / totals.live_columns.max(1) as f64,
             rows_full: ctx.thermal_rows_full(),
-            rows_reduced: ctx.thermal_rows_reduced(),
-            modal_build_s: ctx.modal_build_seconds(),
         };
         let table = FrequencyTable::new(
             self.tstarts_c.clone(),

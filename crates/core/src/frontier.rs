@@ -8,13 +8,13 @@
 //! thermal offsets. The prober therefore carries two pieces of state
 //! between probes — the last feasible point (a seed that lets the next
 //! phase I start next to the answer instead of at the origin) and the last
-//! infeasibility [`Certificate`] (which rejects dominated probes with one
-//! matvec, no solve). [`FrontierPoint::probes`] records how much work that
-//! saved.
+//! infeasibility [`Certificate`](protemp_cvx::Certificate) (which rejects
+//! dominated probes with one matvec, no solve). [`FrontierPoint::probes`]
+//! records how much work that saved.
 
 use std::sync::Arc;
 
-use protemp_cvx::{Certificate, FamilySolver};
+use protemp_cvx::FamilySolver;
 use serde::{Deserialize, Serialize};
 
 use crate::assign::{CertPool, OffsetsCache};
@@ -61,9 +61,8 @@ pub struct FrontierPoint {
 /// and family structure persist — a bisection's probes differ only in the
 /// workload rhs, and consecutive temperatures only in the offsets, so the
 /// family path turns each probe into one rhs fill), the last feasible
-/// point as a phase-I seed, and a pool of infeasibility certificates —
-/// minted by failed probes, optionally seeded from a persisted prior
-/// build — as a screen.
+/// point as a phase-I seed, and a pool of the infeasibility certificates
+/// failed probes minted, as a screen.
 struct FrontierProber<'a> {
     ctx: &'a AssignmentContext,
     solver: FamilySolver,
@@ -212,29 +211,7 @@ pub fn sweep(
     tol_hz: f64,
     with_assignments: bool,
 ) -> Result<Vec<FrontierPoint>> {
-    sweep_seeded(ctx, tstarts_c, tol_hz, with_assignments, &[])
-}
-
-/// As [`sweep`], but with the prober's certificate pool pre-seeded from a
-/// persisted prior build (e.g.
-/// [`crate::BuildArtifact::certificate_pool`] after
-/// [`crate::BuildArtifact::verify_certificates`]): probes dominated by a
-/// prior frontier proof are rejected in one matvec without a phase-I run.
-/// Screening is verdict-preserving, so the reported frontier is the same
-/// — only `ProbeStats::screened` and the Newton totals move.
-///
-/// # Errors
-///
-/// Propagates solver failures.
-pub fn sweep_seeded(
-    ctx: &AssignmentContext,
-    tstarts_c: &[f64],
-    tol_hz: f64,
-    with_assignments: bool,
-    seed_certs: &[Certificate],
-) -> Result<Vec<FrontierPoint>> {
     let mut prober = FrontierProber::new(ctx);
-    prober.pool.preload(seed_certs.iter().cloned());
     let mut out = Vec::with_capacity(tstarts_c.len());
     for &t in tstarts_c {
         let fmax = prober.max_frequency(t, 0.0, tol_hz)?;

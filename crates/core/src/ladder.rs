@@ -145,9 +145,8 @@ struct MpcBisection {
 
 impl MpcBisection {
     fn new(ctx: AssignmentContext, tick_budget: usize) -> Self {
-        let mut opts = *ctx.solver_options();
-        opts.tick_budget = tick_budget;
-        let solver = FamilySolver::new(Arc::clone(ctx.family()), opts);
+        let mut solver = FamilySolver::new(Arc::clone(ctx.family()), *ctx.solver_options());
+        solver.set_tick_budget(tick_budget);
         MpcBisection {
             ctx,
             solver,

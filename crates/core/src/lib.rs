@@ -77,7 +77,7 @@ pub use io::{
     read_certificates, read_table, read_table_v2, write_certificates, write_table, write_table_v2,
 };
 pub use ladder::{LadderController, LadderRung, LadderTelemetry};
-pub use problem::{build_problem, build_problem_modal};
+pub use problem::build_problem;
 pub use protemp_cvx::{CertScratch, Certificate};
 pub use serve::{ServeSnapshot, ServedLookup, ServedTableInfo, TableReader, TableService};
 pub use spec::{ControlConfig, FreqMode};

@@ -22,7 +22,7 @@
 use protemp_cvx::Problem;
 use protemp_linalg::Matrix;
 use protemp_sim::Platform;
-use protemp_thermal::{AffineReach, ModalReach};
+use protemp_thermal::AffineReach;
 
 use crate::{ControlConfig, FreqMode};
 
@@ -263,235 +263,6 @@ pub(crate) fn fill_point_rhs(
                     }
                     rhs[idx] = off[j] - off[i];
                     idx += 1;
-                }
-            }
-        }
-    }
-    debug_assert_eq!(idx, rhs.len(), "rhs layout must cover every row");
-}
-
-/// Builds the *reduced* convex program for one design point from the
-/// banded modal structure: same variables, boxes, quadratic couplings,
-/// equalities and objective as [`build_problem`], but one anchored
-/// temperature row per [`protemp_thermal::modal::ModalBand`] per core and
-/// one anchored gradient row per gradient band per ordered pair, instead
-/// of rows at every step. The right-hand sides carry the band cushions
-/// (`fill_point_rhs_modal`), so the reduced feasible set is a subset of
-/// the full one: any `(φ, p, t_grad)` feasible here satisfies every
-/// full-model constraint.
-pub fn build_problem_modal(
-    platform: &Platform,
-    cfg: &ControlConfig,
-    mreach: &ModalReach,
-    offsets: &[Vec<f64>],
-    ftarget_hz: f64,
-) -> Problem {
-    assert_eq!(
-        offsets.len(),
-        mreach.steps(),
-        "offsets must cover the whole horizon"
-    );
-    let mut prob = build_point_structure_modal(platform, cfg, mreach);
-    fill_point_rhs_modal(
-        platform,
-        cfg,
-        mreach,
-        offsets,
-        ftarget_hz,
-        prob.lin_rhs_mut(),
-    );
-    prob
-}
-
-/// The reduced design-point structure: [`build_point_structure`] with the
-/// per-step temperature/gradient rows replaced by the banded anchored rows
-/// of a [`ModalReach`]. Row order mirrors the full layout (boxes, workload,
-/// temperature bands in order, gradient bands in order) so the rhs filler
-/// below is the only other place that needs to know it.
-pub(crate) fn build_point_structure_modal(
-    platform: &Platform,
-    cfg: &ControlConfig,
-    mreach: &ModalReach,
-) -> Problem {
-    let n = platform.num_cores();
-    let use_grad = cfg.tgrad_weight > 0.0;
-    let nv = 2 * n + 1;
-    let mut prob = Problem::new(nv);
-
-    let mut q0 = vec![0.0; nv];
-    for i in 0..n {
-        q0[p_var(n, i)] = 1.0;
-    }
-    if use_grad {
-        q0[tgrad_var(n)] = cfg.tgrad_weight;
-    }
-    prob.set_linear_objective(q0);
-
-    for i in 0..n {
-        let cm = platform.core_model(i);
-        prob.add_box(f_var(i), 0.0, cm.max_ratio);
-        prob.add_box(p_var(n, i), 0.0, cm.peak_power());
-    }
-    prob.add_box(tgrad_var(n), 0.0, 4.0 * cfg.tmax_c);
-
-    for i in 0..n {
-        let cm = platform.core_model(i);
-        let mut diag = vec![0.0; nv];
-        diag[f_var(i)] = 2.0 * cm.pmax_w;
-        let mut lin = vec![0.0; nv];
-        lin[p_var(n, i)] = -1.0;
-        let r = if cm.leakage_w == 0.0 {
-            0.0
-        } else {
-            -cm.leakage_w
-        };
-        prob.add_quad_le(Matrix::from_diag(&diag), lin, r);
-    }
-
-    let mut row = vec![0.0; nv];
-    for ri in row.iter_mut().take(n) {
-        *ri = -1.0;
-    }
-    prob.add_linear_le(row, 0.0);
-
-    // One anchored temperature row per band per watched node (cores
-    // first, then capped passive blocks):
-    // (H̃_anchor p)_i ≤ limit_i − o_anchor[i] − eps − η (rhs filled per
-    // cell).
-    for b in 0..mreach.temp_bands().len() {
-        let h = mreach.temp_h(b);
-        for i in 0..h.rows() {
-            let mut row = vec![0.0; nv];
-            for j in 0..n {
-                row[p_var(n, j)] = h[(i, j)];
-            }
-            prob.add_linear_le(row, 0.0);
-        }
-    }
-
-    // One anchored gradient row per gradient band per ordered pair.
-    if use_grad {
-        for b in 0..mreach.grad_bands().len() {
-            let h = mreach.grad_h(b);
-            for i in 0..n {
-                for j in 0..n {
-                    if i == j {
-                        continue;
-                    }
-                    let mut row = vec![0.0; nv];
-                    for c in 0..n {
-                        row[p_var(n, c)] = h[(i, c)] - h[(j, c)];
-                    }
-                    row[tgrad_var(n)] = -1.0;
-                    prob.add_linear_le(row, 0.0);
-                }
-            }
-        }
-    }
-
-    if cfg.mode == FreqMode::Uniform {
-        for i in 1..n {
-            let mut row = vec![0.0; nv];
-            row[f_var(0)] = 1.0;
-            row[f_var(i)] = -1.0;
-            prob.add_eq(row, 0.0);
-        }
-    }
-
-    prob
-}
-
-/// Writes one design point's cell-varying rhs entries for the *reduced*
-/// structure. Each banded row's rhs is tightened by two cushions so that
-/// reduced-feasibility implies full-model feasibility at every covered
-/// step `k` and every `p` in the power box:
-///
-/// * the static sensitivity cushion `eps` from [`ModalReach`]
-///   (`H_k·p ≤ H̃_anchor·p + eps` over the box), and
-/// * the per-cell offset cushion `η_i = max_{k∈band} (o_k[i] −
-///   o_anchor[i])⁺` (temperature) / `η_g = max_{k∈band} (rhs_anchor −
-///   rhs_k)⁺` (gradient), computed here from the cell's *exact* offset
-///   trajectory — offsets are cheap per cell, so no modal approximation
-///   is needed on this side.
-///
-/// Chaining the two: `(H_k p)_i ≤ (H̃ p)_i + eps ≤ (limit − o_anchor[i] −
-/// η_i) + … ≤ limit − o_k[i]` — every full temperature row holds, and
-/// likewise each gradient row holds with the achieved `t_grad`.
-///
-/// # Panics
-///
-/// Panics if `rhs` does not match the reduced row layout.
-pub(crate) fn fill_point_rhs_modal(
-    platform: &Platform,
-    cfg: &ControlConfig,
-    mreach: &ModalReach,
-    offsets: &[Vec<f64>],
-    ftarget_hz: f64,
-    rhs: &mut [f64],
-) {
-    let n = platform.num_cores();
-    let use_grad = cfg.tgrad_weight > 0.0;
-    let caps = platform.resolved_node_caps();
-    let nw = mreach.watch().len();
-    assert_eq!(nw, n + caps.len(), "watch must be cores then capped nodes");
-    let grad_rows = if use_grad {
-        mreach.reduced_grad_rows()
-    } else {
-        0
-    };
-    assert_eq!(
-        rhs.len(),
-        (4 * n + 2) + 1 + mreach.reduced_temp_rows() + grad_rows,
-        "rhs does not match the reduced design-point row layout"
-    );
-    assert_eq!(
-        offsets.len(),
-        mreach.steps(),
-        "offsets must cover the whole horizon"
-    );
-
-    let fr = (ftarget_hz / platform.fmax_hz).clamp(0.0, 1.0) * (1.0 - 2e-3);
-    let mut idx = 4 * n + 2;
-    rhs[idx] = -(n as f64) * fr;
-    idx += 1;
-
-    let limit = cfg.tmax_c - cfg.margin_c;
-    for (b, band) in mreach.temp_bands().iter().enumerate() {
-        let anchor = &offsets[band.anchor()];
-        for i in 0..nw {
-            let limit_i = if i < n {
-                limit
-            } else {
-                caps[i - n].1 - cfg.margin_c
-            };
-            let eta = (band.start..band.end)
-                .map(|k| offsets[k][i] - anchor[i])
-                .fold(0.0, f64::max);
-            rhs[idx] = limit_i - anchor[i] - mreach.temp_eps(b, i) - eta;
-            idx += 1;
-        }
-    }
-
-    if use_grad {
-        let strided = mreach.grad_strided();
-        for (b, band) in mreach.grad_bands().iter().enumerate() {
-            let anchor = &offsets[strided[band.anchor()]];
-            let mut pair = 0;
-            for i in 0..n {
-                for j in 0..n {
-                    if i == j {
-                        continue;
-                    }
-                    let rhs_anchor = anchor[j] - anchor[i];
-                    let eta = (band.start..band.end)
-                        .map(|pos| {
-                            let off = &offsets[strided[pos]];
-                            rhs_anchor - (off[j] - off[i])
-                        })
-                        .fold(0.0, f64::max);
-                    rhs[idx] = rhs_anchor - mreach.grad_eps(b, pair) - eta;
-                    idx += 1;
-                    pair += 1;
                 }
             }
         }

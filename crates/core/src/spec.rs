@@ -64,19 +64,18 @@ pub struct ControlConfig {
     pub gradient_stride: usize,
     /// Uniform or per-core frequency assignment.
     pub mode: FreqMode,
-    /// Modal truncation: keep exactly this many of the slowest thermal
-    /// modes when building the constraint set. `None` (default) uses the
-    /// full model with bit-identical tables; `Some(r)` switches the builder
-    /// to the provably conservative banded modal rows. Mutually exclusive
-    /// with [`modal_tol`].
+    /// Retired: selected a modal-truncation order, a reduction that no
+    /// longer exists. Every design point solves the full model. The field
+    /// stays because the context fingerprint hashes this struct's `Debug`
+    /// form; [`validate`] rejects anything but `None`.
     ///
-    /// [`modal_tol`]: ControlConfig::modal_tol
+    /// [`validate`]: ControlConfig::validate
     pub modal_order: Option<usize>,
-    /// Modal truncation by time constant: keep every mode whose time
-    /// constant is at least this fraction of the DFS window (must lie in
-    /// `(0, 1)`). Mutually exclusive with [`modal_order`].
+    /// Retired: selected modal truncation by time constant, like
+    /// [`modal_order`]. [`validate`] rejects anything but `None`.
     ///
     /// [`modal_order`]: ControlConfig::modal_order
+    /// [`validate`]: ControlConfig::validate
     pub modal_tol: Option<f64>,
 }
 
@@ -100,26 +99,6 @@ impl ControlConfig {
     /// Number of thermal time steps per DFS window (the paper's `m`).
     pub fn steps_per_window(&self) -> usize {
         (self.dfs_period_us / self.dt_us) as usize
-    }
-
-    /// Per-band anchored-gap budget (°C) for the reduced *temperature*
-    /// rows when modal truncation is enabled: half the guard margin, so
-    /// the reduction's bite — both the soundness cushion and the coverage
-    /// conservatism per band — always stays strictly inside the model's
-    /// own safety slack, on every scenario. At the default
-    /// `margin_c = 0.5` this is the historical 0.25 °C budget exactly.
-    pub fn modal_temp_budget_c(&self) -> f64 {
-        self.margin_c * 0.5
-    }
-
-    /// Per-band budget (°C) for the reduced *gradient* rows: three times
-    /// the guard margin. Gradient conservatism only inflates the `t_grad`
-    /// slack variable — an objective cost, never an infeasibility — so
-    /// this budget scales much looser than the temperature one. At the
-    /// default `margin_c = 0.5` this is the historical 1.5 °C budget
-    /// exactly.
-    pub fn modal_grad_budget_c(&self) -> f64 {
-        self.margin_c * 3.0
     }
 
     /// Validates the configuration.
@@ -151,9 +130,12 @@ impl ControlConfig {
                 reason: format!("margin_c {} out of range", self.margin_c),
             });
         }
-        if self.tgrad_weight < 0.0 {
+        if !(self.tgrad_weight.is_finite() && self.tgrad_weight >= 0.0) {
             return Err(ProTempError::BadConfig {
-                reason: "tgrad_weight must be non-negative".to_string(),
+                reason: format!(
+                    "tgrad_weight must be finite and non-negative, got {}",
+                    self.tgrad_weight
+                ),
             });
         }
         if self.gradient_stride == 0 {
@@ -161,24 +143,10 @@ impl ControlConfig {
                 reason: "gradient_stride must be at least 1".to_string(),
             });
         }
-        if self.modal_order.is_some() && self.modal_tol.is_some() {
+        if self.modal_order.is_some() || self.modal_tol.is_some() {
             return Err(ProTempError::BadConfig {
-                reason: "modal_order and modal_tol are mutually exclusive".to_string(),
+                reason: "modal_order and modal_tol are retired and must be None".to_string(),
             });
-        }
-        if let Some(r) = self.modal_order {
-            if r == 0 {
-                return Err(ProTempError::BadConfig {
-                    reason: "modal_order must be at least 1".to_string(),
-                });
-            }
-        }
-        if let Some(t) = self.modal_tol {
-            if !(t > 0.0 && t < 1.0) {
-                return Err(ProTempError::BadConfig {
-                    reason: format!("modal_tol {t} must lie in (0, 1)"),
-                });
-            }
         }
         Ok(())
     }
@@ -218,48 +186,39 @@ mod tests {
 
     #[test]
     fn modal_knobs_validated() {
-        let c = ControlConfig {
-            modal_order: Some(24),
-            ..ControlConfig::default()
-        };
-        c.validate().unwrap();
-        let c = ControlConfig {
-            modal_tol: Some(0.25),
-            ..ControlConfig::default()
-        };
-        c.validate().unwrap();
-        let c = ControlConfig {
-            modal_order: Some(24),
-            modal_tol: Some(0.25),
-            ..ControlConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = ControlConfig {
-            modal_order: Some(0),
-            ..ControlConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = ControlConfig {
-            modal_tol: Some(1.5),
-            ..ControlConfig::default()
-        };
-        assert!(c.validate().is_err());
+        // The modal knobs are retired: any `Some` is a config error, not a
+        // silently ignored setting.
+        for c in [
+            ControlConfig {
+                modal_order: Some(24),
+                ..ControlConfig::default()
+            },
+            ControlConfig {
+                modal_tol: Some(0.25),
+                ..ControlConfig::default()
+            },
+        ] {
+            assert!(matches!(c.validate(), Err(ProTempError::BadConfig { .. })));
+        }
     }
 
     #[test]
-    fn modal_budgets_derive_from_guard_margin() {
-        // The default margin reproduces the historical fixed budgets
-        // bit-for-bit (they are part of the table fingerprint story).
-        let c = ControlConfig::default();
-        assert_eq!(c.modal_temp_budget_c(), 0.25);
-        assert_eq!(c.modal_grad_budget_c(), 1.5);
-        // A tighter guard band tightens the reduction's bite with it.
-        let c = ControlConfig {
-            margin_c: 0.2,
-            ..ControlConfig::default()
-        };
-        assert!((c.modal_temp_budget_c() - 0.1).abs() < 1e-15);
-        assert!((c.modal_grad_budget_c() - 0.6).abs() < 1e-15);
+    fn non_finite_tgrad_weight_rejected() {
+        for w in [f64::INFINITY, f64::NAN] {
+            let c = ControlConfig {
+                tgrad_weight: w,
+                ..ControlConfig::default()
+            };
+            assert!(
+                matches!(c.validate(), Err(ProTempError::BadConfig { .. })),
+                "tgrad_weight {w} must be rejected"
+            );
+            let ctx = crate::AssignmentContext::new(&protemp_sim::Platform::niagara8(), &c);
+            assert!(
+                matches!(ctx, Err(ProTempError::BadConfig { .. })),
+                "tgrad_weight {w} must not build a context"
+            );
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use protemp_linalg::{vecops, Matrix, Qr, RowSpan};
 
@@ -33,13 +33,6 @@ const PLATEAU_IMPROVE: f64 = 0.7;
 /// reported duality gap is honest to that accuracy. A run stalling *above*
 /// this is reported as `MaxIterations`, not `Optimal`.
 const LOOSE_CENTER_TOL: f64 = 1e-2;
-
-/// `true` when `PROTEMP_CVX_DEBUG` is set; read once per process so the
-/// Newton loop stays free of environment lookups (which allocate).
-fn debug_enabled() -> bool {
-    static DEBUG: OnceLock<bool> = OnceLock::new();
-    *DEBUG.get_or_init(|| std::env::var_os("PROTEMP_CVX_DEBUG").is_some())
-}
 
 /// Two-phase log-barrier interior-point solver.
 ///
@@ -120,6 +113,8 @@ fn debug_enabled() -> bool {
 #[derive(Debug, Clone, Default)]
 pub struct BarrierSolver {
     opts: SolverOptions,
+    /// Newton-step budget per solve ([`BarrierSolver::set_tick_budget`]).
+    tick_budget: usize,
     /// Solver over the one-cell family of the most recent problem; `None`
     /// until the first solve.
     cell: Option<FamilySolver>,
@@ -607,11 +602,11 @@ pub(crate) enum FlowVerdict {
         cert: Option<CertParts>,
         polished: bool,
     },
-    /// The deterministic tick budget ([`SolverOptions::tick_budget`]) ran
-    /// out before a certified verdict. `Some(run)` carries the truncated —
-    /// still strictly feasible — barrier iterate (reduced space); `None`
-    /// means the budget died inside phase I with the feasibility question
-    /// undecided.
+    /// The deterministic tick budget ([`FamilySolver::set_tick_budget`])
+    /// ran out before a certified verdict. `Some(run)` carries the
+    /// truncated — still strictly feasible — barrier iterate (reduced
+    /// space); `None` means the budget died inside phase I with the
+    /// feasibility question undecided.
     Budgeted(Option<BarrierRun>),
 }
 
@@ -631,6 +626,7 @@ pub(crate) struct FlowOutcome {
 /// The full two-phase solve flow over prepared storage: warm fast path,
 /// seeded phase II, phase-I fallback with warm resume, final cold climb.
 ///
+/// `tick_budget` caps the Newton steps of the whole flow (`0`: no cap);
 /// `x0` is the supplied start already projected into the reduced space (a
 /// warm point when `estimate_t`, a heuristic seed otherwise); `reduced`
 /// marks an equality-eliminated system (skips the box-grounded Farkas
@@ -638,6 +634,7 @@ pub(crate) struct FlowOutcome {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_flow(
     opts: &SolverOptions,
+    tick_budget: usize,
     scratch: &mut SolverScratch,
     pool: &mut VecPool,
     proj: &ProjStorage,
@@ -662,7 +659,7 @@ pub(crate) fn solve_flow(
     // returns from its budget check before any exit can fire, so a run
     // that spent its entire effective budget is *exactly* a truncated run
     // — `run.newton >= remaining` is the discriminator throughout.
-    let mut remaining: Option<usize> = (opts.tick_budget > 0).then_some(opts.tick_budget);
+    let mut remaining: Option<usize> = (tick_budget > 0).then_some(tick_budget);
     fn capped(base: Option<usize>, remaining: Option<usize>) -> Option<usize> {
         match (base, remaining) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -1316,12 +1313,6 @@ fn run_barrier(
                     centered: false,
                 });
             }
-            if debug_enabled() && newton_total % 16 == 0 {
-                eprintln!(
-                    "[newton {newton_total}] t={t:.1e} lambda2={lambda2:.3e} alpha={:.3e} accepted={accepted}",
-                    alpha
-                );
-            }
             if !accepted {
                 // Line search stalled: no certified center at this t.
                 break;
@@ -1344,13 +1335,6 @@ fn run_barrier(
         if centered {
             s.center.copy_from_slice(&x);
             center_t = Some(t);
-        }
-        if debug_enabled() {
-            eprintln!(
-                "[barrier] outer {outer}: t={t:.3e} newton_total={newton_total} centered={centered} x_last={:.6e} obj={:.6e}",
-                x.last().copied().unwrap_or(f64::NAN),
-                dense.objective(&x)
-            );
         }
         if let Some(exit) = ctrl.early_exit {
             if exit(&x) {
@@ -1446,12 +1430,26 @@ impl BarrierSolver {
     /// Panics if the options are invalid (programmer error).
     pub fn new(opts: SolverOptions) -> Self {
         opts.validate().expect("solver options must validate");
-        BarrierSolver { opts, cell: None }
+        BarrierSolver {
+            opts,
+            tick_budget: 0,
+            cell: None,
+        }
     }
 
     /// The options this solver runs with.
     pub fn options(&self) -> &SolverOptions {
         &self.opts
+    }
+
+    /// Sets the deterministic Newton-step budget of every later solve
+    /// (see [`FamilySolver::set_tick_budget`]); `0` disables it (the
+    /// default).
+    pub fn set_tick_budget(&mut self, budget: usize) {
+        self.tick_budget = budget;
+        if let Some(cell) = self.cell.as_mut() {
+            cell.set_tick_budget(budget);
+        }
     }
 
     /// Solves a [`Problem`].
@@ -1558,7 +1556,9 @@ impl BarrierSolver {
         prob.validate()?;
         if !self.cell.as_ref().is_some_and(|c| c.family().matches(prob)) {
             let family = ProblemFamily::new(prob.clone(), &self.opts)?;
-            self.cell = Some(FamilySolver::new(Arc::new(family), self.opts));
+            let mut cell = FamilySolver::new(Arc::new(family), self.opts);
+            cell.set_tick_budget(self.tick_budget);
+            self.cell = Some(cell);
         }
         Ok(self.cell.as_mut().expect("built above when missing"))
     }
@@ -1984,11 +1984,9 @@ mod tests {
         p.add_box(0, 0.0, 2.0);
         p.add_box(1, 0.0, f64::INFINITY);
         let budget = 5;
-        let opts = SolverOptions {
-            tick_budget: budget,
-            ..SolverOptions::default()
-        };
-        let s = BarrierSolver::new(opts).solve(&p).unwrap();
+        let mut solver = BarrierSolver::new(SolverOptions::default());
+        solver.set_tick_budget(budget);
+        let s = solver.solve(&p).unwrap();
         assert!(s.newton_steps <= budget, "bill {} > budget", s.newton_steps);
         if s.status == SolveStatus::Budgeted && !s.x.is_empty() {
             // Truncated mid-centering: the iterate must satisfy every
@@ -2015,11 +2013,9 @@ mod tests {
         p.add_linear_le(vec![-1.0, -1.0], -3.9);
         p.add_box(0, 0.0, 4.0);
         p.add_box(1, 0.0, 4.0);
-        let opts = SolverOptions {
-            tick_budget: 1,
-            ..SolverOptions::default()
-        };
-        let s = BarrierSolver::new(opts).solve(&p).unwrap();
+        let mut solver = BarrierSolver::new(SolverOptions::default());
+        solver.set_tick_budget(1);
+        let s = solver.solve(&p).unwrap();
         assert_ne!(s.status, SolveStatus::Infeasible);
         assert!(s.newton_steps <= 1);
         assert!(s.certificate.is_none());
@@ -2037,11 +2033,9 @@ mod tests {
         let plain = BarrierSolver::new(SolverOptions::default())
             .solve(&p)
             .unwrap();
-        let opts = SolverOptions {
-            tick_budget: 1_000_000,
-            ..SolverOptions::default()
-        };
-        let budgeted = BarrierSolver::new(opts).solve(&p).unwrap();
+        let mut solver = BarrierSolver::new(SolverOptions::default());
+        solver.set_tick_budget(1_000_000);
+        let budgeted = solver.solve(&p).unwrap();
         assert_eq!(plain.status, budgeted.status);
         assert_eq!(plain.x, budgeted.x);
         assert_eq!(plain.newton_steps, budgeted.newton_steps);

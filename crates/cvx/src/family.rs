@@ -221,6 +221,9 @@ impl<'a> CellSeed<'a> {
 pub struct FamilySolver {
     family: Arc<ProblemFamily>,
     opts: SolverOptions,
+    /// Newton-step budget per solve ([`FamilySolver::set_tick_budget`]);
+    /// `0` means none.
+    tick_budget: usize,
     scratch: SolverScratch,
     reducer: RowReducer,
     pool: VecPool,
@@ -251,6 +254,7 @@ impl FamilySolver {
         FamilySolver {
             family,
             opts,
+            tick_budget: 0,
             scratch: SolverScratch::new(),
             reducer,
             pool: VecPool::default(),
@@ -279,13 +283,23 @@ impl FamilySolver {
         &self.opts
     }
 
-    /// Replaces the per-solve Newton budget
-    /// ([`SolverOptions::tick_budget`]) without touching the scratch or
-    /// the shared family — the one option a deadline-driven caller
-    /// retunes between solves to spread one tick's budget across several
-    /// probes. `0` disables the budget.
+    /// Sets a hard deterministic Newton-step budget for each later
+    /// [`FamilySolver::solve_cell`] (phase I and centering combined); `0`
+    /// disables it (the default). A deadline-driven caller retunes it
+    /// between solves to spread one tick's budget across several probes.
+    ///
+    /// When the budget runs out mid-solve the solver returns a typed
+    /// [`crate::SolveStatus::Budgeted`] outcome instead of an error: if the
+    /// budget died during centering, the truncated (still strictly
+    /// feasible) iterate is returned; if it died inside phase I before
+    /// either the feasible or the infeasible exit fired, the verdict is
+    /// undecided and the point is empty. The budget is counted in Newton
+    /// iterations — never wall clock — so budgeted solves stay
+    /// bit-deterministic across machines and runs. It is a run-time knob,
+    /// not a [`SolverOptions`] field, so it never enters an artifact's
+    /// fingerprint.
     pub fn set_tick_budget(&mut self, budget: usize) {
-        self.opts.tick_budget = budget;
+        self.tick_budget = budget;
     }
 
     /// Cumulative wall-clock seconds spent inside the per-cell
@@ -341,6 +355,7 @@ impl FamilySolver {
 
         let flow = solve_flow(
             &self.opts,
+            self.tick_budget,
             &mut self.scratch,
             &mut self.pool,
             &family.proj,

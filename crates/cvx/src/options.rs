@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 /// The defaults follow Boyd & Vandenberghe chapter 11 and work for every
 /// problem in this workspace; they are exposed so benches can study the
 /// accuracy/speed trade-off.
-#[derive(Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SolverOptions {
     /// Target duality-gap bound: the outer loop stops when
     /// `m_constraints / t < tol`.
@@ -62,45 +62,6 @@ pub struct SolverOptions {
     /// is already final when polishing starts — it can only improve the
     /// certificate, never flip a verdict.
     pub polish_budget: usize,
-    /// Hard deterministic Newton-step budget for one whole solve (phase
-    /// I and centering combined). `0` disables the budget (the default).
-    /// When the budget runs out mid-solve the solver returns a typed
-    /// [`crate::SolveStatus::Budgeted`] outcome instead of an error: if
-    /// the budget died during centering, the truncated (still strictly
-    /// feasible) iterate is returned; if it died inside phase I before
-    /// either the feasible or the infeasible exit fired, the verdict is
-    /// undecided and the point is empty. The budget is counted in Newton
-    /// iterations — never wall clock — so budgeted solves stay
-    /// bit-deterministic across machines and runs.
-    pub tick_budget: usize,
-}
-
-// Hand-written so that the default `tick_budget: 0` formats exactly like
-// the pre-budget struct: the Debug rendering of `SolverOptions`
-// participates in the artifact fingerprint
-// (`AssignmentContext::fingerprint` in protemp-core), and persisted
-// tables built before the budget existed must keep replaying as
-// bit-identical priors when the budget is off.
-impl std::fmt::Debug for SolverOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut d = f.debug_struct("SolverOptions");
-        d.field("tol", &self.tol)
-            .field("mu", &self.mu)
-            .field("t0", &self.t0)
-            .field("tol_inner", &self.tol_inner)
-            .field("max_newton", &self.max_newton)
-            .field("max_outer", &self.max_outer)
-            .field("armijo", &self.armijo)
-            .field("beta", &self.beta)
-            .field("phase1_margin", &self.phase1_margin)
-            .field("row_reduction", &self.row_reduction)
-            .field("reentry_pullback", &self.reentry_pullback)
-            .field("polish_budget", &self.polish_budget);
-        if self.tick_budget != 0 {
-            d.field("tick_budget", &self.tick_budget);
-        }
-        d.finish()
-    }
 }
 
 impl Default for SolverOptions {
@@ -118,7 +79,6 @@ impl Default for SolverOptions {
             row_reduction: true,
             reentry_pullback: 1e-3,
             polish_budget: 40,
-            tick_budget: 0,
         }
     }
 }
@@ -172,19 +132,6 @@ mod tests {
     fn default_validates() {
         SolverOptions::default().validate().unwrap();
         SolverOptions::fast().validate().unwrap();
-    }
-
-    #[test]
-    fn debug_format_stable_when_budget_off() {
-        // The fingerprint of persisted artifacts hashes this Debug string;
-        // a zero budget must render exactly like the pre-budget struct.
-        let rendered = format!("{:?}", SolverOptions::default());
-        assert!(!rendered.contains("tick_budget"));
-        let budgeted = SolverOptions {
-            tick_budget: 24,
-            ..SolverOptions::default()
-        };
-        assert!(format!("{budgeted:?}").contains("tick_budget: 24"));
     }
 
     #[test]

@@ -12,12 +12,12 @@ pub enum SolveStatus {
     Infeasible,
     /// Outer iteration limit reached; the returned point is the best found.
     MaxIterations,
-    /// The deterministic tick budget ([`crate::SolverOptions::tick_budget`])
-    /// ran out before the solve reached a certified verdict. When the
-    /// budget died during centering the returned point is the truncated —
-    /// but still strictly feasible — barrier iterate; when it died inside
-    /// phase I before either exit fired the point is empty and the
-    /// feasibility verdict is undecided.
+    /// The deterministic tick budget
+    /// ([`crate::FamilySolver::set_tick_budget`]) ran out before the solve
+    /// reached a certified verdict. When the budget died during centering
+    /// the returned point is the truncated — but still strictly feasible —
+    /// barrier iterate; when it died inside phase I before either exit
+    /// fired the point is empty and the feasibility verdict is undecided.
     Budgeted,
 }
 

@@ -191,11 +191,8 @@ fn feasibility_queries_are_pinned() {
 
 #[test]
 fn tick_budget_truncation_is_pinned() {
-    let opts = SolverOptions {
-        tick_budget: 5,
-        ..SolverOptions::default()
-    };
-    let mut solver = BarrierSolver::new(opts);
+    let mut solver = BarrierSolver::new(SolverOptions::default());
+    solver.set_tick_budget(5);
     let mut d = Fnv::new();
     d.add(&solver.solve(&cell(-0.5)));
     d.add(&solver.solve_seeded(&cell(-1.0), &[0.5; 4]));

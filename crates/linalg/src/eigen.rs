@@ -5,10 +5,7 @@
 //! similarity-transformed) system matrix `C⁻¹G` to compute the forward-Euler
 //! stability limit — the quantity behind the paper's statement that the
 //! thermal equation "had to be solved with a time step of 0.4 ms" for
-//! numerical stability. The modal-truncation machinery additionally needs
-//! *every* eigenpair of that symmetrized system ([`sym_eig`]) so the RC
-//! dynamics can be split into slow modes worth keeping and fast modes whose
-//! worst-case contribution is folded into a constraint cushion.
+//! numerical stability. The limit reads the full spectrum from [`sym_eig`].
 
 use crate::{LinalgError, Lu, Matrix, Result};
 
@@ -104,9 +101,7 @@ pub fn sym_eig_min(a: &Matrix) -> Result<f64> {
 ///
 /// Returns `(lambda, v)` with the eigenvalues in **ascending** order and the
 /// matching orthonormal eigenvectors as the columns of `v`, so that
-/// `A = V · diag(λ) · Vᵀ`. Ascending order puts the *slow* thermal modes
-/// (small `λ` of the symmetrized system matrix) first, which is the order the
-/// modal-truncation code consumes.
+/// `A = V · diag(λ) · Vᵀ`.
 ///
 /// Only the symmetric part of `a` is meaningful; the routine reads both
 /// triangles and assumes they agree (callers construct symmetric matrices).

@@ -267,14 +267,6 @@ impl Platform {
         self.core_model(core).peak_power()
     }
 
-    /// The largest per-core peak busy power across the platform, W.
-    /// (The sound scalar bound for modal truncation on any scenario.)
-    pub fn max_core_peak_power(&self) -> f64 {
-        (0..self.num_cores())
-            .map(|i| self.core_peak_power(i))
-            .fold(0.0, f64::max)
-    }
-
     /// Dynamic power of a busy core at frequency `f_hz` (Equation (2)):
     /// `p = p_max · f²/f_max²`. The homogeneous rule — per-core models go
     /// through [`Platform::core_power_i`].
@@ -429,7 +421,6 @@ mod tests {
                 assert_eq!(p.core_power_i(core, f), p.core_power(f));
             }
         }
-        assert_eq!(p.max_core_peak_power(), 4.0);
         assert_eq!(p.core_fmax(3), 1.0e9);
     }
 

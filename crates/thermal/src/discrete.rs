@@ -48,9 +48,8 @@ pub fn stability_limit(net: &RcNetwork) -> Result<f64> {
 /// The capacitance-symmetrized system matrix `S = C^{-1/2} G C^{-1/2}`.
 ///
 /// `S` is similar to `C⁻¹G` (via the scaling `C^{1/2}`), symmetric, and
-/// positive definite for a connected network with ambient coupling. It is the
-/// common starting point for the stability limit above and for the modal
-/// truncation in [`crate::modal`].
+/// positive definite for a connected network with ambient coupling, so the
+/// stability limit above can read its spectrum with the Jacobi eigensolver.
 pub(crate) fn symmetrized_system(net: &RcNetwork) -> Matrix {
     let n = net.num_nodes();
     let c = net.capacitance();
@@ -85,7 +84,6 @@ pub struct DiscreteModel {
     b: Matrix,
     kernel: StepKernel,
     dt: f64,
-    method: IntegrationMethod,
     num_nodes: usize,
 }
 
@@ -145,7 +143,6 @@ impl DiscreteModel {
             a,
             b,
             dt,
-            method,
             num_nodes: n,
         })
     }
@@ -163,11 +160,6 @@ impl DiscreteModel {
     /// The time step in seconds.
     pub fn dt(&self) -> f64 {
         self.dt
-    }
-
-    /// The discretization method.
-    pub fn method(&self) -> IntegrationMethod {
-        self.method
     }
 
     /// Number of thermal nodes.

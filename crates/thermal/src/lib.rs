@@ -19,11 +19,6 @@
 //! * [`AffineReach`] — the affine dependence of every future temperature on
 //!   the per-core power vector, `T_k = H_k·p + o_k`; this is what turns the
 //!   paper's optimization model (3) into a small convex program.
-//! * [`modal`] — modal truncation of the symmetrized dynamics
-//!   (`ModalModel::reduce`) and the provably conservative reduced
-//!   constraint structure (`ModalReach`) that collapses the post-mixing
-//!   tail of the reachability rows into steady-anchored rows with rigorous
-//!   truncation-error cushions.
 //! * [`ThermalSim`] — a stateful wrapper advancing a temperature state from
 //!   per-block power values, used by the multi-core simulator.
 //!
@@ -52,12 +47,10 @@ mod propagate;
 mod sim;
 
 pub mod leakage;
-pub mod modal;
 
 pub use config::{LayerConfig, ThermalConfig};
 pub use discrete::{stability_limit, DiscreteModel, IntegrationMethod};
 pub use error::ThermalError;
-pub use modal::{ModalModel, ModalReach, ModalSpec};
 pub use network::{RcNetwork, UNCORE_POWER_FRACTION};
 pub use propagate::AffineReach;
 pub use sim::ThermalSim;

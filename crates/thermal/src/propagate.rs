@@ -1,7 +1,6 @@
 use protemp_linalg::Matrix;
 
 use crate::discrete::StepKernel;
-use crate::modal::ModalModel;
 use crate::{DiscreteModel, RcNetwork, Result, ThermalError};
 
 /// Affine reachability of watched temperatures from per-core powers.
@@ -114,67 +113,6 @@ impl AffineReach {
             next.axpy(1.0, &bs)?;
             h.push(next.select_rows(&watch));
             f = next;
-        }
-
-        Ok(AffineReach {
-            h,
-            watch,
-            kernel: model.kernel().clone(),
-            u_fixed,
-            steps,
-        })
-    }
-
-    /// Builds the reachability operator through the modal basis instead of
-    /// the dense `A·F` recursion: each step advances the per-mode geometric
-    /// sums `σ_{k+1} = μ·σ_k + 1` in `O(modes)` and assembles only the
-    /// watched rows, `H_k = Ψ_w · diag(σ_k) · Φ`. With every mode retained
-    /// this reproduces [`AffineReach::new`] up to eigensolver rounding; with
-    /// a truncated basis it yields the approximate trajectories whose error
-    /// the [`crate::modal::ModalReach`] cushions bound.
-    ///
-    /// The offset propagation (the model's step from `u_fixed`) stays
-    /// exact — truncation only ever touches the power-sensitivity rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::DimensionMismatch`] if the model and network
-    /// disagree on node count.
-    pub fn modal(
-        net: &RcNetwork,
-        model: &DiscreteModel,
-        steps: usize,
-        modal: &ModalModel,
-    ) -> Result<Self> {
-        let n = net.num_nodes();
-        if model.num_nodes() != n {
-            return Err(ThermalError::DimensionMismatch {
-                what: "discrete model",
-                expected: n,
-                actual: model.num_nodes(),
-            });
-        }
-        let watch = net.core_nodes().to_vec();
-        let u_fixed = net.input_vector(net.uncore_power())?;
-
-        let kept = modal.kept();
-        let mu = &modal.mu()[..kept];
-        let psi = modal.psi();
-        let phi = modal.phi();
-        let nc = phi.cols();
-        let mut sigma = vec![1.0; kept];
-        let mut h = Vec::with_capacity(steps);
-        for k in 0..steps {
-            if k > 0 {
-                for (s, &mj) in sigma.iter_mut().zip(mu) {
-                    *s = mj * *s + 1.0;
-                }
-            }
-            h.push(Matrix::from_fn(watch.len(), nc, |i, cc| {
-                (0..kept)
-                    .map(|j| psi[(watch[i], j)] * sigma[j] * phi[(j, cc)])
-                    .sum()
-            }));
         }
 
         Ok(AffineReach {
@@ -306,36 +244,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn modal_path_with_all_modes_matches_dense_recursion() {
-        use crate::modal::{ModalModel, ModalSpec};
-        let (net, model) = setup();
-        let steps = 80;
-        let dense = AffineReach::new(&net, &model, steps).unwrap();
-        let basis =
-            ModalModel::reduce(&net, &model, steps, ModalSpec::Order(net.num_nodes())).unwrap();
-        let modal = AffineReach::modal(&net, &model, steps, &basis).unwrap();
-        for k in 0..steps {
-            let hd = &dense.sensitivities()[k];
-            let hm = &modal.sensitivities()[k];
-            for r in 0..hd.rows() {
-                for c in 0..hd.cols() {
-                    assert!(
-                        (hd[(r, c)] - hm[(r, c)]).abs() < 1e-8,
-                        "step {k} ({r},{c}): dense {} vs modal {}",
-                        hd[(r, c)],
-                        hm[(r, c)]
-                    );
-                }
-            }
-        }
-        // Offsets are built from the same exact (A, B·u_fixed) parts.
-        let t0 = net.uniform_state(75.0);
-        let od = dense.offsets(&t0);
-        let om = modal.offsets(&t0);
-        assert_eq!(od, om);
     }
 
     #[test]
