@@ -2,10 +2,11 @@
 # Tier-1 verification pipeline. Everything here must pass before merging:
 #
 #   ./ci.sh          # fmt + clippy + rustdoc + release build + full test
-#                    # suite + the bit-identity pins under --release + the
+#                    # suite + the bit-identity pins under --release + every
+#                    # paper figure's shape checks (repro_all) + the
 #                    # benchmark's own lint, tests and smoke runs
-#   ./ci.sh quick    # skip the release build and the release-profile pins
-#                    # (test-profile tests only)
+#   ./ci.sh quick    # skip the release build, the release-profile pins and
+#                    # repro_all (test-profile tests only)
 #
 # The workspace builds fully offline: crates.io dependencies are replaced by
 # the API-subset shims under shims/ (see Cargo.toml [workspace.dependencies]).
@@ -203,6 +204,15 @@ assert data["ladder_occupancy"][0] > 0.5, data["ladder_occupancy"]
 assert data["fault_recovery_ticks_p99"] >= 0
 print("published bench JSON: serving-tier and fault-campaign telemetry ok")
 EOF
+
+# The paper's evaluation: repro_all runs every figure (the fig* binaries'
+# own code, over one Phase-1 table) and panics on any failed paper-shape
+# check, e.g. Pro-Temp time above t_max, the waiting-time ratio or the
+# uniform-vs-variable frontier dominance. Full mode only (~9 s release).
+if [[ "$quick" != "quick" ]]; then
+    echo "==> repro_all (every figure and its paper-shape checks)"
+    cargo run --release -q -p protemp-bench --bin repro_all
+fi
 
 # The benchmark (perfbench/) is a workspace of its own that builds against
 # crates/* as path dependencies, so nothing above compiles it. Build and

@@ -5,58 +5,6 @@
 //! threshold shutdown cools it back down. This binary prints the P1
 //! temperature series and the violation statistics.
 
-use protemp_bench::{compute_trace, print_bands, run_policy, write_csv};
-use protemp_sim::{BasicDfs, FirstIdle};
-
 fn main() {
-    let trace = compute_trace(60.0);
-    let mut policy = BasicDfs::default(); // 90 C threshold, as in the paper
-    let mut assign = FirstIdle;
-    let report = run_policy(&trace, &mut policy, &mut assign, true);
-
-    let rows: Vec<String> = report
-        .trace
-        .iter()
-        .map(|p| format!("{:.3},{:.3}", p.time_s, p.core_temps[0]))
-        .collect();
-    write_csv("fig01_basic_dfs_trace.csv", "time_s,p1_temp_c", &rows);
-
-    println!("\nFigure 1 — Basic-DFS thermal snapshot (P1):");
-    let above: usize = report
-        .trace
-        .iter()
-        .filter(|p| p.core_temps[0] > 100.0)
-        .count();
-    println!(
-        "  samples above 100 C: {above}/{} ({:.1}%)",
-        report.trace.len(),
-        100.0 * above as f64 / report.trace.len() as f64
-    );
-    println!(
-        "  peak {:.2} C, violation fraction {:.2}% (all cores)",
-        report.peak_temp_c,
-        report.violation_fraction * 100.0
-    );
-    print_bands("basic-dfs", &report);
-    // ASCII strip of the trajectory.
-    println!("\n  P1 temperature, one char per second (. <90, o 90-100, X >100):");
-    let per_s: Vec<char> = report
-        .trace
-        .iter()
-        .step_by(100)
-        .map(|p| {
-            if p.core_temps[0] > 100.0 {
-                'X'
-            } else if p.core_temps[0] >= 90.0 {
-                'o'
-            } else {
-                '.'
-            }
-        })
-        .collect();
-    println!("  {}", per_s.into_iter().collect::<String>());
-    assert!(
-        report.peak_temp_c > 100.0,
-        "paper shape: Basic-DFS must violate the limit on the hot workload"
-    );
+    protemp_bench::figures::fig01();
 }

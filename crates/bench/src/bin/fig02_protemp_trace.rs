@@ -3,37 +3,8 @@
 //!
 //! Paper: the maximum temperature constraint is met at all time instances.
 
-use protemp::prelude::*;
-use protemp_bench::{
-    build_table, compute_trace, control_config, print_bands, run_policy, write_csv,
-};
-use protemp_sim::FirstIdle;
+use protemp_bench::{build_table, control_config, figures};
 
 fn main() {
-    let table = build_table(&control_config());
-    let trace = compute_trace(60.0);
-    let mut policy = ProTempController::new(table);
-    let mut assign = FirstIdle;
-    let report = run_policy(&trace, &mut policy, &mut assign, true);
-
-    let rows: Vec<String> = report
-        .trace
-        .iter()
-        .map(|p| format!("{:.3},{:.3}", p.time_s, p.core_temps[0]))
-        .collect();
-    write_csv("fig02_protemp_trace.csv", "time_s,p1_temp_c", &rows);
-
-    println!("\nFigure 2 — Pro-Temp thermal snapshot (P1):");
-    println!(
-        "  peak {:.2} C, violation fraction {:.4}%",
-        report.peak_temp_c,
-        report.violation_fraction * 100.0
-    );
-    let (lookups, degraded, shutdowns) = policy.counters();
-    println!("  table lookups {lookups}, degraded {degraded}, shutdowns {shutdowns}");
-    print_bands("pro-temp", &report);
-    assert_eq!(
-        report.violation_fraction, 0.0,
-        "paper guarantee: Pro-Temp never exceeds the maximum temperature"
-    );
+    figures::fig02(&build_table(&control_config()));
 }

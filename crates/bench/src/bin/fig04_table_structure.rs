@@ -1,48 +1,11 @@
 //! **Figure 4** — the structure of the Phase-1 output table: frequency
 //! vectors indexed by starting temperature and target frequency.
 //!
-//! Prints the table in the paper's layout and writes both the rendered view
-//! and the machine-readable form (`results/fig04_table.txt`).
+//! Prints the table in the paper's layout and writes its machine-readable
+//! form to `results/fig04_table.txt`.
 
-use protemp::write_table;
-use protemp_bench::{build_table, control_config, results_dir};
+use protemp_bench::{build_table, control_config, figures};
 
 fn main() {
-    let table = build_table(&control_config());
-
-    println!(
-        "Figure 4 — Phase-1 table structure ({} mode):",
-        table.mode()
-    );
-    println!("{}", table.render());
-
-    // Show one concrete cell like the paper's example row.
-    if let Some(row) = table.tstarts_c().iter().position(|&t| t >= 80.0) {
-        for (c, &ft) in table.ftargets_hz().iter().enumerate() {
-            if let Some(asg) = table.entry(row, c) {
-                let mhz: Vec<String> = asg
-                    .freqs_hz
-                    .iter()
-                    .map(|f| format!("{:.0}", f / 1e6))
-                    .collect();
-                println!(
-                    "example cell: tstart<= {:.0} C, ftarget {:.0} MHz -> per-core MHz [{}]",
-                    table.tstarts_c()[row],
-                    ft / 1e6,
-                    mhz.join(", ")
-                );
-                break;
-            }
-        }
-    }
-
-    let path = results_dir().join("fig04_table.txt");
-    let f = std::fs::File::create(&path).expect("create table file");
-    write_table(&table, std::io::BufWriter::new(f)).expect("serialize table");
-    println!("wrote {}", path.display());
-    println!(
-        "{} of {} grid points feasible",
-        table.feasible_count(),
-        table.len()
-    );
+    figures::fig04(&build_table(&control_config()));
 }

@@ -5,45 +5,8 @@
 //! Paper shape: Pro-Temp has zero occupancy above 100 °C; No-TC and
 //! Basic-DFS spend significant time above the limit.
 
-use protemp::prelude::*;
-use protemp_bench::{build_table, control_config, mixed_trace, print_bands, run_policy, write_csv};
-use protemp_sim::{BasicDfs, DfsPolicy, FirstIdle, NoTc};
+use protemp_bench::{build_table, control_config, figures};
 
 fn main() {
-    let table = build_table(&control_config());
-    let trace = mixed_trace(60.0);
-
-    println!("Figure 6(a) — temperature-band occupancy, mixed benchmarks:");
-    let mut rows = Vec::new();
-    let policies: Vec<(&str, Box<dyn DfsPolicy>)> = vec![
-        ("no-tc", Box::new(NoTc)),
-        ("basic-dfs", Box::new(BasicDfs::default())),
-        ("pro-temp", Box::new(ProTempController::new(table))),
-    ];
-    let mut protemp_above = f64::NAN;
-    let mut basic_above = f64::NAN;
-    for (name, mut policy) in policies {
-        let report = run_policy(&trace, policy.as_mut(), &mut FirstIdle, false);
-        print_bands(name, &report);
-        let f = report.bands_avg.fractions();
-        rows.push(format!(
-            "{name},{:.6},{:.6},{:.6},{:.6}",
-            f[0], f[1], f[2], f[3]
-        ));
-        match name {
-            "pro-temp" => protemp_above = f[3],
-            "basic-dfs" => basic_above = f[3],
-            _ => {}
-        }
-    }
-    write_csv(
-        "fig06a_bands_mixed.csv",
-        "policy,below80,band80_90,band90_100,above100",
-        &rows,
-    );
-    assert_eq!(
-        protemp_above, 0.0,
-        "paper shape: Pro-Temp never exceeds 100 C"
-    );
-    let _ = basic_above;
+    figures::fig06a(&build_table(&control_config()));
 }

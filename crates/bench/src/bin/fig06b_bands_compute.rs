@@ -5,49 +5,8 @@
 //! paper's platform) of the time above the maximum threshold; Pro-Temp
 //! spends none.
 
-use protemp::prelude::*;
-use protemp_bench::{
-    build_table, compute_trace, control_config, print_bands, run_policy, write_csv,
-};
-use protemp_sim::{BasicDfs, DfsPolicy, FirstIdle, NoTc};
+use protemp_bench::{build_table, control_config, figures};
 
 fn main() {
-    let table = build_table(&control_config());
-    let trace = compute_trace(60.0);
-
-    println!("Figure 6(b) — temperature-band occupancy, compute-intensive:");
-    let mut rows = Vec::new();
-    let policies: Vec<(&str, Box<dyn DfsPolicy>)> = vec![
-        ("no-tc", Box::new(NoTc)),
-        ("basic-dfs", Box::new(BasicDfs::default())),
-        ("pro-temp", Box::new(ProTempController::new(table))),
-    ];
-    let mut above = Vec::new();
-    for (name, mut policy) in policies {
-        let report = run_policy(&trace, policy.as_mut(), &mut FirstIdle, false);
-        print_bands(name, &report);
-        let f = report.bands_avg.fractions();
-        rows.push(format!(
-            "{name},{:.6},{:.6},{:.6},{:.6}",
-            f[0], f[1], f[2], f[3]
-        ));
-        above.push((name, f[3]));
-    }
-    write_csv(
-        "fig06b_bands_compute.csv",
-        "policy,below80,band80_90,band90_100,above100",
-        &rows,
-    );
-    let protemp = above.iter().find(|(n, _)| *n == "pro-temp").expect("ran").1;
-    let basic = above
-        .iter()
-        .find(|(n, _)| *n == "basic-dfs")
-        .expect("ran")
-        .1;
-    let no_tc = above.iter().find(|(n, _)| *n == "no-tc").expect("ran").1;
-    assert_eq!(protemp, 0.0, "paper shape: Pro-Temp never exceeds 100 C");
-    assert!(
-        basic > 0.0 && no_tc > basic,
-        "paper shape: No-TC > Basic-DFS > 0 above the limit (got {no_tc:.3} / {basic:.3})"
-    );
+    figures::fig06b(&build_table(&control_config()));
 }

@@ -5,57 +5,8 @@
 //! reports ~60 %), because Basic-DFS duty-cycles between full speed and
 //! shutdown while Pro-Temp sustains the highest safe frequency.
 
-use protemp::prelude::*;
-use protemp_bench::{build_table, compute_trace, control_config, run_policy, write_csv};
-use protemp_sim::{BasicDfs, FirstIdle};
+use protemp_bench::{build_table, control_config, figures};
 
 fn main() {
-    let table = build_table(&control_config());
-    let trace = compute_trace(60.0);
-
-    let mut basic = BasicDfs::default();
-    let basic_report = run_policy(&trace, &mut basic, &mut FirstIdle, false);
-
-    let mut protemp = ProTempController::new(table);
-    let protemp_report = run_policy(&trace, &mut protemp, &mut FirstIdle, false);
-
-    let ratio = protemp_report.waiting.mean_us / basic_report.waiting.mean_us;
-    println!("Figure 7 — normalized average task waiting time:");
-    println!(
-        "  basic-dfs: mean {:.1} ms (p95 {:.1} ms, {} tasks, makespan {:.1} s)",
-        basic_report.waiting.mean_us / 1e3,
-        basic_report.waiting.p95_us / 1e3,
-        basic_report.waiting.count,
-        basic_report.duration_s
-    );
-    println!(
-        "  pro-temp : mean {:.1} ms (p95 {:.1} ms, {} tasks, makespan {:.1} s)",
-        protemp_report.waiting.mean_us / 1e3,
-        protemp_report.waiting.p95_us / 1e3,
-        protemp_report.waiting.count,
-        protemp_report.duration_s
-    );
-    println!("  normalized pro-temp waiting time: {ratio:.3} (paper: ~0.4)");
-
-    write_csv(
-        "fig07_waiting_time.csv",
-        "policy,mean_wait_ms,p95_wait_ms,normalized",
-        &[
-            format!(
-                "basic-dfs,{:.3},{:.3},1.0",
-                basic_report.waiting.mean_us / 1e3,
-                basic_report.waiting.p95_us / 1e3
-            ),
-            format!(
-                "pro-temp,{:.3},{:.3},{:.4}",
-                protemp_report.waiting.mean_us / 1e3,
-                protemp_report.waiting.p95_us / 1e3,
-                ratio
-            ),
-        ],
-    );
-    assert!(
-        ratio < 1.0,
-        "paper shape: Pro-Temp must reduce waiting times (got ratio {ratio:.3})"
-    );
+    figures::fig07(&build_table(&control_config()));
 }

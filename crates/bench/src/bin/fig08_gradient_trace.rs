@@ -4,45 +4,8 @@
 //! Paper shape: the spatial temperature gradient across the processors is
 //! low (the gradient term in objective (5) actively balances them).
 
-use protemp::prelude::*;
-use protemp_bench::{build_table, control_config, mixed_trace, run_policy, write_csv};
-use protemp_sim::FirstIdle;
+use protemp_bench::{build_table, control_config, figures};
 
 fn main() {
-    let table = build_table(&control_config());
-    let trace = mixed_trace(60.0);
-    let mut policy = ProTempController::new(table);
-    let report = run_policy(&trace, &mut policy, &mut FirstIdle, true);
-
-    let rows: Vec<String> = report
-        .trace
-        .iter()
-        .map(|p| {
-            format!(
-                "{:.3},{:.3},{:.3}",
-                p.time_s, p.core_temps[0], p.core_temps[1]
-            )
-        })
-        .collect();
-    write_csv(
-        "fig08_gradient_trace.csv",
-        "time_s,p1_temp_c,p2_temp_c",
-        &rows,
-    );
-
-    let max_gap = report
-        .trace
-        .iter()
-        .map(|p| (p.core_temps[0] - p.core_temps[1]).abs())
-        .fold(0.0_f64, f64::max);
-    println!("Figure 8 — P1 vs P2 temperatures under Pro-Temp:");
-    println!(
-        "  mean spatial gradient across all cores: {:.2} C (max {:.2} C)",
-        report.mean_gradient_c, report.max_gradient_c
-    );
-    println!("  max |P1 - P2| gap over the run: {max_gap:.2} C");
-    assert!(
-        report.mean_gradient_c < 5.0,
-        "paper shape: the gradient across processors stays low"
-    );
+    figures::fig08(&build_table(&control_config()));
 }

@@ -6,45 +6,6 @@
 //! non-uniform (variable) assignment supports a higher average workload
 //! than the uniform one.
 
-use protemp::frontier::{max_supported_frequency, max_supported_frequency_at_least};
-use protemp::prelude::*;
-use protemp::AssignmentContext;
-use protemp_bench::{control_config, platform, write_csv};
-
 fn main() {
-    let temps: Vec<f64> = vec![27.0, 37.0, 47.0, 57.0, 67.0, 77.0, 87.0, 92.0, 97.0];
-    let tol = 5e6;
-
-    let var_cfg = control_config(); // FreqMode::Variable
-    let uni_cfg = ControlConfig {
-        mode: FreqMode::Uniform,
-        ..control_config()
-    };
-    let var_ctx = AssignmentContext::new(&platform(), &var_cfg).expect("ctx");
-    let uni_ctx = AssignmentContext::new(&platform(), &uni_cfg).expect("ctx");
-
-    println!("Figure 9 — max supportable average frequency (MHz) per starting temperature:");
-    println!("  tstart |  uniform | variable");
-    let mut rows = Vec::new();
-    let mut dominated = true;
-    for &t in &temps {
-        let fu = max_supported_frequency(&uni_ctx, t, tol).expect("uniform frontier");
-        // Any uniform-feasible point is variable-feasible, so the variable
-        // bisection starts at the uniform frontier.
-        let fv = max_supported_frequency_at_least(&var_ctx, t, fu, tol).expect("variable frontier");
-        println!("  {t:6.1} | {:8.1} | {:8.1}", fu / 1e6, fv / 1e6);
-        rows.push(format!("{t},{:.1},{:.1}", fu / 1e6, fv / 1e6));
-        if fv + tol < fu {
-            dominated = false;
-        }
-    }
-    write_csv(
-        "fig09_uniform_vs_variable.csv",
-        "tstart_c,uniform_mhz,variable_mhz",
-        &rows,
-    );
-    assert!(
-        dominated,
-        "paper shape: variable assignment must dominate uniform everywhere"
-    );
+    protemp_bench::figures::fig09();
 }

@@ -6,41 +6,6 @@
 //! significantly faster than the middle core P2 (sandwiched between hot
 //! cores) to achieve a similar thermal behaviour.
 
-use protemp::frontier::sweep;
-use protemp::AssignmentContext;
-use protemp_bench::{control_config, platform, write_csv};
-
 fn main() {
-    let temps = [27.0, 37.0, 47.0, 57.0, 67.0, 77.0, 87.0, 92.0, 97.0];
-    let ctx = AssignmentContext::new(&platform(), &control_config()).expect("ctx");
-    let points = sweep(&ctx, &temps, 5e6, true).expect("frontier sweep");
-
-    println!("Figure 10 — per-core frequency at the feasibility frontier (MHz):");
-    println!("  tstart |      P1 |      P2 | P1-P2");
-    let mut rows = Vec::new();
-    let mut p1_total = 0.0;
-    let mut p2_total = 0.0;
-    for p in &points {
-        if let Some(a) = &p.assignment {
-            let p1 = a.freqs_hz[0] / 1e6;
-            let p2 = a.freqs_hz[1] / 1e6;
-            println!(
-                "  {:6.1} | {p1:7.1} | {p2:7.1} | {:+6.1}",
-                p.tstart_c,
-                p1 - p2
-            );
-            rows.push(format!("{},{p1:.1},{p2:.1}", p.tstart_c));
-            p1_total += p1;
-            p2_total += p2;
-        } else {
-            println!("  {:6.1} |      -- |      -- |     --", p.tstart_c);
-            rows.push(format!("{},,", p.tstart_c));
-        }
-    }
-    write_csv("fig10_per_core_freq.csv", "tstart_c,p1_mhz,p2_mhz", &rows);
-    assert!(
-        p1_total > p2_total,
-        "paper shape: edge core P1 runs faster than middle core P2 overall \
-         ({p1_total:.0} vs {p2_total:.0} MHz summed)"
-    );
+    protemp_bench::figures::fig10();
 }

@@ -13,98 +13,10 @@
 //! Note on (1): our control unit dispatches queued tasks instantly, so at
 //! saturating load every core is busy and the assignment policy has no
 //! discretionary choices — the measured Basic-DFS effect is therefore
-//! small; EXPERIMENTS.md discusses this substitution honestly.
+//! small.
 
-use protemp::prelude::*;
-use protemp_bench::{
-    build_table, bursty_heavy_trace, compute_trace, control_config, run_policy, write_csv,
-};
-use protemp_sim::{BasicDfs, CoolestFirst, FirstIdle};
+use protemp_bench::{build_table, control_config, figures};
 
 fn main() {
-    let table = build_table(&control_config());
-
-    // Claim 1: Basic-DFS on the high-workload benchmark.
-    let hot = compute_trace(60.0);
-    let mut b1 = BasicDfs::default();
-    let basic_first = run_policy(&hot, &mut b1, &mut FirstIdle, false);
-    let mut b2 = BasicDfs::default();
-    let basic_cool = run_policy(&hot, &mut b2, &mut CoolestFirst, false);
-
-    // Claim 2: Pro-Temp spatial gradient on the assignment-study trace
-    // (low-load, long tasks — the regime with discretionary choices).
-    let study = bursty_heavy_trace(60.0);
-    let mut p1 = ProTempController::new(table.clone());
-    let protemp_first = run_policy(&study, &mut p1, &mut FirstIdle, false);
-    let mut p2 = ProTempController::new(table);
-    let protemp_cool = run_policy(&study, &mut p2, &mut CoolestFirst, false);
-
-    println!("Figure 11 — effect of thermal-aware task assignment:");
-    println!(
-        "  basic-dfs + first-idle    (high load): {:5.2}% time above t_max",
-        basic_first.violation_fraction * 100.0
-    );
-    println!(
-        "  basic-dfs + coolest-first (high load): {:5.2}% time above t_max",
-        basic_cool.violation_fraction * 100.0
-    );
-    println!(
-        "  pro-temp  + first-idle    (study)    : gradient {:.2} C",
-        protemp_first.mean_gradient_c
-    );
-    println!(
-        "  pro-temp  + coolest-first (study)    : gradient {:.2} C",
-        protemp_cool.mean_gradient_c
-    );
-    let gradient_reduction =
-        1.0 - protemp_cool.mean_gradient_c / protemp_first.mean_gradient_c.max(1e-9);
-    println!(
-        "  pro-temp spatial gradient reduction from assignment: {:.1}% (paper: 16%)",
-        gradient_reduction * 100.0
-    );
-
-    write_csv(
-        "fig11_task_assignment.csv",
-        "policy,assignment,workload,above_tmax_frac,mean_gradient_c",
-        &[
-            format!(
-                "basic-dfs,first-idle,compute,{:.6},{:.3}",
-                basic_first.violation_fraction, basic_first.mean_gradient_c
-            ),
-            format!(
-                "basic-dfs,coolest-first,compute,{:.6},{:.3}",
-                basic_cool.violation_fraction, basic_cool.mean_gradient_c
-            ),
-            format!(
-                "pro-temp,first-idle,study,{:.6},{:.3}",
-                protemp_first.violation_fraction, protemp_first.mean_gradient_c
-            ),
-            format!(
-                "pro-temp,coolest-first,study,{:.6},{:.3}",
-                protemp_cool.violation_fraction, protemp_cool.mean_gradient_c
-            ),
-        ],
-    );
-
-    assert!(
-        basic_cool.violation_fraction <= basic_first.violation_fraction + 0.01,
-        "paper shape: coolest-first must not worsen Basic-DFS violations \
-         ({:.4} vs {:.4})",
-        basic_cool.violation_fraction,
-        basic_first.violation_fraction
-    );
-    assert!(
-        basic_cool.violation_fraction > 0.0,
-        "paper shape: Basic-DFS still violates even with the assignment policy"
-    );
-    assert_eq!(
-        protemp_cool.violation_fraction, 0.0,
-        "paper guarantee: Pro-Temp stays below t_max with any assignment"
-    );
-    assert!(
-        gradient_reduction > 0.05,
-        "paper shape: the assignment policy visibly reduces Pro-Temp's gradient \
-         (got {:.1}%)",
-        gradient_reduction * 100.0
-    );
+    figures::fig11(&build_table(&control_config()));
 }

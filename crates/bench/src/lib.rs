@@ -1,15 +1,14 @@
 //! Shared harness for regenerating every table and figure of the Pro-Temp
 //! paper.
 //!
-//! Each `src/bin/fig*.rs` binary reproduces one figure: it builds the
-//! paper's scenario (platform, trace, policies), runs it, prints the same
-//! rows/series the paper plots, and writes a CSV under `results/`. The
-//! `repro_all` binary runs everything in sequence and prints a comparison
-//! summary against the paper's qualitative claims.
-//!
-//! The Criterion benches in `benches/` measure the computational kernels
-//! behind each figure (solves, simulation windows, lookups) so regressions
-//! in the substrate show up as bench regressions.
+//! [`figures`] holds one function per figure: it builds the paper's
+//! scenario (platform, trace, policies), runs it, prints the rows or
+//! series the paper plots, writes them under `results/` and asserts the
+//! paper's shape. Each `src/bin/fig*.rs` binary calls one of them;
+//! `repro_all` calls all of them over one Phase-1 table and prints a
+//! paper-vs-measured summary of the numbers they return.
+
+pub mod figures;
 
 use std::fs;
 use std::io::Write as _;
@@ -103,12 +102,7 @@ pub fn bursty_heavy_trace(duration_s: f64) -> Trace {
     TraceGenerator::new(FIGURE_SEED + 2).generate(&profile, duration_s, 8)
 }
 
-/// The paper's large evaluation trace: ~60 000 tasks of mixed benchmarks.
-pub fn paper_trace() -> Trace {
-    mixed_trace(75.0)
-}
-
-/// Builds the Phase-1 table with the default grids (cached per process).
+/// Builds the Phase-1 table with the default grids.
 pub fn build_table(cfg: &ControlConfig) -> FrequencyTable {
     let ctx = AssignmentContext::new(&platform(), cfg).expect("context");
     let (table, stats) = TableBuilder::new().build(&ctx).expect("table build");
@@ -116,17 +110,6 @@ pub fn build_table(cfg: &ControlConfig) -> FrequencyTable {
         "[harness] phase-1 table: {} points, {} feasible, {:.1}s total ({:.2}s/point)",
         stats.points, stats.feasible, stats.total_s, stats.mean_point_s
     );
-    table
-}
-
-/// Builds a coarse table for quick benches (3 × 3 grid).
-pub fn build_small_table(cfg: &ControlConfig) -> FrequencyTable {
-    let ctx = AssignmentContext::new(&platform(), cfg).expect("context");
-    let (table, _) = TableBuilder::new()
-        .tstarts(vec![60.0, 80.0, 100.0])
-        .ftargets(vec![0.2e9, 0.5e9, 0.8e9])
-        .build(&ctx)
-        .expect("table build");
     table
 }
 
@@ -418,7 +401,7 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
 
 /// Writes a complete text artifact (e.g. a JSON record) to
 /// `results/<name>`.
-pub fn write_text(name: &str, contents: &str) {
+pub fn write_text(name: &str, contents: impl AsRef<[u8]>) {
     let path = results_dir().join(name);
     fs::write(&path, contents).expect("write results file");
     println!("wrote {}", path.display());

@@ -160,14 +160,4 @@ impl BuildArtifact {
         self.certificates.retain(|sc| sc.verifies(ctx, &mut ws));
         before - self.certificates.len()
     }
-
-    /// The verified certificates as a plain pool (helper for seeding
-    /// [`crate::PointSolver`] / [`crate::LadderController`] screening
-    /// pools).
-    pub fn certificate_pool(&self) -> Vec<Certificate> {
-        self.certificates
-            .iter()
-            .map(|sc| sc.certificate.clone())
-            .collect()
-    }
 }

@@ -343,7 +343,8 @@ impl LadderController {
     }
 
     /// Seeds the screening pool with certificates from a prior build
-    /// (e.g. [`crate::BuildArtifact::certificate_pool`] after
+    /// (e.g. the `certificate` of each
+    /// [`crate::BuildArtifact::certificates`] entry after
     /// [`crate::BuildArtifact::verify_certificates`]). Screening is sound
     /// regardless — a certificate re-derives its infeasibility bound
     /// against each window's own constraint data and can never reject a

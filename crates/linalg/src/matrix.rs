@@ -131,11 +131,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow of row `r` as a slice.
     ///
     /// # Panics

@@ -37,14 +37,16 @@ pub struct SimConfig {
     pub trace_sample_us: u64,
     /// Hard wall-clock cap on simulated time, seconds.
     pub max_duration_s: f64,
-    /// Smoothing factor for the arrival-work predictor (0..1].
-    pub ewma_alpha: f64,
-    /// Floor on the demand ratio whenever work is pending (fraction of
-    /// `f_max`). The averaged estimator divides backlog across all cores;
-    /// without a floor the last straggling task makes the requested
-    /// frequency decay geometrically and never finish.
-    pub min_active_ratio: f64,
 }
+
+/// Smoothing factor for the arrival-work predictor (0..1].
+const EWMA_ALPHA: f64 = 0.5;
+
+/// Floor on the demand ratio whenever work is pending (fraction of
+/// `f_max`). The averaged estimator divides backlog across all cores;
+/// without a floor the last straggling task makes the requested
+/// frequency decay geometrically and never finish.
+const MIN_ACTIVE_RATIO: f64 = 0.1;
 
 impl Default for SimConfig {
     fn default() -> Self {
@@ -58,8 +60,6 @@ impl Default for SimConfig {
             record_trace: false,
             trace_sample_us: 10_000,
             max_duration_s: 600.0,
-            ewma_alpha: 0.5,
-            min_active_ratio: 0.1,
         }
     }
 }
@@ -96,16 +96,6 @@ impl SimConfig {
         if !(self.max_duration_s.is_finite() && self.max_duration_s > 0.0) {
             return Err(SimError::BadConfig {
                 reason: "max_duration_s must be positive".to_string(),
-            });
-        }
-        if !(self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0) {
-            return Err(SimError::BadConfig {
-                reason: "ewma_alpha must be in (0, 1]".to_string(),
-            });
-        }
-        if !(0.0..=1.0).contains(&self.min_active_ratio) {
-            return Err(SimError::BadConfig {
-                reason: "min_active_ratio must be in [0, 1]".to_string(),
             });
         }
         if !self.t_init_c.is_finite() {
@@ -303,8 +293,8 @@ pub fn run_simulation_with_faults(
             };
             // Update the arrival-work predictor from the window just ended.
             if now_us > 0 {
-                predicted_work_us = cfg.ewma_alpha * window_arrived_work_us
-                    + (1.0 - cfg.ewma_alpha) * predicted_work_us;
+                predicted_work_us =
+                    EWMA_ALPHA * window_arrived_work_us + (1.0 - EWMA_ALPHA) * predicted_work_us;
             }
             window_arrived_work_us = 0.0;
 
@@ -316,7 +306,7 @@ pub fn run_simulation_with_faults(
             let mut demand_ratio =
                 (backlog + predicted_work_us) / (n_cores as f64 * window_us as f64);
             if backlog > 0.0 {
-                demand_ratio = demand_ratio.max(cfg.min_active_ratio);
+                demand_ratio = demand_ratio.max(MIN_ACTIVE_RATIO);
             }
             let required = (platform.fmax_hz * demand_ratio).clamp(0.0, platform.fmax_hz);
 

@@ -294,29 +294,26 @@ impl Platform {
         self.pmax_w / (self.fmax_hz * self.fmax_hz)
     }
 
-    /// Builds the thermal RC network for this platform: the stacked
-    /// builder when a [`Stack`] is configured, the single-layer builder
-    /// otherwise. Heterogeneous core models re-size the uncore background
-    /// budget to [`UNCORE_POWER_FRACTION`] of the *actual* total core peak
-    /// power (the homogeneous path keeps the builder's default, which is
-    /// the same number).
+    /// Builds the thermal RC network for this platform, from its
+    /// [`Stack`] or, when none is configured, from the one-layer stack of
+    /// its floorplan. Heterogeneous core models re-size the uncore
+    /// background budget to [`UNCORE_POWER_FRACTION`] of the *actual* total
+    /// core peak power (the homogeneous path keeps the builder's default,
+    /// which is the same number).
     ///
     /// # Panics
     ///
     /// Panics if the platform fails validation — call
     /// [`Platform::validate`] first on untrusted input.
     pub fn rc_network(&self) -> RcNetwork {
-        let mut net = match &self.stack {
-            Some(s) => RcNetwork::from_stack(s, &self.thermal),
-            None => RcNetwork::from_floorplan(&self.floorplan, &self.thermal),
-        };
+        let stack = self
+            .stack
+            .clone()
+            .unwrap_or_else(|| Stack::single(self.floorplan.clone()));
+        let mut net = RcNetwork::from_stack(&stack, &self.thermal);
         if !self.core_models.is_empty() {
             let total_peak: f64 = (0..self.num_cores()).map(|i| self.core_peak_power(i)).sum();
-            let budget = UNCORE_POWER_FRACTION * total_peak;
-            match &self.stack {
-                Some(s) => net.set_uncore_power_budget_stack(s, budget),
-                None => net.set_uncore_power_budget(&self.floorplan, budget),
-            }
+            net.set_uncore_power_budget(&stack, UNCORE_POWER_FRACTION * total_peak);
         }
         net
     }

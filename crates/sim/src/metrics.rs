@@ -218,15 +218,6 @@ impl SimReport {
             self.work_done_s / self.duration_s
         }
     }
-
-    /// Energy per unit work (J per work-second), ∞ when no work was done.
-    pub fn energy_per_work(&self) -> f64 {
-        if self.work_done_s == 0.0 {
-            f64::INFINITY
-        } else {
-            self.core_energy_j / self.work_done_s
-        }
-    }
 }
 
 #[cfg(test)]

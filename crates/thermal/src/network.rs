@@ -1,4 +1,4 @@
-use protemp_floorplan::{adjacency, Block, BlockKind, Floorplan, Stack};
+use protemp_floorplan::{adjacency, BlockKind, Floorplan, Stack};
 use protemp_linalg::{Cholesky, Matrix};
 use serde::{Deserialize, Serialize};
 
@@ -9,22 +9,21 @@ use crate::{Result, ThermalConfig, ThermalError};
 /// the power consumption of the processing cores").
 pub const UNCORE_POWER_FRACTION: f64 = 0.30;
 
-/// A lumped thermal RC network derived from a floorplan or a layered stack.
+/// A lumped thermal RC network derived from a layered die stack (a
+/// single-layer floorplan is the one-layer stack).
 ///
 /// # Node layout
 ///
-/// For a single-layer floorplan with `N` blocks the network has `2N + 1`
-/// nodes:
+/// For a [`Stack`] with `N` blocks total and `N₀` blocks on the
+/// sink-nearest layer the network has `N + N₀ + 1` nodes:
 ///
-/// * nodes `0..N` — silicon, one per block (heat is injected here);
-/// * nodes `N..2N` — heat-spreader footprint under each block;
-/// * node `2N` — the lumped heat sink, coupled to the fixed ambient.
+/// * nodes `0..N` — silicon, one per block in global stack order (heat is
+///   injected here);
+/// * nodes `N..N+N₀` — heat-spreader footprint under each base-layer block
+///   (the spreader attaches to the bottom die);
+/// * node `N+N₀` — the lumped heat sink, coupled to the fixed ambient.
 ///
-/// For a [`Stack`] (see [`RcNetwork::from_stack`]) with `N` blocks total
-/// and `N₀` blocks on the sink-nearest layer, nodes `0..N` are the silicon
-/// nodes of every block in global stack order, nodes `N..N+N₀` are the
-/// spreader footprints under the base layer only (the spreader attaches to
-/// the bottom die), and node `N+N₀` is the sink.
+/// A single-layer floorplan has `N₀ = N`, so `2N + 1` nodes.
 ///
 /// The continuous dynamics are `C·Ṫ = −G·T + u`, where `G` is the
 /// conductance Laplacian (with the ambient coupling on the sink diagonal),
@@ -43,9 +42,7 @@ pub const UNCORE_POWER_FRACTION: f64 = 0.30;
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RcNetwork {
-    /// Node names (block name, block name + "_sp", "SINK").
-    names: Vec<String>,
-    /// Conductance Laplacian, (2N+1)².
+    /// Conductance Laplacian, one row and column per node.
     g: Matrix,
     /// Nodal heat capacities, J/K.
     c: Vec<f64>,
@@ -62,101 +59,31 @@ pub struct RcNetwork {
 }
 
 impl RcNetwork {
-    /// Builds the RC network for a floorplan.
-    ///
-    /// Uncore background power is sized as [`UNCORE_POWER_FRACTION`] of the
-    /// total core budget at 4 W per core and spread over non-core blocks
-    /// proportionally to area; use [`RcNetwork::set_uncore_power_budget`] to
-    /// change it.
+    /// Builds the RC network for a floorplan: [`RcNetwork::from_stack`] on
+    /// the one-layer [`Stack::single`].
     ///
     /// # Panics
     ///
     /// Panics if the floorplan fails validation or the config is invalid —
     /// both indicate programmer error in the calling code.
     pub fn from_floorplan(fp: &Floorplan, cfg: &ThermalConfig) -> Self {
-        fp.validate().expect("floorplan must validate");
-        cfg.validate().expect("thermal config must validate");
-
-        let n = fp.len();
-        let total = 2 * n + 1;
-        let sink = 2 * n;
-        let mut g = Matrix::zeros(total, total);
-        let mut c = vec![0.0; total];
-        let mut g_amb = vec![0.0; total];
-        let mut names = Vec::with_capacity(total);
-
-        for b in fp.blocks() {
-            names.push(b.name().to_string());
-        }
-        for b in fp.blocks() {
-            names.push(format!("{}_sp", b.name()));
-        }
-        names.push("SINK".to_string());
-
-        // Capacities.
-        for (i, b) in fp.blocks().iter().enumerate() {
-            c[i] = cfg.cv_si * b.area() * cfg.t_si;
-            c[n + i] = cfg.cv_cu * b.area() * cfg.t_spreader;
-        }
-        c[sink] = cfg.sink_capacitance;
-
-        let couple = |g: &mut Matrix, a: usize, b: usize, cond: f64| {
-            g[(a, a)] += cond;
-            g[(b, b)] += cond;
-            g[(a, b)] -= cond;
-            g[(b, a)] -= cond;
-        };
-
-        // Lateral conductances in silicon and spreader layers.
-        for adj in adjacency::adjacencies(fp) {
-            let g_si = cfg.k_si * cfg.t_si * adj.shared_edge / adj.center_distance;
-            couple(&mut g, adj.a, adj.b, g_si);
-            let g_sp = cfg.k_cu * cfg.t_spreader * adj.shared_edge / adj.center_distance;
-            couple(&mut g, n + adj.a, n + adj.b, g_sp);
-        }
-
-        // Vertical paths: silicon → spreader (TIM), spreader → sink.
-        for (i, b) in fp.blocks().iter().enumerate() {
-            let g_tim = cfg.tim_conductance_per_area() * b.area();
-            couple(&mut g, i, n + i, g_tim);
-            let g_ss = cfg.spreader_sink_conductance_per_area() * b.area();
-            couple(&mut g, n + i, sink, g_ss);
-        }
-
-        // Sink → ambient convection.
-        let g_conv = 1.0 / cfg.r_convection;
-        g[(sink, sink)] += g_conv;
-        g_amb[sink] = g_conv;
-
-        // Uncore background power: 30% of the 8x4 W core budget, by area.
-        let core_nodes = fp.core_indices();
-        let mut net = RcNetwork {
-            names,
-            g,
-            c,
-            g_amb,
-            n_blocks: n,
-            core_nodes,
-            uncore_power: vec![0.0; n],
-            ambient_c: cfg.ambient_c,
-        };
-        let core_budget: f64 = 4.0 * net.core_nodes.len() as f64;
-        net.distribute_uncore_power(fp.blocks(), UNCORE_POWER_FRACTION * core_budget);
-        net
+        Self::from_stack(&Stack::single(fp.clone()), cfg)
     }
 
     /// Builds the RC network for a layered die [`Stack`].
     ///
     /// Every block of every layer gets a silicon node (global stack block
     /// order); the heat spreader attaches under the base layer only. Within
-    /// a layer, lateral conductances follow shared edges exactly as in the
-    /// single-layer model, using that layer's material parameters
-    /// ([`ThermalConfig::layer_params`]). Consecutive layers couple through
-    /// their footprint overlap: half of each die's through-thickness
+    /// a layer, lateral conductances follow shared edges, using that
+    /// layer's material parameters ([`ThermalConfig::layer_params`]; layer
+    /// 0 takes the config's silicon fields). Consecutive layers couple
+    /// through their footprint overlap: half of each die's through-thickness
     /// resistance in series with the upper layer's bond interface.
     ///
-    /// A one-layer stack produces exactly the network of
-    /// [`RcNetwork::from_floorplan`].
+    /// Uncore background power is sized as [`UNCORE_POWER_FRACTION`] of the
+    /// total core budget at 4 W per core and spread over non-core blocks
+    /// proportionally to area; use [`RcNetwork::set_uncore_power_budget`] to
+    /// change it.
     ///
     /// # Panics
     ///
@@ -174,15 +101,6 @@ impl RcNetwork {
         let mut g = Matrix::zeros(total, total);
         let mut c = vec![0.0; total];
         let mut g_amb = vec![0.0; total];
-        let mut names = Vec::with_capacity(total);
-
-        for b in stack.blocks() {
-            names.push(b.name().to_string());
-        }
-        for b in base.blocks() {
-            names.push(format!("{}_sp", b.name()));
-        }
-        names.push("SINK".to_string());
 
         // Capacities: each die uses its own layer material; the spreader
         // footprint exists only under the base die.
@@ -246,7 +164,6 @@ impl RcNetwork {
 
         let core_nodes = stack.core_indices();
         let mut net = RcNetwork {
-            names,
             g,
             c,
             g_amb,
@@ -256,18 +173,19 @@ impl RcNetwork {
             ambient_c: cfg.ambient_c,
         };
         let core_budget: f64 = 4.0 * net.core_nodes.len() as f64;
-        let blocks: Vec<Block> = stack.blocks().cloned().collect();
-        net.distribute_uncore_power(&blocks, UNCORE_POWER_FRACTION * core_budget);
+        net.set_uncore_power_budget(stack, UNCORE_POWER_FRACTION * core_budget);
         net
     }
 
-    fn distribute_uncore_power(&mut self, blocks: &[Block], budget: f64) {
-        let uncore_area: f64 = blocks
-            .iter()
+    /// Re-sizes the uncore background power budget (W, spread by area over
+    /// every non-core block of every layer).
+    pub fn set_uncore_power_budget(&mut self, stack: &Stack, budget: f64) {
+        let uncore_area: f64 = stack
+            .blocks()
             .filter(|b| !b.is_core())
             .map(|b| b.area())
             .sum();
-        for (i, b) in blocks.iter().enumerate() {
+        for (i, b) in stack.blocks().enumerate() {
             self.uncore_power[i] = if b.is_core() || uncore_area == 0.0 {
                 0.0
             } else {
@@ -289,20 +207,7 @@ impl RcNetwork {
         }
     }
 
-    /// Re-sizes the uncore background power budget (W, spread by area).
-    pub fn set_uncore_power_budget(&mut self, fp: &Floorplan, budget: f64) {
-        self.distribute_uncore_power(fp.blocks(), budget);
-    }
-
-    /// Re-sizes the uncore background power budget for a stacked network
-    /// (W, spread by area over every non-core block of every layer).
-    pub fn set_uncore_power_budget_stack(&mut self, stack: &Stack, budget: f64) {
-        let blocks: Vec<Block> = stack.blocks().cloned().collect();
-        self.distribute_uncore_power(&blocks, budget);
-    }
-
-    /// Total number of thermal nodes (`2N + 1` single-layer, `N + N₀ + 1`
-    /// for a stack).
+    /// Total number of thermal nodes (`N + N₀ + 1`, see the node layout).
     pub fn num_nodes(&self) -> usize {
         self.c.len()
     }
@@ -315,11 +220,6 @@ impl RcNetwork {
     /// Silicon node indices of the processing cores.
     pub fn core_nodes(&self) -> &[usize] {
         &self.core_nodes
-    }
-
-    /// Node name by index.
-    pub fn node_name(&self, i: usize) -> &str {
-        &self.names[i]
     }
 
     /// Ambient temperature, °C.
@@ -525,27 +425,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn single_layer_stack_matches_floorplan_network() {
-        use protemp_floorplan::Stack;
-        let cfg = ThermalConfig::default();
-        let flat = RcNetwork::from_floorplan(&niagara8(), &cfg);
-        let stacked = RcNetwork::from_stack(&Stack::single(niagara8()), &cfg);
-        assert_eq!(flat.num_nodes(), stacked.num_nodes());
-        assert_eq!(flat.core_nodes(), stacked.core_nodes());
-        for r in 0..flat.num_nodes() {
-            assert_eq!(flat.capacitance()[r], stacked.capacitance()[r], "c[{r}]");
-            for c in 0..flat.num_nodes() {
-                assert_eq!(
-                    flat.conductance()[(r, c)],
-                    stacked.conductance()[(r, c)],
-                    "g[({r},{c})]"
-                );
-            }
-        }
-        assert_eq!(flat.uncore_power(), stacked.uncore_power());
     }
 
     #[test]

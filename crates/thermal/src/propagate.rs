@@ -176,7 +176,7 @@ impl AffineReach {
 mod tests {
     use super::*;
     use crate::{IntegrationMethod, ThermalConfig};
-    use protemp_floorplan::niagara::niagara8;
+    use protemp_floorplan::{niagara::niagara8, Stack};
 
     fn setup() -> (RcNetwork, DiscreteModel) {
         let net = RcNetwork::from_floorplan(&niagara8(), &ThermalConfig::default());
@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn offsets_are_pure_cooling_when_uncore_zero() {
         let (mut net, _) = setup();
-        net.set_uncore_power_budget(&niagara8(), 0.0);
+        net.set_uncore_power_budget(&Stack::single(niagara8()), 0.0);
         let model = DiscreteModel::new(&net, 0.4e-3, IntegrationMethod::ForwardEuler).unwrap();
         let reach = AffineReach::new(&net, &model, 30).unwrap();
         let offs = reach.offsets(&net.uniform_state(90.0));

@@ -2,7 +2,7 @@
 //! (the HotSpot block-vs-grid comparison): refining the floorplan must not
 //! change the physics, only the spatial resolution.
 
-use protemp_floorplan::{niagara::niagara8, Floorplan};
+use protemp_floorplan::{niagara::niagara8, Floorplan, Stack};
 use protemp_thermal::{stability_limit, RcNetwork, ThermalConfig};
 
 /// Builds the block-power vector for a refined floorplan by splitting each
@@ -34,7 +34,7 @@ fn refined_steady_state_matches_block_model() {
     let mut net_f = RcNetwork::from_floorplan(&fine, &cfg);
     // Align the uncore budget (it is block-count independent, but the
     // by-area split must match the refined geometry).
-    net_f.set_uncore_power_budget(&fine, 9.6);
+    net_f.set_uncore_power_budget(&Stack::single(fine.clone()), 9.6);
 
     let p_coarse = net_c.full_power_vector(3.0);
     let p_fine = refined_powers(&coarse, &fine, &p_coarse);

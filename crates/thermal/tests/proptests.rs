@@ -2,7 +2,7 @@
 //! must hold for any power assignment.
 
 use proptest::prelude::*;
-use protemp_floorplan::niagara::niagara8;
+use protemp_floorplan::{niagara::niagara8, Stack};
 use protemp_thermal::{
     stability_limit, AffineReach, DiscreteModel, IntegrationMethod, RcNetwork, ThermalConfig,
 };
@@ -42,7 +42,7 @@ proptest! {
     #[test]
     fn steady_state_superposition(p1 in core_powers(), p2 in core_powers()) {
         let mut net = net();
-        net.set_uncore_power_budget(&niagara8(), 0.0);
+        net.set_uncore_power_budget(&Stack::single(niagara8()), 0.0);
         let amb = net.ambient_c();
         let mk = |p: &[f64], net: &RcNetwork| {
             let mut blocks = vec![0.0; net.num_blocks()];
