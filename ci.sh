@@ -35,12 +35,13 @@ cargo test -q
 
 # The bit-identity pins on the code the benchmark measures: the row-kernel
 # proptests (span-aware kernels vs the dense reference), the
-# counting-allocator tests (the solver's and the thermal step's) and both
-# golden pin sets, built with the release profile (no debug assertions,
-# full optimization) instead of the test profile above.
+# counting-allocator tests (the solver's, the thermal step's and the
+# simulator loop's) and both golden pin sets, built with the release
+# profile (no debug assertions, full optimization) instead of the test
+# profile above.
 if [[ "$quick" != "quick" ]]; then
-    echo "==> cargo test --release (linalg, cvx, thermal, core golden pins)"
-    cargo test --release -q -p protemp-linalg -p protemp-cvx -p protemp-thermal
+    echo "==> cargo test --release (linalg, cvx, thermal, sim, core golden pins)"
+    cargo test --release -q -p protemp-linalg -p protemp-cvx -p protemp-thermal -p protemp-sim
     cargo test --release -q -p protemp --test golden
 fi
 

@@ -11,7 +11,6 @@
 pub mod figures;
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use protemp::prelude::*;
@@ -388,15 +387,14 @@ pub fn run_policy(
     run_simulation(&platform(), trace, policy, assign, &cfg).expect("simulation")
 }
 
-/// Writes rows to `results/<name>.csv` with a header line.
+/// Writes rows to `results/<name>` with a header line, in one write.
 pub fn write_csv(name: &str, header: &str, rows: &[String]) {
-    let path = results_dir().join(name);
-    let mut f = fs::File::create(&path).expect("create csv");
-    writeln!(f, "{header}").expect("write");
+    let mut text = format!("{header}\n");
     for r in rows {
-        writeln!(f, "{r}").expect("write");
+        text.push_str(r);
+        text.push('\n');
     }
-    println!("wrote {}", path.display());
+    write_text(name, text);
 }
 
 /// Writes a complete text artifact (e.g. a JSON record) to

@@ -94,28 +94,6 @@ impl CertPool {
     }
 }
 
-/// Legacy blend factor pulling a boundary-degenerate warm-start point a
-/// hair toward the strictly interior heuristic seed, used when
-/// [`SolverOptions::reentry_pullback`] is `0`. A neighbouring optimum can
-/// sit machine-epsilon-close to a degenerate constraint face (the pairwise
-/// gradient rows at low targets do this, with slacks down at `1e-17`),
-/// where the log barrier is numerically hopeless and every warm link
-/// stalls into a cold climb. The blend lifts those slacks into real `f64`
-/// territory while staying close to the optimum. Constraint concavity
-/// guarantees the blend of two feasible points stays feasible. Healthy
-/// warm points (slacks around `1/t_final`) are passed through untouched —
-/// blending those would only force a pointless partial re-climb.
-///
-/// The default *stall-proof re-entry* blends harder
-/// (`reentry_pullback = 1e-3` toward the interior heuristic, an
-/// analytic-center estimate): the hair's-breadth blend lifts a `1e-17`
-/// slack only to ~`1e-9` of the heuristic's clearance, still inside the
-/// numerically hopeless zone, which is why the 100–300 MHz columns' warm
-/// chains kept dying (ROADMAP item). The decision is a pure function of
-/// the seed and the target cell's own rows, so incremental replays (which
-/// carry seeds but no solver state) reproduce it exactly.
-const WARM_PULLBACK: f64 = 1e-7;
-
 /// Worst-slack threshold below which a warm-start point counts as
 /// degenerate and gets the re-entry blend.
 const WARM_DEGENERATE_SLACK: f64 = 1e-12;
@@ -130,9 +108,24 @@ struct PreparedSeed {
 
 /// Shared warm-seed preparation for the one-shot and family solve paths:
 /// measures the seed's worst slack against the target cell's own rows and
-/// applies the re-entry blend toward the interior heuristic when the seed
-/// is boundary-degenerate. Pure function of `(view, x0, options)` — the
+/// applies the stall-proof re-entry blend when the seed is
+/// boundary-degenerate. Pure function of `(view, x0, options)` — the
 /// replay-safety contract.
+///
+/// A neighbouring optimum can sit machine-epsilon-close to a degenerate
+/// constraint face (the pairwise gradient rows at low targets do this,
+/// with slacks down at `1e-17`), where the log barrier is numerically
+/// hopeless and every warm link stalls into a cold climb. The blend pulls
+/// such a seed [`SolverOptions::reentry_pullback`] (default `1e-3`) of the
+/// way toward the strictly interior heuristic seed, an analytic-center
+/// estimate, lifting those slacks into real `f64` territory while staying
+/// close to the optimum; a hair's-breadth blend of `1e-7` would lift a
+/// `1e-17` slack only to ~`1e-9` of the heuristic's clearance, still
+/// inside the hopeless zone, and the 100–300 MHz columns' warm chains
+/// would keep dying. Constraint concavity guarantees the blend of two
+/// feasible points stays feasible. Healthy warm points (slacks around
+/// `1/t_final`) are passed through untouched — blending those would only
+/// force a pointless partial re-climb.
 fn prepare_warm_seed(
     view: ProblemView<'_>,
     platform: &Platform,
@@ -143,17 +136,13 @@ fn prepare_warm_seed(
 ) -> PreparedSeed {
     if view.max_violation(x0) > -WARM_DEGENERATE_SLACK {
         let h = heuristic_start(platform, cfg, ftarget_hz);
-        let (alpha, reentry) = if opts.reentry_pullback > 0.0 {
-            (opts.reentry_pullback, true)
-        } else {
-            (WARM_PULLBACK, false)
-        };
+        let alpha = opts.reentry_pullback;
         let x = x0
             .iter()
             .zip(&h)
             .map(|(&a, &b)| a + alpha * (b - a))
             .collect();
-        PreparedSeed { x, reentry }
+        PreparedSeed { x, reentry: true }
     } else {
         PreparedSeed {
             x: x0.to_vec(),
@@ -615,12 +604,6 @@ impl<'a> PointSolver<'a> {
         }
     }
 
-    /// The context this solver works against (the full `'a` borrow, so
-    /// callers can keep it across mutable uses of the solver).
-    pub fn context(&self) -> &'a AssignmentContext {
-        self.ctx
-    }
-
     /// Enables or disables certificate screening for subsequent solves.
     pub fn set_screening(&mut self, on: bool) {
         self.screening = on;
@@ -668,9 +651,10 @@ impl<'a> PointSolver<'a> {
     }
 
     /// Checks the prepared point against the pooled certificates only (no
-    /// solve): `true` means certified infeasible. Updates the MRU order on
-    /// a hit. Useful to kill a cell before paying for warm-start
-    /// continuation hops toward it.
+    /// solve): `true` means certified infeasible. The pool holds the
+    /// certificates this solver minted and any preloaded from a prior
+    /// build; a hit updates its MRU order. Useful to kill a cell before
+    /// paying for warm-start continuation hops toward it.
     ///
     /// # Panics
     ///
@@ -682,22 +666,6 @@ impl<'a> PointSolver<'a> {
         }
         self.pool
             .screen_view(self.solver.family().view_with(&self.rhs))
-    }
-
-    /// Checks the point against the pooled certificates only (no solve):
-    /// `true` means certified infeasible. The pool holds the certificates
-    /// this solver minted and any preloaded from a prior build.
-    ///
-    /// # Errors
-    ///
-    /// Never fails today; `Result` for signature stability with the solve
-    /// path.
-    pub fn screen_infeasible(&mut self, tstart_c: f64, ftarget_hz: f64) -> Result<bool> {
-        if !self.screening || self.pool.is_empty() {
-            return Ok(false);
-        }
-        self.prepare(tstart_c, ftarget_hz);
-        Ok(self.screen_current())
     }
 
     /// Solves one design point, optionally warm-starting from the raw

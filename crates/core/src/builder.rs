@@ -30,7 +30,8 @@ pub struct BuildStats {
     pub solved_points: usize,
     /// Number of feasible points.
     pub feasible: usize,
-    /// Total wall-clock build time, seconds.
+    /// Total wall-clock build time, seconds. Excludes the one-time family
+    /// build, which `family_build_s` reports.
     pub total_s: f64,
     /// Mean solve time per point, seconds.
     pub mean_point_s: f64,
@@ -358,6 +359,11 @@ impl TableBuilder {
             self.ftargets_hz.windows(2).all(|w| w[0] < w[1]),
             "frequency grid must be strictly ascending"
         );
+        // Build the sweep-shared family before the clock starts and the
+        // workers spawn, so its one-time cost is reported once, as
+        // `family_build_s`, instead of inside `total_s` or one worker's
+        // first cell.
+        let family_build_s = ctx.family().build_seconds();
         let start = Instant::now();
         let rows = self.tstarts_c.len();
         let cols = self.ftargets_hz.len();
@@ -372,10 +378,6 @@ impl TableBuilder {
         // and never cross a chunk.
         let cols_per_chunk = cols.div_ceil(workers.max(1)).max(1);
         let col_chunks: Vec<&[f64]> = self.ftargets_hz.chunks(cols_per_chunk).collect();
-        // Build the sweep-shared family before the workers spawn so its
-        // one-time cost is visible as `family_build_s` instead of hiding
-        // inside one worker's first cell.
-        let family_build_s = ctx.family().build_seconds();
         let chunk_outcomes: Vec<ChunkResult> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(col_chunks.len());
             for chunk in &col_chunks {

@@ -71,7 +71,8 @@ proptest! {
         // simply don't exercise the property.
         if first.solution.is_none() && solver.certificate_count() > 0 {
             let (t2, f2) = (t1 + dt, (f1 + df) * 1e9);
-            if solver.screen_infeasible(t2, f2).unwrap() {
+            solver.prepare(t2, f2);
+            if solver.screen_current() {
                 let mut confirm = PointSolver::new(&ctx);
                 let full = confirm.solve_point(t2, f2, None).unwrap();
                 prop_assert!(

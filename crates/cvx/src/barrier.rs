@@ -1,12 +1,54 @@
-use std::sync::Arc;
+//! The two-phase log-barrier interior-point engine behind every solve.
+//!
+//! Phase I minimizes the worst constraint violation to find a strictly
+//! feasible point (or certify infeasibility); phase II follows the central
+//! path `minimize t·f₀(x) − Σ log(−fᵢ(x))` with damped Newton centering
+//! steps, multiplying `t` by `µ` between centerings until the duality-gap
+//! bound `m/t` meets the tolerance. Equality constraints are eliminated
+//! up-front by a QR nullspace parametrization, so every Newton system is
+//! symmetric positive definite and solved by Cholesky.
+//!
+//! This is the algorithm of Boyd & Vandenberghe, *Convex Optimization*,
+//! chapter 11 — the paper's reference \[25\]. The engine is a set of free
+//! functions over a [`crate::ProblemFamily`]'s storage and one cell's
+//! right-hand sides; [`crate::FamilySolver`] is their only caller. A warm
+//! start ([`crate::CellSeed::Warm`]) enters phase II directly from a
+//! neighbouring optimum, skipping phase I — the Phase-1 table sweep and
+//! the MPC windows both re-solve this way.
+//!
+//! # Row reduction
+//!
+//! With [`SolverOptions::row_reduction`] on (the default), linear
+//! inequality rows that another retained row provably implies over the
+//! variable box are pruned before phase I (see the `reduce` module docs
+//! for the certificate). The pruned system has exactly the same feasible
+//! set, so feasibility verdicts are identical by construction and optima
+//! agree within the solver tolerance; what changes is `m` — the duality
+//! gap `m/t`, the Newton assembly cost and, decisively, the
+//! near-degenerate active sets that redundant row families create. The
+//! full packed row matrix is kept and the KKT assembly runs over the
+//! surviving subset through the row-view linalg kernels, so no reduced
+//! copy is materialized. Systems with equality constraints skip the pass
+//! (their projected rows lose the box structure).
+//!
+//! # Infeasibility certificates
+//!
+//! When phase I fails, the engine extracts Farkas-style certificate
+//! material from the final centered iterate; the family solver verifies
+//! it against the cell and attaches the [`Certificate`] to the returned
+//! [`crate::Solution`]. Sweeps feed these to [`Certificate::certifies`]
+//! to reject neighbouring design points with one matvec instead of a
+//! fresh phase-I run. Phase I itself stops as soon as its duality bound
+//! proves no sufficiently feasible point exists, instead of polishing an
+//! infeasibility verdict it already knows — and when that early verdict
+//! leaves multipliers too rough to verify, a bounded *polish* continuation
+//! ([`SolverOptions::polish_budget`]) climbs until the Farkas check
+//! passes, so thin-frontier cells still mint a transferable certificate.
 
 use protemp_linalg::{vecops, Matrix, Qr, RowSpan};
 
 use crate::scratch::{DimScratch, SolverScratch};
-use crate::{
-    CellSeed, CertScratch, Certificate, CvxError, FamilySolver, Problem, ProblemFamily,
-    QuadConstraint, Result, Solution, SolverOptions,
-};
+use crate::{CertScratch, Certificate, CvxError, Problem, QuadConstraint, Result, SolverOptions};
 
 /// Newton-step budget for the speculative warm-start attempt: enough for a
 /// genuine warm start (a few steps to re-center, then the gap check), small
@@ -33,92 +75,6 @@ const PLATEAU_IMPROVE: f64 = 0.7;
 /// reported duality gap is honest to that accuracy. A run stalling *above*
 /// this is reported as `MaxIterations`, not `Optimal`.
 const LOOSE_CENTER_TOL: f64 = 1e-2;
-
-/// Two-phase log-barrier interior-point solver.
-///
-/// Phase I minimizes the worst constraint violation to find a strictly
-/// feasible point (or certify infeasibility); phase II follows the central
-/// path `minimize t·f₀(x) − Σ log(−fᵢ(x))` with damped Newton centering
-/// steps, multiplying `t` by `µ` between centerings until the duality-gap
-/// bound `m/t` meets the tolerance. Equality constraints are eliminated
-/// up-front by a QR nullspace parametrization, so every Newton system is
-/// symmetric positive definite and solved by Cholesky.
-///
-/// This is the algorithm of Boyd & Vandenberghe, *Convex Optimization*,
-/// chapter 11 — the paper's reference \[25\].
-///
-/// # One front-end: a one-cell family
-///
-/// The solver holds its options and one [`FamilySolver`] over a one-cell
-/// [`ProblemFamily`]. Every method hands the problem's linear right-hand
-/// sides to that family solver and returns a copy of its answer — the
-/// out-of-place API over the in-place one. The family is built from the
-/// first problem the solver is handed and reused while later problems
-/// differ from it only in those right-hand sides
-/// ([`ProblemFamily::matches`]): the packed rows, the row-reduction
-/// analysis, the equality QR, the phase-I augmented system and every
-/// Newton buffer carry over, so such solves perform no per-iteration heap
-/// allocation after the first. Any other change rebuilds the family.
-///
-/// [`BarrierSolver::solve_warm`] starts phase II directly from a supplied
-/// strictly-feasible point, skipping phase I — the Phase-1 table sweep and
-/// the MPC-style online controller both re-solve from a neighbouring
-/// optimum this way. For *sweeps*, hold a [`ProblemFamily`] and
-/// [`FamilySolver`] directly: cells are then handed over as right-hand
-/// sides, with no per-cell [`Problem`] and no membership check.
-///
-/// # Row reduction
-///
-/// With [`SolverOptions::row_reduction`] on (the default), linear
-/// inequality rows that another retained row provably implies over the
-/// variable box are pruned before phase I (see the `reduce` module docs
-/// for the certificate). The pruned system has exactly the same feasible
-/// set, so feasibility verdicts are identical by construction and optima
-/// agree within the solver tolerance; what changes is `m` — the duality
-/// gap `m/t`, the Newton assembly cost and, decisively, the
-/// near-degenerate active sets that redundant row families create. The
-/// full packed row matrix is kept and the KKT assembly runs over the
-/// surviving subset through the row-view linalg kernels, so no reduced
-/// copy is materialized. Systems with equality constraints skip the pass
-/// (their projected rows lose the box structure).
-///
-/// # Infeasibility certificates
-///
-/// When phase I fails, the solver extracts a Farkas-style [`Certificate`]
-/// from the final centered iterate and attaches it to the returned
-/// [`Solution`] (after verifying it against the problem). Sweeps feed these
-/// to [`Certificate::certifies`] to reject neighbouring design points with
-/// one matvec instead of a fresh phase-I run. Phase I itself stops as soon
-/// as its duality bound proves no sufficiently feasible point exists,
-/// instead of polishing an infeasibility verdict it already knows — and
-/// when that early verdict leaves multipliers too rough to verify, a
-/// bounded *polish* continuation ([`SolverOptions::polish_budget`]) climbs
-/// until the Farkas check passes, so thin-frontier cells still mint a
-/// transferable certificate.
-///
-/// # Example
-///
-/// ```
-/// use protemp_cvx::{BarrierSolver, Problem, SolverOptions};
-///
-/// // minimize -x - y  s.t. x + y <= 1, 0 <= x, 0 <= y  (optimum -1)
-/// let mut p = Problem::new(2);
-/// p.set_linear_objective(vec![-1.0, -1.0]);
-/// p.add_linear_le(vec![1.0, 1.0], 1.0);
-/// p.add_box(0, 0.0, f64::INFINITY);
-/// p.add_box(1, 0.0, f64::INFINITY);
-/// let sol = BarrierSolver::new(SolverOptions::default()).solve(&p).unwrap();
-/// assert!((sol.objective + 1.0).abs() < 1e-5);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct BarrierSolver {
-    opts: SolverOptions,
-    /// Newton-step budget per solve ([`BarrierSolver::set_tick_budget`]).
-    tick_budget: usize,
-    /// Solver over the one-cell family of the most recent problem; `None`
-    /// until the first solve.
-    cell: Option<FamilySolver>,
-}
 
 /// A tiny free-list of `Vec<f64>` buffers so the solve flow can move
 /// vectors through the barrier runs (which consume and return them) without
@@ -573,8 +529,7 @@ pub(crate) struct Phase1Outcome {
 }
 
 /// Result of a feasibility-only query
-/// ([`BarrierSolver::find_feasible_with`],
-/// [`crate::FamilySolver::find_feasible_cell`]).
+/// ([`crate::FamilySolver::find_feasible_cell`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeasibleOutcome {
     /// A strictly feasible point in the original variable space, or `None`
@@ -1422,148 +1377,6 @@ fn run_barrier(
     }
 }
 
-impl BarrierSolver {
-    /// Creates a solver with the given options.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the options are invalid (programmer error).
-    pub fn new(opts: SolverOptions) -> Self {
-        opts.validate().expect("solver options must validate");
-        BarrierSolver {
-            opts,
-            tick_budget: 0,
-            cell: None,
-        }
-    }
-
-    /// The options this solver runs with.
-    pub fn options(&self) -> &SolverOptions {
-        &self.opts
-    }
-
-    /// Sets the deterministic Newton-step budget of every later solve
-    /// (see [`FamilySolver::set_tick_budget`]); `0` disables it (the
-    /// default).
-    pub fn set_tick_budget(&mut self, budget: usize) {
-        self.tick_budget = budget;
-        if let Some(cell) = self.cell.as_mut() {
-            cell.set_tick_budget(budget);
-        }
-    }
-
-    /// Solves a [`Problem`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Problem::solve`].
-    pub fn solve(&mut self, prob: &Problem) -> Result<Solution> {
-        self.solve_with_start(prob, None)
-    }
-
-    /// Solves a [`Problem`] warm: phase II starts from `x0` when it is
-    /// strictly feasible (skipping phase I entirely), and phase I itself
-    /// starts near `x0` otherwise. Neighbouring Phase-1 grid points and
-    /// consecutive MPC windows have nearby optima, which typically cuts the
-    /// Newton-step count by an integer factor versus a cold solve.
-    ///
-    /// The result is within solver tolerance of the cold-start optimum, not
-    /// bit-identical to it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Problem::solve`]; also [`CvxError::NotFinite`] when `x0` holds
-    /// a non-finite value, before any Newton step.
-    pub fn solve_warm(&mut self, prob: &Problem, x0: &[f64]) -> Result<Solution> {
-        self.solve_with_start(prob, Some(x0))
-    }
-
-    /// Solves a [`Problem`], optionally warm-starting from `x0`
-    /// (see [`BarrierSolver::solve_warm`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Problem::solve`]; also [`CvxError::NotFinite`] when `x0` holds
-    /// a non-finite value, before any Newton step.
-    pub fn solve_with_start(&mut self, prob: &Problem, x0: Option<&[f64]>) -> Result<Solution> {
-        let seed = match x0 {
-            Some(x0) => CellSeed::Warm(x0),
-            None => CellSeed::None,
-        };
-        self.cell_solver(prob)?
-            .solve_cell(prob.lin_rhs(), seed)
-            .cloned()
-    }
-
-    /// Solves a [`Problem`] from a *seed* point: `x0` becomes the phase-II
-    /// start (or the phase-I seed when infeasible) but the central-path
-    /// climb still begins at the configured `t₀`.
-    ///
-    /// Use this for heuristic starting points that are merely good
-    /// geometry; use [`BarrierSolver::solve_warm`] for points that are
-    /// near-optimal for a neighbouring problem, where re-entering the path
-    /// at the matching barrier parameter is the whole point.
-    ///
-    /// # Errors
-    ///
-    /// See [`Problem::solve`]; also [`CvxError::NotFinite`] when `x0` holds
-    /// a non-finite value, before any Newton step.
-    pub fn solve_seeded(&mut self, prob: &Problem, x0: &[f64]) -> Result<Solution> {
-        self.cell_solver(prob)?
-            .solve_cell(prob.lin_rhs(), CellSeed::Seeded(x0))
-            .cloned()
-    }
-
-    /// Runs phase I only: returns a strictly feasible point for the
-    /// problem's constraints, or `None` when none exists.
-    ///
-    /// This is much cheaper than a full solve. Phase I starts from the
-    /// origin, so a razor-thin frontier cell that a seeded full solve
-    /// finds feasible can still be reported infeasible.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BarrierSolver::solve`].
-    pub fn find_feasible(&mut self, prob: &Problem) -> Result<Option<Vec<f64>>> {
-        Ok(self.find_feasible_with(prob, None)?.point)
-    }
-
-    /// As [`BarrierSolver::find_feasible`], but optionally seeds phase I
-    /// from `seed` (a feasible point of a neighbouring problem is excellent
-    /// geometry even when it violates the new constraints slightly), and
-    /// reports the Newton cost plus a verified infeasibility
-    /// [`Certificate`] when the problem has none.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BarrierSolver::solve`]; also
-    /// [`CvxError::NotFinite`] when `seed` holds a non-finite value, before
-    /// any Newton step.
-    pub fn find_feasible_with(
-        &mut self,
-        prob: &Problem,
-        seed: Option<&[f64]>,
-    ) -> Result<FeasibleOutcome> {
-        self.cell_solver(prob)?
-            .find_feasible_cell(prob.lin_rhs(), seed)
-            .cloned()
-    }
-
-    /// The cached solver over a one-cell family that `prob` belongs to,
-    /// rebuilding the family from `prob` when it does not belong to the
-    /// cached one.
-    fn cell_solver(&mut self, prob: &Problem) -> Result<&mut FamilySolver> {
-        prob.validate()?;
-        if !self.cell.as_ref().is_some_and(|c| c.family().matches(prob)) {
-            let family = ProblemFamily::new(prob.clone(), &self.opts)?;
-            let mut cell = FamilySolver::new(Arc::new(family), self.opts);
-            cell.set_tick_budget(self.tick_budget);
-            self.cell = Some(cell);
-        }
-        Ok(self.cell.as_mut().expect("built above when missing"))
-    }
-}
-
 /// Computes a particular solution and nullspace basis for the equality
 /// system `A x = b`, returning `(x_p, None)` with `x_p = 0` when there
 /// are no equalities. [`ProblemFamily::new`] calls this once per family.
@@ -1890,13 +1703,22 @@ pub(crate) fn project_problem(prob: &Problem, x_p: &[f64], f: Option<&Matrix>) -
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::SolveStatus;
+    use crate::{CellSeed, FamilySolver, ProblemFamily, Solution, SolveStatus};
 
     fn solve(p: &Problem) -> Solution {
-        BarrierSolver::new(SolverOptions::default())
-            .solve(p)
-            .unwrap()
+        p.solve(&SolverOptions::default()).unwrap()
+    }
+
+    /// A solver over `p`'s one-cell family, solving `p` at `p.lin_rhs()`.
+    fn cell_solver(p: &Problem) -> FamilySolver {
+        let opts = SolverOptions::default();
+        FamilySolver::new(
+            Arc::new(ProblemFamily::new(p.clone(), &opts).unwrap()),
+            opts,
+        )
     }
 
     #[test]
@@ -1984,9 +1806,9 @@ mod tests {
         p.add_box(0, 0.0, 2.0);
         p.add_box(1, 0.0, f64::INFINITY);
         let budget = 5;
-        let mut solver = BarrierSolver::new(SolverOptions::default());
+        let mut solver = cell_solver(&p);
         solver.set_tick_budget(budget);
-        let s = solver.solve(&p).unwrap();
+        let s = solver.solve_cell(p.lin_rhs(), CellSeed::None).unwrap();
         assert!(s.newton_steps <= budget, "bill {} > budget", s.newton_steps);
         if s.status == SolveStatus::Budgeted && !s.x.is_empty() {
             // Truncated mid-centering: the iterate must satisfy every
@@ -2013,9 +1835,9 @@ mod tests {
         p.add_linear_le(vec![-1.0, -1.0], -3.9);
         p.add_box(0, 0.0, 4.0);
         p.add_box(1, 0.0, 4.0);
-        let mut solver = BarrierSolver::new(SolverOptions::default());
+        let mut solver = cell_solver(&p);
         solver.set_tick_budget(1);
-        let s = solver.solve(&p).unwrap();
+        let s = solver.solve_cell(p.lin_rhs(), CellSeed::None).unwrap();
         assert_ne!(s.status, SolveStatus::Infeasible);
         assert!(s.newton_steps <= 1);
         assert!(s.certificate.is_none());
@@ -2030,12 +1852,10 @@ mod tests {
         p.add_linear_le(vec![1.0, 1.0], 2.0);
         p.add_box(0, -5.0, 5.0);
         p.add_box(1, -5.0, 5.0);
-        let plain = BarrierSolver::new(SolverOptions::default())
-            .solve(&p)
-            .unwrap();
-        let mut solver = BarrierSolver::new(SolverOptions::default());
+        let plain = solve(&p);
+        let mut solver = cell_solver(&p);
         solver.set_tick_budget(1_000_000);
-        let budgeted = solver.solve(&p).unwrap();
+        let budgeted = solver.solve_cell(p.lin_rhs(), CellSeed::None).unwrap();
         assert_eq!(plain.status, budgeted.status);
         assert_eq!(plain.x, budgeted.x);
         assert_eq!(plain.newton_steps, budgeted.newton_steps);
@@ -2043,13 +1863,15 @@ mod tests {
     }
 
     #[test]
-    fn find_feasible_with_reports_certificate_and_seed_shortcut() {
+    fn find_feasible_cell_reports_certificate_and_seed_shortcut() {
         let mut p = Problem::new(1);
         p.set_linear_objective(vec![1.0]);
         p.add_linear_le(vec![1.0], 0.0);
         p.add_linear_le(vec![-1.0], -1.0);
-        let mut solver = BarrierSolver::new(SolverOptions::default());
-        let out = solver.find_feasible_with(&p, None).unwrap();
+        let out = cell_solver(&p)
+            .find_feasible_cell(p.lin_rhs(), None)
+            .cloned()
+            .unwrap();
         assert!(out.point.is_none());
         assert!(out.newton_steps > 0);
         assert!(out.certificate.is_some());
@@ -2059,7 +1881,10 @@ mod tests {
         let mut q = Problem::new(1);
         q.set_linear_objective(vec![1.0]);
         q.add_box(0, 0.0, 10.0);
-        let out = solver.find_feasible_with(&q, Some(&[5.0])).unwrap();
+        let mut solver = cell_solver(&q);
+        let out = solver
+            .find_feasible_cell(q.lin_rhs(), Some(&[5.0]))
+            .unwrap();
         assert_eq!(out.newton_steps, 0);
         assert!(out.point.is_some());
     }
@@ -2090,28 +1915,23 @@ mod tests {
 
     #[test]
     fn equality_reduction_cache_reused_across_rhs() {
-        // Same equality rows, different right-hand sides: one solver must
-        // re-project correctly for each (an equality rhs change rebuilds
-        // the cached one-cell family).
-        let mut solver = BarrierSolver::new(SolverOptions::default());
+        // minimize x² + y² s.t. x = y, x + y ≥ target → (target/2,
+        // target/2). One family's equality QR serves every cell: the
+        // solver re-projects each cell's rhs through the same particular
+        // solution and nullspace basis.
+        let mut p = Problem::new(2);
+        p.set_quadratic_objective(Matrix::from_diag(&[2.0, 2.0]), vec![0.0, 0.0]);
+        p.add_eq(vec![1.0, -1.0], 0.0);
+        p.add_linear_le(vec![-1.0, -1.0], -1.0);
+        let mut solver = cell_solver(&p);
         for target in [1.0, 2.0, 3.0] {
-            let mut p = Problem::new(2);
-            p.set_quadratic_objective(Matrix::from_diag(&[2.0, 2.0]), vec![0.0, 0.0]);
-            p.add_eq(vec![1.0, 1.0], target);
-            let s = solver.solve(&p).unwrap();
+            let s = solver.solve_cell(&[-target], CellSeed::None).unwrap();
             assert!(
-                (s.x[0] - target / 2.0).abs() < 1e-6,
+                (s.x[0] - target / 2.0).abs() < 1e-4 && (s.x[1] - target / 2.0).abs() < 1e-4,
                 "target {target}: got {:?}",
                 s.x
             );
         }
-        // A different equality structure rebuilds it too.
-        let mut p = Problem::new(2);
-        p.set_quadratic_objective(Matrix::from_diag(&[2.0, 2.0]), vec![0.0, 0.0]);
-        p.add_eq(vec![1.0, -1.0], 0.0);
-        p.add_linear_le(vec![-1.0, 0.0], -1.0);
-        let s = solver.solve(&p).unwrap();
-        assert!((s.x[0] - 1.0).abs() < 1e-4 && (s.x[1] - 1.0).abs() < 1e-4);
     }
 
     #[test]
@@ -2119,7 +1939,7 @@ mod tests {
         let mut p = Problem::new(1);
         p.add_eq(vec![1.0], 0.0);
         p.add_eq(vec![1.0], 1.0);
-        let err = BarrierSolver::new(SolverOptions::default()).solve(&p);
+        let err = p.solve(&SolverOptions::default());
         assert!(matches!(err, Err(CvxError::InconsistentEqualities)));
     }
 
@@ -2128,8 +1948,10 @@ mod tests {
         let mut p = Problem::new(1);
         p.set_linear_objective(vec![1.0]);
         p.add_box(0, 0.0, 10.0);
-        let mut solver = BarrierSolver::new(SolverOptions::default());
-        let s = solver.solve_with_start(&p, Some(&[5.0])).unwrap();
+        let mut solver = cell_solver(&p);
+        let s = solver
+            .solve_cell(p.lin_rhs(), CellSeed::Warm(&[5.0]))
+            .unwrap();
         assert!(s.x[0].abs() < 1e-4);
     }
 
@@ -2142,9 +1964,14 @@ mod tests {
         p.add_linear_le(vec![1.0, 1.0], 2.0);
         p.add_linear_le(vec![-1.0, 2.0], 2.0);
         p.add_linear_le(vec![2.0, 1.0], 3.0);
-        let mut solver = BarrierSolver::new(SolverOptions::default());
-        let cold = solver.solve(&p).unwrap();
-        let warm = solver.solve_warm(&p, &cold.x).unwrap();
+        let mut solver = cell_solver(&p);
+        let cold = solver
+            .solve_cell(p.lin_rhs(), CellSeed::None)
+            .unwrap()
+            .clone();
+        let warm = solver
+            .solve_cell(p.lin_rhs(), CellSeed::Warm(&cold.x))
+            .unwrap();
         assert!(warm.status.is_optimal());
         assert_eq!(warm.phase1_steps, 0, "warm path skips phase I");
         assert!((warm.x[0] - cold.x[0]).abs() < 1e-4);

@@ -50,7 +50,7 @@ pub(crate) const CERT_REL_TOL: f64 = 1e-9;
 /// tables they pruned and rebuilt by tests; see the module docs for the
 /// mathematical contract. Obtain one from
 /// [`crate::Solution::certificate`] after an infeasible solve, or from
-/// [`crate::BarrierSolver::find_feasible_with`].
+/// [`crate::FamilySolver::find_feasible_cell`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Certificate {
     /// Nonnegative multipliers over the linear inequality rows, in problem

@@ -8,20 +8,19 @@
 //! * [`Problem`] — a canonical convex program: (convex) quadratic objective,
 //!   linear inequality constraints, convex quadratic inequality constraints
 //!   and linear equality constraints.
-//! * [`BarrierSolver`] — a two-phase log-barrier interior-point method
-//!   (Boyd & Vandenberghe, ch. 11): phase I finds a strictly feasible point
-//!   or certifies infeasibility; phase II follows the central path with
-//!   damped Newton steps. Equality constraints are eliminated through a QR
-//!   nullspace parametrization so every Newton system stays symmetric
-//!   positive definite. [`BarrierSolver::solve_warm`] re-enters phase II
-//!   directly from a neighbouring optimum.
-//! * [`ProblemFamily`] / [`FamilySolver`] — the one storage front-end every
-//!   solve runs through. A family derives everything its cells share
-//!   (packed rows, row-reduction analysis, equality QR, phase-I system)
-//!   once; a family solver then solves a cell from its right-hand sides
-//!   alone, with no per-iteration heap allocation after its first solve.
-//!   A [`BarrierSolver`] is a family solver over a one-cell family built
-//!   from the problem it is handed.
+//! * [`ProblemFamily`] / [`FamilySolver`] — the one solver front-end. A
+//!   family derives everything its cells share (packed rows, row-reduction
+//!   analysis, equality QR, phase-I system) once; a family solver then
+//!   solves a cell from its right-hand sides alone, with a two-phase
+//!   log-barrier interior-point method (Boyd & Vandenberghe, ch. 11):
+//!   phase I finds a strictly feasible point or certifies infeasibility;
+//!   phase II follows the central path with damped Newton steps. Equality
+//!   constraints are eliminated through a QR nullspace parametrization so
+//!   every Newton system stays symmetric positive definite. A
+//!   [`CellSeed::Warm`] start re-enters phase II directly from a
+//!   neighbouring optimum, and no iteration allocates after the first
+//!   solve. [`Problem::solve`] is the one-shot form: it builds the
+//!   problem's one-cell family and solves it once.
 //! * [`Certificate`] — Farkas-style infeasibility certificates extracted
 //!   from failed phase-I runs: [`Certificate::certifies`] soundly rejects
 //!   a related problem with one matvec-equivalent pass instead of a
@@ -63,7 +62,7 @@ mod reduce;
 mod scratch;
 mod status;
 
-pub use barrier::{BarrierSolver, FeasibleOutcome};
+pub use barrier::FeasibleOutcome;
 pub use certificate::{check_certificate, CertScratch, Certificate, ProblemView};
 pub use error::CvxError;
 pub use family::{CellSeed, FamilySolver, ProblemFamily};

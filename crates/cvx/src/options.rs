@@ -34,7 +34,7 @@ pub struct SolverOptions {
     /// Strict-feasibility margin required from phase I.
     pub phase1_margin: f64,
     /// Enables the box-grounded row-reduction pass (see
-    /// [`crate::BarrierSolver`]): provably redundant linear inequality rows
+    /// [`crate::ProblemFamily`]): provably redundant linear inequality rows
     /// — rows implied over the variable box by another retained row — are
     /// pruned before phase I. Pruning never changes a feasibility verdict
     /// (the pruned system has exactly the same feasible set) and keeps the
@@ -49,9 +49,9 @@ pub struct SolverOptions {
     /// analytic-center estimate) before re-entering the barrier, lifting
     /// the dead slacks into real `f64` territory so the warm chain
     /// survives instead of poisoning the next cell into a cold climb.
-    /// `0` falls back to the legacy hair's-breadth blend (1e-7). The
-    /// solver core itself does not read this; it lives here so it is part
-    /// of the option fingerprint that keys persisted-artifact reuse.
+    /// Must lie in `(0, 1)`. The solver core itself does not read this; it
+    /// lives here so it is part of the option fingerprint that keys
+    /// persisted-artifact reuse.
     pub reentry_pullback: f64,
     /// Newton-step budget for the certificate *polish* continuation: when
     /// phase I proves infeasibility through the centered duality-gap bound
@@ -114,9 +114,9 @@ impl SolverOptions {
         if !(self.armijo > 0.0 && self.armijo < 0.5) {
             return Err(format!("armijo must be in (0,0.5), got {}", self.armijo));
         }
-        if !(self.reentry_pullback >= 0.0 && self.reentry_pullback < 1.0) {
+        if !(self.reentry_pullback > 0.0 && self.reentry_pullback < 1.0) {
             return Err(format!(
-                "reentry_pullback must be in [0,1), got {}",
+                "reentry_pullback must be in (0,1), got {}",
                 self.reentry_pullback
             ));
         }
@@ -141,5 +141,12 @@ mod tests {
             ..SolverOptions::default()
         };
         assert!(o.validate().is_err());
+        for reentry_pullback in [0.0, -1e-3, 1.0] {
+            let o = SolverOptions {
+                reentry_pullback,
+                ..SolverOptions::default()
+            };
+            assert!(o.validate().is_err(), "reentry_pullback {reentry_pullback}");
+        }
     }
 }

@@ -290,7 +290,11 @@ impl Problem {
         Ok(())
     }
 
-    /// Solves the problem with the barrier interior-point method.
+    /// Solves the problem once with the barrier interior-point method,
+    /// through a [`crate::FamilySolver`] over the problem's one-cell
+    /// [`crate::ProblemFamily`]. To solve many problems that differ only
+    /// in their linear right-hand sides, or to warm-start, hold a family
+    /// and a family solver instead.
     ///
     /// # Errors
     ///
@@ -301,21 +305,15 @@ impl Problem {
     ///
     /// An *infeasible* problem is not an error: it is reported through
     /// [`crate::SolveStatus::Infeasible`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `opts` is invalid (programmer error).
     pub fn solve(&self, opts: &crate::SolverOptions) -> Result<crate::Solution> {
-        crate::BarrierSolver::new(*opts).solve(self)
-    }
-
-    /// Solves warm-started from `x0` (see
-    /// [`crate::BarrierSolver::solve_warm`]). For repeated warm solves,
-    /// hold a [`crate::BarrierSolver`] instead so its one-cell family and
-    /// buffers are reused too.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::solve`]; also [`CvxError::NotFinite`] when `x0`
-    /// holds a non-finite value.
-    pub fn solve_warm(&self, opts: &crate::SolverOptions, x0: &[f64]) -> Result<crate::Solution> {
-        crate::BarrierSolver::new(*opts).solve_warm(self, x0)
+        let family = crate::ProblemFamily::new(self.clone(), opts)?;
+        crate::FamilySolver::new(std::sync::Arc::new(family), *opts)
+            .solve_cell(&self.lin_rhs, crate::CellSeed::None)
+            .cloned()
     }
 }
 

@@ -364,10 +364,11 @@ impl RowReducer {
     /// Selects the surviving linear rows for `rhs` (the cell's right-hand
     /// sides over the analyzed coefficient rows). Returns the ascending
     /// kept indices, or `None` when nothing can be pruned (the common
-    /// small-problem case — the caller keeps its packed fast path).
+    /// small-problem case — the caller keeps its packed fast path) or
+    /// when the reducer has no analysis.
     pub(crate) fn select_rhs(&mut self, rhs: &[f64]) -> Option<&[usize]> {
-        let t0 = Instant::now();
         let analysis = self.analysis.as_ref()?;
+        let t0 = Instant::now();
         let any = analysis.select_into(
             rhs,
             &mut self.lo,

@@ -7,9 +7,9 @@
 //! (tens of thousands of Newton steps per table build). [`SolverScratch`]
 //! owns them instead, keyed by problem dimension, so a
 //! [`crate::FamilySolver`] — and therefore every sweep worker, probe and
-//! one-shot [`crate::BarrierSolver`] — performs **no per-iteration heap
-//! allocation after its first solve** — phase I (dimension `n + 1`) and
-//! phase II (dimension `n`) each keep their own slot.
+//! MPC window — performs **no per-iteration heap allocation after its
+//! first solve** — phase I (dimension `n + 1`) and phase II (dimension
+//! `n`) each keep their own slot.
 
 use protemp_linalg::{Cholesky, Matrix};
 

@@ -1,6 +1,7 @@
-//! Golden-output tests for the one-shot [`BarrierSolver`] surface: every
-//! public solve method must keep reproducing outputs pinned from a
-//! known-good build, bit for bit.
+//! Golden-output tests for the solver front-end: cold, warm, seeded and
+//! budgeted cell solves and feasibility queries, each through a
+//! [`FamilySolver`] over the problem's one-cell [`ProblemFamily`], must
+//! keep reproducing outputs pinned from a known-good build, bit for bit.
 //!
 //! Each digest folds the `Debug` rendering of the returned `Result` with
 //! FNV-1a. `Debug` prints every `f64` in shortest round-trip form, so equal
@@ -9,8 +10,12 @@
 //! identical error variants.
 
 use std::fmt::Debug;
+use std::sync::Arc;
 
-use protemp_cvx::{BarrierSolver, Problem, SolverOptions};
+use protemp_cvx::{
+    CellSeed, FamilySolver, FeasibleOutcome, Problem, ProblemFamily, Result, Solution,
+    SolverOptions,
+};
 use protemp_linalg::Matrix;
 
 /// FNV-1a over the `Debug` renderings of a sequence of results.
@@ -27,6 +32,27 @@ impl Fnv {
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
+}
+
+/// A [`FamilySolver`] over `p`'s one-cell family.
+fn family_solver(opts: SolverOptions, p: &Problem) -> Result<FamilySolver> {
+    let family = ProblemFamily::new(p.clone(), &opts)?;
+    Ok(FamilySolver::new(Arc::new(family), opts))
+}
+
+/// Solves `p` from `seed` under `opts` and a Newton-step budget (`0`:
+/// none).
+fn solve(opts: SolverOptions, budget: usize, p: &Problem, seed: CellSeed<'_>) -> Result<Solution> {
+    let mut solver = family_solver(opts, p)?;
+    solver.set_tick_budget(budget);
+    solver.solve_cell(p.lin_rhs(), seed).cloned()
+}
+
+/// The phase-I-only feasibility query on `p`, optionally seeded.
+fn find(p: &Problem, seed: Option<&[f64]>) -> Result<FeasibleOutcome> {
+    family_solver(SolverOptions::default(), p)?
+        .find_feasible_cell(p.lin_rhs(), seed)
+        .cloned()
 }
 
 /// A cell shaped like the Pro-Temp design points: four boxed variables, a
@@ -97,60 +123,77 @@ fn thin_conflict() -> Problem {
 #[test]
 fn solve_warm_and_seeded_are_pinned() {
     let opts = SolverOptions::default();
-    let mut solver = BarrierSolver::new(opts);
+    let cold = |p: &Problem| solve(opts, 0, p, CellSeed::None);
+    let warm = |p: &Problem, x: &[f64]| solve(opts, 0, p, CellSeed::Warm(x));
     let mut d = Fnv::new();
-    let cold = solver.solve(&cell(-0.5));
-    d.add(&cold);
-    let x = cold.unwrap().x;
-    // Neighbouring cells through the same solver: warm from the previous
-    // optimum, seeded from plain geometry, and no start at all.
-    d.add(&solver.solve_warm(&cell(-1.0), &x));
-    d.add(&solver.solve_seeded(&cell(-2.0), &[0.5; 4]));
-    d.add(&solver.solve_with_start(&cell(-0.25), None));
+    let first = cold(&cell(-0.5));
+    d.add(&first);
+    let x = first.unwrap().x;
+    // Neighbouring cells: warm from the previous optimum, seeded from
+    // plain geometry, and no start at all.
+    d.add(&warm(&cell(-1.0), &x));
+    d.add(&solve(opts, 0, &cell(-2.0), CellSeed::Seeded(&[0.5; 4])));
+    d.add(&cold(&cell(-0.25)));
     // A warm point that violates the cell seeds phase I instead; a
     // wrong-length one is ignored.
-    d.add(&solver.solve_warm(&cell(-0.25), &[9.0; 4]));
-    d.add(&solver.solve_warm(&cell(-0.25), &[1.0; 3]));
-    // Another problem shape through the same solver, then back.
-    let q = solver.solve(&qp());
+    d.add(&warm(&cell(-0.25), &[9.0; 4]));
+    d.add(&warm(&cell(-0.25), &[1.0; 3]));
+    // Another problem shape, then back.
+    let q = cold(&qp());
     d.add(&q);
-    d.add(&solver.solve_warm(&qp(), &q.unwrap().x));
-    d.add(&solver.solve(&cell(-1.5)));
-    // The one-shot conveniences on `Problem`.
+    d.add(&warm(&qp(), &q.unwrap().x));
+    d.add(&cold(&cell(-1.5)));
+    // The one-shot `Problem::solve`, and a warm solve of the same cell.
     d.add(&cell(-1.0).solve(&opts));
-    d.add(&cell(-1.0).solve_warm(&opts, &x));
+    d.add(&warm(&cell(-1.0), &x));
     d.add(&qp().solve(&SolverOptions::fast()));
     assert_eq!(d.0, 0x29b9_d1cb_44f5_6e94, "digest {:#018x}", d.0);
 }
 
 #[test]
 fn equality_constrained_solves_are_pinned() {
-    let mut solver = BarrierSolver::new(SolverOptions::default());
+    let opts = SolverOptions::default();
     let mut d = Fnv::new();
     for target in [0.5, 2.0, 4.5] {
-        let sol = solver.solve(&equality_qp(target));
+        let sol = equality_qp(target).solve(&opts);
         d.add(&sol);
-        d.add(&solver.solve_warm(&equality_qp(target + 0.25), &sol.unwrap().x));
+        let x = sol.unwrap().x;
+        d.add(&solve(
+            opts,
+            0,
+            &equality_qp(target + 0.25),
+            CellSeed::Warm(&x),
+        ));
     }
-    d.add(&solver.solve_seeded(&equality_qp(1.0), &[1.0, 1.0, 1.0, 1.0]));
+    d.add(&solve(
+        opts,
+        0,
+        &equality_qp(1.0),
+        CellSeed::Seeded(&[1.0, 1.0, 1.0, 1.0]),
+    ));
     // Inconsistent equalities are an error, not a verdict.
     let mut bad = equality_qp(1.0);
     bad.add_eq(vec![1.0, -1.0, 0.0, 0.0], 1.0);
-    d.add(&solver.solve(&bad));
-    d.add(&solver.solve(&equality_qp(3.0)));
+    d.add(&bad.solve(&opts));
+    d.add(&equality_qp(3.0).solve(&opts));
     assert_eq!(d.0, 0xcc64_cf20_1e7b_0327, "digest {:#018x}", d.0);
 }
 
 #[test]
 fn infeasible_and_invalid_solves_are_pinned() {
-    let mut solver = BarrierSolver::new(SolverOptions::default());
+    let opts = SolverOptions::default();
     let mut d = Fnv::new();
     // The minted certificate is part of the `Debug` rendering.
-    let s = solver.solve(&infeasible_lp()).unwrap();
+    let s = infeasible_lp().solve(&opts).unwrap();
     assert!(s.certificate.is_some(), "infeasible LP mints a certificate");
     d.add(&s);
-    d.add(&solver.solve_warm(&infeasible_lp(), &[0.5, 0.5]));
-    let polished = solver.solve(&thin_conflict()).unwrap();
+    d.add(&solve(
+        opts,
+        0,
+        &infeasible_lp(),
+        CellSeed::Warm(&[0.5, 0.5]),
+    ));
+    let polished = thin_conflict().solve(&opts).unwrap();
     assert!(
         polished.polished,
         "the thin conflict's certificate is polished"
@@ -160,45 +203,45 @@ fn infeasible_and_invalid_solves_are_pinned() {
     // than the tightened coupling row allows.
     let mut p = cell(-30.0);
     p.lin_rhs_mut()[8] = 4.0;
-    d.add(&solver.solve(&p));
+    d.add(&p.solve(&opts));
     // Non-finite data is rejected before any work.
     let mut nan = cell(-0.5);
     nan.lin_rhs_mut()[9] = f64::NAN;
-    d.add(&solver.solve(&nan));
-    d.add(&solver.solve(&cell(-0.5)));
+    d.add(&nan.solve(&opts));
+    d.add(&cell(-0.5).solve(&opts));
     assert_eq!(d.0, 0xfc95_cdc5_d949_2fa7, "digest {:#018x}", d.0);
 }
 
 #[test]
 fn feasibility_queries_are_pinned() {
-    let mut solver = BarrierSolver::new(SolverOptions::default());
     let mut d = Fnv::new();
-    d.add(&solver.find_feasible_with(&cell(-0.5), None));
-    d.add(&solver.find_feasible_with(&cell(-2.0), Some(&[0.5; 4])));
+    d.add(&find(&cell(-0.5), None));
+    d.add(&find(&cell(-2.0), Some(&[0.5; 4])));
     // An interior seed is accepted with zero Newton steps.
-    d.add(&solver.find_feasible_with(&cell(-1.0), Some(&[1.0, 1.0, 1.0, 1.0])));
-    d.add(&solver.find_feasible_with(&infeasible_lp(), None));
-    d.add(&solver.find_feasible_with(&infeasible_lp(), Some(&[0.5, 0.5])));
-    d.add(&solver.find_feasible_with(&thin_conflict(), None));
-    d.add(&solver.find_feasible(&equality_qp(2.0)));
-    d.add(&solver.find_feasible_with(&equality_qp(2.0), Some(&[1.0, 1.0, 1.0, 1.0])));
+    d.add(&find(&cell(-1.0), Some(&[1.0, 1.0, 1.0, 1.0])));
+    d.add(&find(&infeasible_lp(), None));
+    d.add(&find(&infeasible_lp(), Some(&[0.5, 0.5])));
+    d.add(&find(&thin_conflict(), None));
+    // The point alone, as a plain feasibility check reports it.
+    d.add(&find(&equality_qp(2.0), None).map(|o| o.point));
+    d.add(&find(&equality_qp(2.0), Some(&[1.0, 1.0, 1.0, 1.0])));
     let mut p = cell(-30.0);
     p.lin_rhs_mut()[8] = 4.0;
-    d.add(&solver.find_feasible_with(&p, None));
-    d.add(&solver.find_feasible(&cell(-0.25)));
+    d.add(&find(&p, None));
+    d.add(&find(&cell(-0.25), None).map(|o| o.point));
     assert_eq!(d.0, 0x12b8_b9fe_ab4d_1afd, "digest {:#018x}", d.0);
 }
 
 #[test]
 fn tick_budget_truncation_is_pinned() {
-    let mut solver = BarrierSolver::new(SolverOptions::default());
-    solver.set_tick_budget(5);
+    let opts = SolverOptions::default();
     let mut d = Fnv::new();
-    d.add(&solver.solve(&cell(-0.5)));
-    d.add(&solver.solve_seeded(&cell(-1.0), &[0.5; 4]));
-    d.add(&solver.solve(&qp()));
-    d.add(&solver.solve(&infeasible_lp()));
-    d.add(&solver.solve(&equality_qp(2.0)));
-    d.add(&solver.find_feasible_with(&cell(-2.0), None));
+    d.add(&solve(opts, 5, &cell(-0.5), CellSeed::None));
+    d.add(&solve(opts, 5, &cell(-1.0), CellSeed::Seeded(&[0.5; 4])));
+    d.add(&solve(opts, 5, &qp(), CellSeed::None));
+    d.add(&solve(opts, 5, &infeasible_lp(), CellSeed::None));
+    d.add(&solve(opts, 5, &equality_qp(2.0), CellSeed::None));
+    // Feasibility queries run no tick budget.
+    d.add(&find(&cell(-2.0), None));
     assert_eq!(d.0, 0x02cd_da27_1fc8_f49f, "digest {:#018x}", d.0);
 }

@@ -1,14 +1,14 @@
 //! Proof that barrier iterations are allocation-free after the first solve
 //! on a given problem shape (the solver-scratch contract).
 //!
-//! A counting global allocator measures whole solves. Per-solve work
-//! outside the iterations (the returned copy of the `Solution`) allocates
+//! A counting global allocator measures whole solves of one problem
+//! through [`FamilySolver`]s over its one-cell family. Per-solve work
+//! outside the iterations (the copy of the returned `Solution`) allocates
 //! a fixed amount that does not depend on how many Newton/outer
 //! iterations run, so:
 //!
 //! * a repeat solve on a warm solver must allocate strictly less than the
-//!   first solve on a cold one (the one-cell family and its scratch
-//!   already exist), and
+//!   first solve on a cold one (its scratch already exists), and
 //! * two warm repeat solves that differ *only* in iteration count (driven
 //!   by the duality-gap tolerance) must allocate exactly the same amount —
 //!   if any matrix/vector were allocated per iteration, the tighter
@@ -18,8 +18,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use protemp_cvx::{BarrierSolver, CertScratch, Problem, SolverOptions};
+use protemp_cvx::{CellSeed, CertScratch, FamilySolver, Problem, ProblemFamily, SolverOptions};
 use protemp_linalg::Matrix;
 
 struct CountingAlloc;
@@ -85,17 +86,24 @@ fn barrier_iterations_do_not_allocate() {
         ..SolverOptions::default()
     };
 
-    let mut solver_loose = BarrierSolver::new(loose);
-    let mut solver_tight = BarrierSolver::new(tight);
+    let family = Arc::new(ProblemFamily::new(p.clone(), &loose).unwrap());
+    let mut solver_loose = FamilySolver::new(Arc::clone(&family), loose);
+    let mut solver_tight = FamilySolver::new(family, tight);
+    let solve = |solver: &mut FamilySolver| {
+        solver
+            .solve_cell(p.lin_rhs(), CellSeed::None)
+            .cloned()
+            .unwrap()
+    };
 
     // Cold solves: grow each solver's scratch (and warm up lazy statics).
-    let (cold_allocs, first) = allocs_during(|| solver_loose.solve(&p).unwrap());
-    solver_tight.solve(&p).unwrap();
+    let (cold_allocs, first) = allocs_during(|| solve(&mut solver_loose));
+    solve(&mut solver_tight);
     assert!(first.status.is_optimal());
 
     // Warm repeats of the identical solve.
-    let (loose_allocs, loose_sol) = allocs_during(|| solver_loose.solve(&p).unwrap());
-    let (tight_allocs, tight_sol) = allocs_during(|| solver_tight.solve(&p).unwrap());
+    let (loose_allocs, loose_sol) = allocs_during(|| solve(&mut solver_loose));
+    let (tight_allocs, tight_sol) = allocs_during(|| solve(&mut solver_tight));
 
     assert!(
         loose_allocs < cold_allocs,
@@ -126,7 +134,7 @@ fn barrier_iterations_do_not_allocate() {
         p.add_linear_le(row, -6.0);
         p
     };
-    let sol = solver_loose.solve(&infeasible).unwrap();
+    let sol = infeasible.solve(&loose).unwrap();
     let cert = sol
         .certificate
         .expect("infeasible solve yields a certificate");

@@ -5,11 +5,11 @@
 //! feasibility of every returned point.
 
 use proptest::prelude::*;
-use protemp_cvx::{BarrierSolver, Problem, SolveStatus, SolverOptions};
+use protemp_cvx::{Problem, SolveStatus, SolverOptions};
 use protemp_linalg::{vecops, Matrix};
 
-fn solver() -> BarrierSolver {
-    BarrierSolver::new(SolverOptions::default())
+fn solve(p: &Problem) -> protemp_cvx::Result<protemp_cvx::Solution> {
+    p.solve(&SolverOptions::default())
 }
 
 proptest! {
@@ -23,7 +23,7 @@ proptest! {
         p.set_quadratic_objective(Matrix::from_diag(&[2.0, 2.0]), vec![-2.0 * tx, -2.0 * ty]);
         p.add_box(0, 0.0, 1.0);
         p.add_box(1, 0.0, 1.0);
-        let s = solver().solve(&p).unwrap();
+        let s = solve(&p).unwrap();
         prop_assert!(s.status.is_optimal());
         let cx = tx.clamp(0.0, 1.0);
         let cy = ty.clamp(0.0, 1.0);
@@ -41,7 +41,7 @@ proptest! {
             p.add_box(i, 0.0, f64::INFINITY);
         }
         p.add_eq(vec![1.0, 1.0, 1.0], 1.0);
-        let s = solver().solve(&p).unwrap();
+        let s = solve(&p).unwrap();
         prop_assert!(s.status.is_optimal());
         let best = c.iter().cloned().fold(f64::INFINITY, f64::min);
         prop_assert!((s.objective - best).abs() < 1e-4,
@@ -65,7 +65,7 @@ proptest! {
             p.add_linear_le(row.clone(), rhs[i]);
         }
         // The box contains 0 and all rhs are positive, so 0 is strictly feasible.
-        let s = solver().solve(&p).unwrap();
+        let s = solve(&p).unwrap();
         prop_assert!(s.status.is_optimal());
         prop_assert!(p.max_violation(&s.x) < 1e-6);
     }
@@ -78,7 +78,7 @@ proptest! {
         let mut p = Problem::new(2);
         p.set_linear_objective(vec![-1.0, -1.0]);
         p.add_quad_le(Matrix::from_diag(&[2.0, 2.0]), vec![0.0, 0.0], radius2);
-        let s = solver().solve(&p).unwrap();
+        let s = solve(&p).unwrap();
         prop_assert!(s.status.is_optimal());
         let expect = (radius2 / 2.0).sqrt();
         prop_assert!((s.x[0] - expect).abs() < 2e-3, "x {} vs {}", s.x[0], expect);
@@ -93,7 +93,7 @@ proptest! {
         // x ≤ 0 and x ≥ gap.
         p.add_linear_le(vec![1.0], 0.0);
         p.add_linear_le(vec![-1.0], -gap);
-        let s = solver().solve(&p).unwrap();
+        let s = solve(&p).unwrap();
         prop_assert_eq!(s.status, SolveStatus::Infeasible);
     }
 
@@ -108,8 +108,8 @@ proptest! {
             p.add_box(1, 0.0, 2.0);
             p
         };
-        let s1 = solver().solve(&build(1.0)).unwrap();
-        let s2 = solver().solve(&build(scale)).unwrap();
+        let s1 = solve(&build(1.0)).unwrap();
+        let s2 = solve(&build(scale)).unwrap();
         prop_assert!((s1.x[0] - s2.x[0]).abs() < 5e-3);
         prop_assert!((s1.x[1] - s2.x[1]).abs() < 5e-3);
     }
@@ -130,7 +130,7 @@ proptest! {
             p.add_linear_le(vec![-1.0, 0.0], -g);
             p
         };
-        let s = solver().solve(&build(gap)).unwrap();
+        let s = solve(&build(gap)).unwrap();
         prop_assert_eq!(s.status, SolveStatus::Infeasible);
         let cert = s.certificate.expect("certificate for a cleanly infeasible LP");
         prop_assert!(protemp_cvx::check_certificate(&build(gap), &cert));
@@ -173,8 +173,8 @@ proptest! {
             polish_budget: budget,
             ..SolverOptions::default()
         };
-        let plain = BarrierSolver::new(opts_with(0)).solve(&build(true)).unwrap();
-        let polished = BarrierSolver::new(opts_with(80)).solve(&build(true)).unwrap();
+        let plain = build(true).solve(&opts_with(0)).unwrap();
+        let polished = build(true).solve(&opts_with(80)).unwrap();
         prop_assert_eq!(plain.status, SolveStatus::Infeasible);
         prop_assert_eq!(
             polished.status,
@@ -249,7 +249,7 @@ fn polish_mints_where_gap_verdict_left_no_certificate() {
             polish_budget: budget,
             ..SolverOptions::default()
         };
-        BarrierSolver::new(opts).solve(&build()).unwrap()
+        build().solve(&opts).unwrap()
     };
     let plain = solve_with(0);
     assert_eq!(plain.status, SolveStatus::Infeasible);
@@ -287,7 +287,7 @@ fn pruned_optimum_is_feasible_for_the_full_row_set() {
             row_reduction: reduction,
             ..SolverOptions::default()
         };
-        BarrierSolver::new(opts).solve(&build()).unwrap()
+        build().solve(&opts).unwrap()
     };
     let pruned = solve_with(true);
     let full = solve_with(false);
@@ -338,9 +338,7 @@ fn protemp_shape_miniature() {
         *ri = -1.0;
     }
     p.add_linear_le(row, -(n as f64) * 0.6);
-    let s = BarrierSolver::new(SolverOptions::default())
-        .solve(&p)
-        .unwrap();
+    let s = solve(&p).unwrap();
     assert!(s.status.is_optimal());
     // By symmetry+convexity every core runs at exactly 0.6, p = 4·0.36.
     for i in 0..n {

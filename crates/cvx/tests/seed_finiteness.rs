@@ -1,5 +1,5 @@
-//! Every seeded solve entry point rejects a seed holding NaN or ∞ with
-//! [`CvxError::NotFinite`] before any work, as it does a non-finite
+//! Every seeded [`FamilySolver`] entry point rejects a seed holding NaN or
+//! ∞ with [`CvxError::NotFinite`] before any work, as it does a non-finite
 //! right-hand side.
 //!
 //! Without the check a NaN coordinate would score as strictly feasible
@@ -9,9 +9,7 @@
 
 use std::sync::Arc;
 
-use protemp_cvx::{
-    BarrierSolver, CellSeed, CvxError, FamilySolver, Problem, ProblemFamily, SolverOptions,
-};
+use protemp_cvx::{CellSeed, CvxError, FamilySolver, Problem, ProblemFamily, SolverOptions};
 
 /// The LP `min x + y` s.t. `x + 2y ≥ 2`, `x, y ∈ [0, 10]`.
 fn lp() -> Problem {
@@ -65,38 +63,6 @@ fn find_feasible_cell_rejects_non_finite_seed() {
     let (mut solver, rhs) = family_solver();
     for seed in bad_seeds() {
         assert_not_finite(solver.find_feasible_cell(&rhs, Some(&seed)), &seed);
-    }
-}
-
-#[test]
-fn solve_warm_rejects_non_finite_seed() {
-    let mut solver = BarrierSolver::new(SolverOptions::default());
-    for seed in bad_seeds() {
-        assert_not_finite(solver.solve_warm(&lp(), &seed), &seed);
-    }
-}
-
-#[test]
-fn solve_seeded_rejects_non_finite_seed() {
-    let mut solver = BarrierSolver::new(SolverOptions::default());
-    for seed in bad_seeds() {
-        assert_not_finite(solver.solve_seeded(&lp(), &seed), &seed);
-    }
-}
-
-#[test]
-fn solve_with_start_rejects_non_finite_seed() {
-    let mut solver = BarrierSolver::new(SolverOptions::default());
-    for seed in bad_seeds() {
-        assert_not_finite(solver.solve_with_start(&lp(), Some(&seed)), &seed);
-    }
-}
-
-#[test]
-fn find_feasible_with_rejects_non_finite_seed() {
-    let mut solver = BarrierSolver::new(SolverOptions::default());
-    for seed in bad_seeds() {
-        assert_not_finite(solver.find_feasible_with(&lp(), Some(&seed)), &seed);
     }
 }
 
