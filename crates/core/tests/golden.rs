@@ -20,7 +20,10 @@
 //!   baseline on `biglittle8` and the MPC ladder on `niagara8`;
 //! * the one-shot surfaces `solve_assignment`, `check_feasible` and
 //!   `frontier::sweep` return bit-identical results and error variants on
-//!   every built-in platform and on the uniform-frequency (equality) path.
+//!   every built-in platform and on the uniform-frequency (equality) path;
+//! * the row-reduction analysis of every built-in platform's family, at
+//!   gradient strides 5 and 1, keeps exactly the pinned rows across a
+//!   30–100 °C × five-target grid.
 
 use std::path::PathBuf;
 
@@ -551,4 +554,80 @@ fn frontier_sweep_is_pinned() {
         "frontier digest {:#018x}",
         digest.0
     );
+}
+
+/// FNV-1a over the row-reduction verdict and kept rows of the family of
+/// `platform` at `gradient_stride`, read through the family's own
+/// analysis, over 30–100 °C in 10 °C steps × five targets. The hot rows
+/// are where the first-step temperature rows undercut the static power
+/// box, so the harvested box differs from cell to cell. Returns the
+/// digest and the number of cells that pruned anything.
+fn selection_digest(platform: &Platform, gradient_stride: usize) -> (u64, usize) {
+    let cfg = ControlConfig {
+        gradient_stride,
+        ..ControlConfig::default()
+    };
+    let ctx = AssignmentContext::new(platform, &cfg).unwrap();
+    let analysis = ctx
+        .family()
+        .analysis()
+        .expect("a default-option family carries an analysis");
+    let fmax = ctx.platform().fmax_hz;
+    let (mut rhs, mut lo, mut hi, mut dropped, mut kept) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut digest = Fnv::new();
+    let mut pruning_cells = 0;
+    for tstart_c in (3..=10).map(|i| f64::from(i) * 10.0) {
+        let offsets = ctx.offsets_for(tstart_c);
+        for frac in [0.1, 0.3, 0.5, 0.7, 0.9] {
+            ctx.point_rhs_into(&offsets, frac * fmax, &mut rhs);
+            let any = analysis.select_into(&rhs, &mut lo, &mut hi, &mut dropped, &mut kept);
+            digest.add(&[u8::from(any)]);
+            if any {
+                pruning_cells += 1;
+                digest.add(&(kept.len() as u64).to_le_bytes());
+                for &row in &kept {
+                    digest.add(&(row as u64).to_le_bytes());
+                }
+            }
+        }
+    }
+    (digest.0, pruning_cells)
+}
+
+#[test]
+fn row_selections_are_pinned() {
+    let mut mismatches = Vec::new();
+    for (name, platform, stride, want) in [
+        (
+            "niagara8",
+            Platform::niagara8(),
+            5,
+            0xf090_a2ad_baed_6a3e_u64,
+        ),
+        ("niagara8", Platform::niagara8(), 1, 0x0e03_8889_08a8_1ea9),
+        (
+            "biglittle8",
+            Platform::biglittle8(),
+            5,
+            0x8e69_f4b5_4c28_3e04,
+        ),
+        (
+            "biglittle8",
+            Platform::biglittle8(),
+            1,
+            0xd1f1_2e3e_ccde_2fdf,
+        ),
+        ("stacked3d", Platform::stacked3d(), 5, 0xd093_0076_6f60_f171),
+        ("stacked3d", Platform::stacked3d(), 1, 0xe975_54d7_e2c2_f085),
+    ] {
+        let (digest, pruning_cells) = selection_digest(&platform, stride);
+        assert!(pruning_cells > 0, "{name} stride {stride}: nothing pruned");
+        if digest != want {
+            mismatches.push(format!(
+                "{name} stride {stride}: {digest:#018x} ({pruning_cells} pruning cells)"
+            ));
+        }
+    }
+    assert!(mismatches.is_empty(), "selection digests: {mismatches:#?}");
 }
