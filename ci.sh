@@ -82,8 +82,10 @@ assert data["screened"]["newton_steps"] > 0
 assert data["screened"]["rows_pruned"] > 0
 assert data["unpruned"]["rows_pruned"] == 0
 # Wall-clock honesty: pruning must never again cost more clock than it
-# saves (the binary also asserts this before writing the JSON; checking
-# the persisted number keeps the telemetry itself trustworthy).
+# saves, with each side charged its own one-time family build (which holds
+# the pruned side's row analysis). The binary also asserts this before
+# writing the JSON; checking the persisted number keeps the telemetry
+# itself trustworthy.
 assert data["pruning_cold_wall_ratio"] <= 1.10, data["pruning_cold_wall_ratio"]
 # The sweep-shared family structure is built once per context and its
 # cost is reported, not hidden inside the first cell.

@@ -39,27 +39,37 @@
 //! workload bound with the target) — and with them the harvested box: at
 //! hot starting temperatures the first-step temperature rows (single-entry,
 //! rhs `≈ t_max − t_start`) undercut the static power box. An analysis
-//! keyed on the box would therefore rebuild at exactly those cells, and the
-//! pair enumeration is quadratic per support bucket (tens of millions of
-//! coefficient-difference maximizations) — re-paying it per cell is what
-//! made the PR-4 pruned cold sweep *slower* in wall-clock than the
-//! unpruned one despite fewer Newton steps.
+//! keyed on the box would rebuild at exactly those cells, and its pair
+//! ranking is quadratic per support bucket: a box-keyed analysis once made
+//! the pruned cold sweep *slower* in wall-clock than the unpruned one
+//! despite fewer Newton steps.
 //!
-//! [`ReduceAnalysis`] is therefore a pure function of the row coefficients:
-//! it buckets multi-entry rows by nonzero support and keeps, per candidate,
-//! the [`MAX_DOMINATORS`] dominator rows with the smallest coefficient
-//! difference (ranked by `‖c − d‖₁`, a box-independent proxy for the boxed
-//! maximum: the near-duplicate rows this pass targets have tiny
-//! differences, hence tiny `M` under *any* box) together with the sparse
-//! difference itself. A cell's prune decision
-//! ([`ReduceAnalysis::select_into`]) is then one fused pass over the
-//! candidates: each stored pair evaluates its boxed maximum `M` against the
-//! cell's own harvested `[lo, hi]` in `O(nnz(c − d))` and compares right
-//! hand sides — `O(candidate rows)` work, no pair cache to probe, nothing
-//! to rebuild, ever. Soundness never depends on *which* dominators were
-//! kept — only the fired inequality, evaluated against the cell's own box,
-//! proves a drop — so the box-free ranking cannot make a verdict unsound,
-//! only (at worst) miss a prune.
+//! [`ReduceAnalysis`] is therefore a pure function of the row coefficients.
+//! It buckets multi-entry rows by nonzero support and stores each bucket's
+//! member coefficients once, member-major over the support. Per candidate
+//! it keeps the [`MAX_DOMINATORS`] fellow members with the smallest
+//! coefficient difference, ranked by `‖c − d‖₁`, a box-independent proxy
+//! for the boxed maximum: the near-duplicate rows this pass targets have
+//! tiny differences, hence tiny `M` under *any* box. A pair stores only
+//! its two rows and their places in the bucket. The ranking is one
+//! column-major pass per bucket: for each candidate, the distance to every
+//! member accumulates lane by lane in support order. A bucket of `b`
+//! members over `s` columns costs `O(b²·s)` flops and `O(b·s)` scratch,
+//! never a `b × b` distance matrix. On Niagara-8 at the default
+//! `gradient_stride` of 5 the whole analysis (4 835 rows, buckets of up to
+//! 2 744 members over 9 columns) builds in 0.05–0.11 s in a release build
+//! on a 2-vCPU virtual machine.
+//!
+//! A cell's prune decision ([`ReduceAnalysis::select_into`]) is then one
+//! fused pass over the candidates. Each bucket gathers the cell's
+//! harvested `[lo, hi]` over its support once; each stored pair recomputes
+//! its difference `c − d` from the bucket's coefficients and evaluates its
+//! boxed maximum `M` against that gather, then compares right-hand sides —
+//! `O(pairs · s)` work, no pair cache to probe, nothing to rebuild, ever.
+//! Soundness never depends on *which* dominators were kept — only the
+//! fired inequality, evaluated against the cell's own box, proves a drop —
+//! so the box-free ranking cannot make a verdict unsound, only (at worst)
+//! miss a prune.
 //!
 //! Because the analysis depends on the coefficients alone, a
 //! [`crate::ProblemFamily`] builds it once, at construction, and every
@@ -68,6 +78,8 @@
 //! the selection — a pure function of the analysis and the cell's rhs — is
 //! the same whichever cell the family was built from.
 
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -87,24 +99,40 @@ pub(crate) const PRUNE_REL_TOL: f64 = 1e-9;
 /// structured constraint families this pass targets.
 const MAX_DOMINATORS: usize = 16;
 
-/// Buckets larger than this are skipped entirely: the pair analysis is
-/// quadratic in the bucket size, and this bound keeps the one-time build
-/// comfortably below the cost it amortizes away.
+/// Buckets larger than this are skipped entirely: the ranking is quadratic
+/// in the bucket size. On the default Niagara-8 family the largest bucket,
+/// the core-pair gradient rows at `gradient_stride` 5, has 2 744 members.
+/// At `gradient_stride` 1 that bucket grows to 13 884 members, exceeds
+/// this bound and goes unanalysed: only the temperature rows are pruned
+/// there.
 const MAX_BUCKET: usize = 4096;
 
-/// One cached domination pair: dropping row `cand` is sound whenever the
-/// boxed maximum `M` of the stored sparse difference `row_cand − row_dom`
-/// satisfies `rhs[dom] + M ≤ rhs[cand] − PRUNE_REL_TOL·mag` under the
-/// cell's box and `dom` has not itself been dropped first (drop
-/// justifications then chain, by transitivity of the box implication, to a
-/// never-dropped row).
+/// One analysed support bucket: the multi-entry rows (at least two, at
+/// most [`MAX_BUCKET`]) whose nonzero columns are exactly `support`.
+#[derive(Debug, Clone)]
+struct Bucket {
+    /// The shared nonzero columns, ascending.
+    support: Vec<u32>,
+    /// The members' coefficients over `support`, member-major: the `i`-th
+    /// member in row order is `coef[i·s..(i + 1)·s]` for `s` support
+    /// columns.
+    coef: Vec<f64>,
+    /// The bucket's run of [`ReduceAnalysis::pairs`].
+    pairs: Range<usize>,
+}
+
+/// One ranked domination pair: dropping row `cand` is sound whenever the
+/// boxed maximum `M` of `row_cand − row_dom` satisfies
+/// `rhs[dom] + M ≤ rhs[cand] − PRUNE_REL_TOL·mag` under the cell's box and
+/// `dom` has not itself been dropped first (drop justifications then
+/// chain, by transitivity of the box implication, to a never-dropped row).
 #[derive(Debug, Clone, Copy)]
 struct DominationPair {
     cand: u32,
     dom: u32,
-    /// Range into the sparse-difference arenas.
-    off: u32,
-    len: u32,
+    /// Member indices of `cand` and `dom` in their bucket.
+    cand_at: u32,
+    dom_at: u32,
 }
 
 /// The box-free pair structure of one problem family's linear rows — a
@@ -121,33 +149,31 @@ pub struct ReduceAnalysis {
     /// Single-entry rows `(row, var, coeff)` in row order — the per-cell
     /// box harvest visits exactly these instead of re-scanning every row.
     singles: Vec<(u32, u32, f64)>,
-    /// Sorted by `(cand, ‖diff‖₁, dom)`; grouped runs share a candidate.
+    /// Analysed buckets in support order.
+    buckets: Vec<Bucket>,
+    /// Bucket by bucket, candidates in row order, each candidate's
+    /// dominators nearest first (ties by row index).
     pairs: Vec<DominationPair>,
-    /// Sparse-difference arenas (indices/values of `row_cand − row_dom`).
-    diff_idx: Vec<u32>,
-    diff_val: Vec<f64>,
     /// Wall-clock seconds the one-time build took.
     build_s: f64,
 }
 
 impl ReduceAnalysis {
     /// Analyzes `prob`'s linear rows once: buckets multi-entry rows by
-    /// nonzero support and keeps the smallest-difference domination pairs
-    /// per candidate (a handful each), with the sparse differences
-    /// themselves so per-cell applications never touch the full rows
-    /// again. Only the coefficients are read; `prob`'s right-hand sides
-    /// play no role.
+    /// nonzero support, stores each bucket's coefficients and keeps the
+    /// smallest-difference domination pairs per candidate (a handful each),
+    /// so per-cell applications never touch the full rows again. Only the
+    /// coefficients are read; `prob`'s right-hand sides play no role. The
+    /// coefficients must be finite, as [`Problem::validate`] requires.
     pub fn build(prob: &Problem) -> ReduceAnalysis {
         let t0 = Instant::now();
         let rows = prob.lin_rows();
-        let n = prob.num_vars();
 
         let mut singles = Vec::new();
         // BTreeMap for deterministic bucket order: the selection feeds
         // bit-identical sweep replay, so no hash-order nondeterminism may
         // reach the stored pair list.
-        let mut buckets: std::collections::BTreeMap<Vec<u32>, Vec<u32>> =
-            std::collections::BTreeMap::new();
+        let mut by_support: BTreeMap<Vec<u32>, Vec<u32>> = BTreeMap::new();
         for (i, row) in rows.iter().enumerate() {
             if let Some((j, c)) = single_entry(row) {
                 singles.push((i as u32, j as u32, c));
@@ -160,66 +186,43 @@ impl ReduceAnalysis {
                 .map(|(j, _)| j as u32)
                 .collect();
             if support.len() >= 2 {
-                buckets.entry(support).or_default().push(i as u32);
+                by_support.entry(support).or_default().push(i as u32);
             }
         }
+        let ranked: Vec<(Vec<u32>, Vec<u32>)> = by_support
+            .into_iter()
+            .filter(|(_, members)| (2..=MAX_BUCKET).contains(&members.len()))
+            .collect();
 
-        let mut pairs: Vec<DominationPair> = Vec::new();
-        let mut diff_idx: Vec<u32> = Vec::new();
-        let mut diff_val: Vec<f64> = Vec::new();
-        // Per-candidate best list: (l1, dom), smallest l1 first, ties by
-        // dominator index (determinism).
-        let mut best: Vec<(f64, u32)> = Vec::new();
-        for (support, members) in &buckets {
-            if members.len() < 2 || members.len() > MAX_BUCKET {
-                continue;
-            }
-            for &cand in members {
-                best.clear();
-                for &dom in members {
-                    if dom == cand {
-                        continue;
-                    }
-                    let mut l1 = 0.0;
-                    for &j in support {
-                        l1 += (rows[cand as usize][j as usize] - rows[dom as usize][j as usize])
-                            .abs();
-                    }
-                    let pos = best
-                        .iter()
-                        .position(|&(bl1, bdom)| (l1, dom) < (bl1, bdom))
-                        .unwrap_or(best.len());
-                    if pos < MAX_DOMINATORS {
-                        best.insert(pos, (l1, dom));
-                        best.truncate(MAX_DOMINATORS);
-                    }
+        let mut pairs = Vec::with_capacity(
+            ranked
+                .iter()
+                .map(|(_, members)| members.len() * MAX_DOMINATORS.min(members.len() - 1))
+                .sum(),
+        );
+        let buckets: Vec<Bucket> = ranked
+            .into_iter()
+            .map(|(support, members)| {
+                let coef: Vec<f64> = members
+                    .iter()
+                    .flat_map(|&r| support.iter().map(move |&j| rows[r as usize][j as usize]))
+                    .collect();
+                let start = pairs.len();
+                rank_bucket(&members, &coef, support.len(), &mut pairs);
+                Bucket {
+                    support,
+                    coef,
+                    pairs: start..pairs.len(),
                 }
-                for &(_, dom) in &best {
-                    let off = diff_idx.len() as u32;
-                    for &j in support {
-                        let d = rows[cand as usize][j as usize] - rows[dom as usize][j as usize];
-                        if d != 0.0 {
-                            diff_idx.push(j);
-                            diff_val.push(d);
-                        }
-                    }
-                    pairs.push(DominationPair {
-                        cand,
-                        dom,
-                        off,
-                        len: diff_idx.len() as u32 - off,
-                    });
-                }
-            }
-        }
+            })
+            .collect();
 
         ReduceAnalysis {
             m: rows.len(),
-            n,
+            n: prob.num_vars(),
             singles,
+            buckets,
             pairs,
-            diff_idx,
-            diff_val,
             build_s: t0.elapsed().as_secs_f64(),
         }
     }
@@ -236,17 +239,21 @@ impl ReduceAnalysis {
     }
 
     /// Harvests the per-variable box `[lo, hi]` implied by the single-entry
-    /// rows under this cell's `rhs`, then runs the fused prune pass: every
-    /// candidate checks its stored dominators — boxed maximum of the sparse
-    /// difference against the cell box, then the rhs comparison — and is
-    /// dropped on the first firing pair whose dominator still stands.
+    /// rows under this cell's `rhs`, then runs the fused prune pass: bucket
+    /// by bucket, the cell's bounds are gathered over the bucket's support,
+    /// and every candidate checks its stored dominators — boxed maximum of
+    /// the coefficient difference against that gather, then the rhs
+    /// comparison — and is dropped on the first firing pair whose
+    /// dominator still stands.
     ///
     /// Fills `kept` with the ascending surviving row indices and returns
     /// `true` when anything was pruned; `false` leaves `kept` unspecified
     /// (the caller keeps its unreduced fast path). `dropped`, `lo` and `hi`
-    /// are caller-owned scratch (no allocation once grown). Deterministic:
-    /// the same analysis and rhs always yield the same selection, which the
-    /// sweep's bit-identical replay guarantees depend on.
+    /// are caller-owned scratch (no allocation once grown): `lo` and `hi`
+    /// hold the cell's box in their first `n` entries and the current
+    /// bucket's gathered bounds after them. Deterministic: the same
+    /// analysis and rhs always yield the same selection, which the sweep's
+    /// bit-identical replay guarantees depend on.
     pub fn select_into(
         &self,
         rhs: &[f64],
@@ -260,62 +267,54 @@ impl ReduceAnalysis {
         if self.pairs.is_empty() || m < 2 {
             return false;
         }
+        // A bucket's support spans at most `n` columns.
         lo.clear();
         hi.clear();
-        lo.resize(self.n, f64::NEG_INFINITY);
-        hi.resize(self.n, f64::INFINITY);
+        lo.resize(2 * self.n, f64::NEG_INFINITY);
+        hi.resize(2 * self.n, f64::INFINITY);
+        let (box_lo, gather_lo) = lo.split_at_mut(self.n);
+        let (box_hi, gather_hi) = hi.split_at_mut(self.n);
         for &(i, j, c) in &self.singles {
             let bound = rhs[i as usize] / c;
             if c > 0.0 {
-                hi[j as usize] = hi[j as usize].min(bound);
+                box_hi[j as usize] = box_hi[j as usize].min(bound);
             } else {
-                lo[j as usize] = lo[j as usize].max(bound);
+                box_lo[j as usize] = box_lo[j as usize].max(bound);
             }
         }
         dropped.clear();
         dropped.resize(m, false);
         let mut any = false;
-        let mut i = 0;
-        while i < self.pairs.len() {
-            let cand = self.pairs[i].cand as usize;
-            let mut j = i;
-            while j < self.pairs.len() && self.pairs[j].cand as usize == cand {
-                let p = self.pairs[j];
-                j += 1;
-                if dropped[p.dom as usize] {
-                    continue;
-                }
-                // Boxed maximum of the sparse difference under *this
-                // cell's* box; a non-finite term (difference component on
-                // an unbounded variable) voids the pair for this cell.
-                let mut m_bound = 0.0;
-                let mut mag = 0.0;
-                let mut finite = true;
-                let (off, len) = (p.off as usize, p.len as usize);
-                for (&jx, &v) in self.diff_idx[off..off + len]
-                    .iter()
-                    .zip(&self.diff_val[off..off + len])
-                {
-                    let term = if v > 0.0 {
-                        v * hi[jx as usize]
-                    } else {
-                        v * lo[jx as usize]
+        for bucket in &self.buckets {
+            let s = bucket.support.len();
+            for ((&j, l), h) in bucket
+                .support
+                .iter()
+                .zip(&mut *gather_lo)
+                .zip(&mut *gather_hi)
+            {
+                *l = box_lo[j as usize];
+                *h = box_hi[j as usize];
+            }
+            let (blo, bhi) = (&gather_lo[..s], &gather_hi[..s]);
+            let member = |at: u32| &bucket.coef[at as usize * s..][..s];
+            for run in self.pairs[bucket.pairs.clone()].chunk_by(|a, b| a.cand == b.cand) {
+                let cand = run[0].cand as usize;
+                for p in run {
+                    if dropped[p.dom as usize] {
+                        continue;
+                    }
+                    let Some((m_bound, mag)) =
+                        boxed_max(member(p.cand_at), member(p.dom_at), blo, bhi)
+                    else {
+                        continue;
                     };
-                    if !term.is_finite() {
-                        finite = false;
+                    if rhs[p.dom as usize] + m_bound <= rhs[cand] - PRUNE_REL_TOL * mag {
+                        dropped[cand] = true;
+                        any = true;
                         break;
                     }
-                    m_bound += term;
-                    mag += term.abs();
                 }
-                if finite && rhs[p.dom as usize] + m_bound <= rhs[cand] - PRUNE_REL_TOL * mag {
-                    dropped[cand] = true;
-                    any = true;
-                    break;
-                }
-            }
-            while i < self.pairs.len() && self.pairs[i].cand as usize == cand {
-                i += 1;
             }
         }
         if !any {
@@ -327,6 +326,73 @@ impl ReduceAnalysis {
     }
 }
 
+/// The boxed maximum `M = max (c − d)ᵀx` over the box `[lo, hi]` (all four
+/// slices over one bucket's support) and the accumulated term magnitude,
+/// or `None` when a term is not finite: a difference component on an
+/// unbounded variable voids the pair for this cell. Zero differences are
+/// skipped and terms summed in support order.
+fn boxed_max(c: &[f64], d: &[f64], lo: &[f64], hi: &[f64]) -> Option<(f64, f64)> {
+    let mut m_bound = 0.0;
+    let mut mag = 0.0;
+    for (((&ck, &dk), &l), &h) in c.iter().zip(d).zip(lo).zip(hi) {
+        let v = ck - dk;
+        if v == 0.0 {
+            continue;
+        }
+        let term = if v > 0.0 { v * h } else { v * l };
+        if !term.is_finite() {
+            return None;
+        }
+        m_bound += term;
+        mag += term.abs();
+    }
+    Some((m_bound, mag))
+}
+
+/// Appends, candidate by candidate in row order, each member's
+/// [`MAX_DOMINATORS`] nearest fellow members by `‖c − d‖₁`, nearest first,
+/// ties by row index. `coef` is the bucket's member-major coefficients over
+/// `s` support columns; the scratch is `O(bucket × support)`.
+fn rank_bucket(members: &[u32], coef: &[f64], s: usize, pairs: &mut Vec<DominationPair>) {
+    let b = members.len();
+    // Column-major copy: column `k` holds every member's `k`-th coefficient.
+    let cols: Vec<f64> = (0..s)
+        .flat_map(|k| coef.chunks_exact(s).map(move |row| row[k]))
+        .collect();
+    let mut l1 = vec![0.0; b];
+    let mut best: Vec<(f64, usize)> = Vec::with_capacity(MAX_DOMINATORS + 1);
+    for (c, row_c) in coef.chunks_exact(s).enumerate() {
+        // One lane per member, each summing its terms in support order, so
+        // every distance is bit-identical to summing one pair on its own.
+        l1.fill(0.0);
+        for (&ck, col) in row_c.iter().zip(cols.chunks_exact(b)) {
+            for (acc, &dk) in l1.iter_mut().zip(col) {
+                *acc += (ck - dk).abs();
+            }
+        }
+        // Members are in row order, so `(l1, member)` ranks exactly as
+        // `(l1, row)`. Distances are sums of absolute values of finite
+        // differences, never NaN, so the order is total and a key no nearer
+        // than the current last can be rejected before any insertion scan.
+        best.clear();
+        for (d, &dist) in l1.iter().enumerate() {
+            let key = (dist, d);
+            if d == c || (best.len() == MAX_DOMINATORS && key >= best[MAX_DOMINATORS - 1]) {
+                continue;
+            }
+            let pos = best.iter().position(|&e| key < e).unwrap_or(best.len());
+            best.insert(pos, key);
+            best.truncate(MAX_DOMINATORS);
+        }
+        pairs.extend(best.iter().map(|&(_, d)| DominationPair {
+            cand: members[c],
+            dom: members[d],
+            cand_at: c as u32,
+            dom_at: d as u32,
+        }));
+    }
+}
+
 /// Per-solver row-reduction state held by a [`crate::FamilySolver`]: its
 /// family's shared [`ReduceAnalysis`] (if any) plus the per-cell scratch
 /// and cumulative timing.
@@ -335,6 +401,8 @@ pub(crate) struct RowReducer {
     analysis: Option<Arc<ReduceAnalysis>>,
     dropped: Vec<bool>,
     kept: Vec<usize>,
+    /// The cell's box, then the current bucket's gathered bounds (see
+    /// [`ReduceAnalysis::select_into`]).
     lo: Vec<f64>,
     hi: Vec<f64>,
     /// Cumulative wall-clock seconds spent inside
@@ -520,5 +588,446 @@ mod tests {
         ]);
         let kept = kept_of(&p).expect("looser twin must be pruned");
         assert_eq!(kept, vec![0, 1, 2, 3, 5]);
+    }
+
+    /// The stored-difference analysis the compact layout replaced, kept as
+    /// the bit-identity reference: each pair carries its own sparse
+    /// difference in two arenas, ranked by a per-pair `‖c − d‖₁` and a
+    /// sorted insert.
+    mod reference {
+        use super::super::{single_entry, MAX_BUCKET, MAX_DOMINATORS, PRUNE_REL_TOL};
+        use crate::Problem;
+
+        pub(super) struct Reference {
+            n: usize,
+            singles: Vec<(u32, u32, f64)>,
+            /// `(cand, dom, off, len)`, the range into the arenas.
+            pub(super) pairs: Vec<(u32, u32, u32, u32)>,
+            diff_idx: Vec<u32>,
+            diff_val: Vec<f64>,
+        }
+
+        pub(super) fn build(prob: &Problem) -> Reference {
+            let rows = prob.lin_rows();
+            let mut singles = Vec::new();
+            let mut buckets: std::collections::BTreeMap<Vec<u32>, Vec<u32>> =
+                std::collections::BTreeMap::new();
+            for (i, row) in rows.iter().enumerate() {
+                if let Some((j, c)) = single_entry(row) {
+                    singles.push((i as u32, j as u32, c));
+                    continue;
+                }
+                let support: Vec<u32> = row
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &v)| v != 0.0)
+                    .map(|(j, _)| j as u32)
+                    .collect();
+                if support.len() >= 2 {
+                    buckets.entry(support).or_default().push(i as u32);
+                }
+            }
+            let mut pairs = Vec::new();
+            let mut diff_idx: Vec<u32> = Vec::new();
+            let mut diff_val = Vec::new();
+            let mut best: Vec<(f64, u32)> = Vec::new();
+            for (support, members) in &buckets {
+                if members.len() < 2 || members.len() > MAX_BUCKET {
+                    continue;
+                }
+                for &cand in members {
+                    best.clear();
+                    for &dom in members {
+                        if dom == cand {
+                            continue;
+                        }
+                        let mut l1 = 0.0;
+                        for &j in support {
+                            l1 += (rows[cand as usize][j as usize]
+                                - rows[dom as usize][j as usize])
+                                .abs();
+                        }
+                        let pos = best
+                            .iter()
+                            .position(|&(bl1, bdom)| (l1, dom) < (bl1, bdom))
+                            .unwrap_or(best.len());
+                        if pos < MAX_DOMINATORS {
+                            best.insert(pos, (l1, dom));
+                            best.truncate(MAX_DOMINATORS);
+                        }
+                    }
+                    for &(_, dom) in &best {
+                        let off = diff_idx.len() as u32;
+                        for &j in support {
+                            let d =
+                                rows[cand as usize][j as usize] - rows[dom as usize][j as usize];
+                            if d != 0.0 {
+                                diff_idx.push(j);
+                                diff_val.push(d);
+                            }
+                        }
+                        pairs.push((cand, dom, off, diff_idx.len() as u32 - off));
+                    }
+                }
+            }
+            Reference {
+                n: prob.num_vars(),
+                singles,
+                pairs,
+                diff_idx,
+                diff_val,
+            }
+        }
+
+        impl Reference {
+            pub(super) fn select_into(&self, rhs: &[f64], kept: &mut Vec<usize>) -> bool {
+                let m = rhs.len();
+                if self.pairs.is_empty() || m < 2 {
+                    return false;
+                }
+                let mut lo = vec![f64::NEG_INFINITY; self.n];
+                let mut hi = vec![f64::INFINITY; self.n];
+                for &(i, j, c) in &self.singles {
+                    let bound = rhs[i as usize] / c;
+                    if c > 0.0 {
+                        hi[j as usize] = hi[j as usize].min(bound);
+                    } else {
+                        lo[j as usize] = lo[j as usize].max(bound);
+                    }
+                }
+                let mut dropped = vec![false; m];
+                let mut any = false;
+                let mut i = 0;
+                while i < self.pairs.len() {
+                    let cand = self.pairs[i].0 as usize;
+                    let mut j = i;
+                    while j < self.pairs.len() && self.pairs[j].0 as usize == cand {
+                        let (_, dom, off, len) = self.pairs[j];
+                        j += 1;
+                        if dropped[dom as usize] {
+                            continue;
+                        }
+                        let mut m_bound = 0.0;
+                        let mut mag = 0.0;
+                        let mut finite = true;
+                        let (off, len) = (off as usize, len as usize);
+                        for (&jx, &v) in self.diff_idx[off..off + len]
+                            .iter()
+                            .zip(&self.diff_val[off..off + len])
+                        {
+                            let term = if v > 0.0 {
+                                v * hi[jx as usize]
+                            } else {
+                                v * lo[jx as usize]
+                            };
+                            if !term.is_finite() {
+                                finite = false;
+                                break;
+                            }
+                            m_bound += term;
+                            mag += term.abs();
+                        }
+                        if finite && rhs[dom as usize] + m_bound <= rhs[cand] - PRUNE_REL_TOL * mag
+                        {
+                            dropped[cand] = true;
+                            any = true;
+                            break;
+                        }
+                    }
+                    while i < self.pairs.len() && self.pairs[i].0 as usize == cand {
+                        i += 1;
+                    }
+                }
+                if !any {
+                    return false;
+                }
+                kept.clear();
+                kept.extend((0..m).filter(|&r| !dropped[r]));
+                true
+            }
+        }
+    }
+
+    /// splitmix64: the identity tests' input generator.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, k: usize) -> usize {
+            (self.next() % k as u64) as usize
+        }
+
+        fn chance(&mut self, p: f64) -> bool {
+            self.range(0.0, 1.0) < p
+        }
+
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+        }
+
+        /// A nonzero coefficient of either sign.
+        fn coeff(&mut self) -> f64 {
+            let v = self.range(0.1, 2.0);
+            if self.chance(0.5) {
+                -v
+            } else {
+                v
+            }
+        }
+    }
+
+    /// A random family over 3–6 variables and four cells' right-hand sides.
+    ///
+    /// * Multi-entry rows come in one to three support buckets of 2, 16, 17
+    ///   or 40 members (buckets sharing a support merge). A bucket is
+    ///   random, or a contracting recurrence whose late rows are near
+    ///   duplicates, like the thermal rows. Members may be exact copies of
+    ///   earlier ones. Some candidates are symmetric in their first two
+    ///   columns while two other members swap those columns, so their
+    ///   distances tie exactly when summed in support order. Some buckets
+    ///   hold one column constant, a zero difference on every pair.
+    /// * Off-support coefficients are `+0.0` or `−0.0`.
+    /// * Each variable has both bounds, one or none, through single-entry
+    ///   rows with scaled coefficients; a constant column's variable is
+    ///   never bounded on both sides. Extra single-entry rows and per-cell
+    ///   scaling of every single-entry rhs tighten or loosen the box.
+    /// * Row order is shuffled half of the time.
+    fn random_family(seed: u64) -> (Problem, Vec<Vec<f64>>) {
+        let mut rng = Mix(seed);
+        let n = 3 + rng.below(4);
+        // (row, base rhs)
+        let mut rows: Vec<(Vec<f64>, f64)> = Vec::new();
+        let mut half_open = vec![false; n];
+        for _ in 0..1 + rng.below(3) {
+            let mut support: Vec<usize> = (0..n).filter(|_| rng.chance(0.5)).collect();
+            while support.len() < 2 {
+                let j = rng.below(n);
+                if !support.contains(&j) {
+                    support.push(j);
+                    support.sort_unstable();
+                }
+            }
+            let s = support.len();
+            let b = [2, 16, 17, 40][rng.below(4)];
+            let mut coef: Vec<Vec<f64>> = Vec::with_capacity(b);
+            let mut rhs: Vec<f64> = Vec::with_capacity(b);
+            if rng.chance(0.5) {
+                let rho = rng.range(0.3, 0.95);
+                let mut row: Vec<f64> = (0..s).map(|_| rng.coeff()).collect();
+                let fixed: Vec<f64> = row
+                    .iter()
+                    .map(|&v| v.signum() * rng.range(0.1, 2.0))
+                    .collect();
+                let (mut r, r_inf) = (rng.range(0.0, 4.0), rng.range(0.0, 4.0));
+                for _ in 0..b {
+                    coef.push(row.clone());
+                    rhs.push(r);
+                    for (v, &f) in row.iter_mut().zip(&fixed) {
+                        *v = f + (*v - f) * rho;
+                    }
+                    r = r_inf + (r - r_inf) * rho;
+                }
+            } else {
+                for _ in 0..b {
+                    coef.push((0..s).map(|_| rng.coeff()).collect());
+                    rhs.push(rng.range(-1.0, 4.0));
+                }
+            }
+            for i in 1..b {
+                if rng.chance(0.15) {
+                    coef[i] = coef[rng.below(i)].clone();
+                }
+            }
+            if b >= 3 {
+                for _ in 0..1 + b / 8 {
+                    let c = rng.below(b);
+                    let d1 = rng.below(b);
+                    let d2 = rng.below(b);
+                    if c == d1 || c == d2 || d1 == d2 {
+                        continue;
+                    }
+                    coef[c][1] = coef[c][0];
+                    coef[d2] = coef[d1].clone();
+                    coef[d2].swap(0, 1);
+                }
+            }
+            if rng.chance(0.5) {
+                let k = rng.below(s);
+                let v = rng.coeff();
+                for row in &mut coef {
+                    row[k] = v;
+                }
+                half_open[support[k]] = true;
+            }
+            for (c, r) in coef.into_iter().zip(rhs) {
+                let mut row: Vec<f64> = (0..n)
+                    .map(|_| if rng.chance(0.5) { -0.0 } else { 0.0 })
+                    .collect();
+                for (&j, v) in support.iter().zip(c) {
+                    row[j] = v;
+                }
+                rows.push((row, r));
+            }
+        }
+        let single = |j: usize, c: f64, rhs: f64| {
+            let mut row = vec![0.0; n];
+            row[j] = c;
+            (row, rhs)
+        };
+        for (j, &open) in half_open.iter().enumerate() {
+            let (has_lo, has_hi) = match rng.below(4) {
+                0 if !open => (true, true),
+                0 | 1 => (false, true),
+                2 => (true, false),
+                _ => (false, false),
+            };
+            if has_lo {
+                let c = rng.range(0.5, 2.0);
+                rows.push(single(j, -c, c * rng.range(0.0, 3.0)));
+            }
+            if has_hi {
+                let c = rng.range(0.5, 2.0);
+                rows.push(single(j, c, c * rng.range(0.5, 3.0)));
+            }
+        }
+        for _ in 0..rng.below(3) {
+            let j = rng.below(n);
+            if !half_open[j] {
+                let c = rng.coeff();
+                rows.push(single(j, c, c.abs() * rng.range(0.2, 3.0)));
+            }
+        }
+        if rng.chance(0.5) {
+            for i in (1..rows.len()).rev() {
+                rows.swap(i, rng.below(i + 1));
+            }
+        }
+        let cells = (0..4)
+            .map(|_| {
+                let shift = rng.range(-0.5, 0.5);
+                rows.iter()
+                    .map(|(row, r)| {
+                        if single_entry(row).is_some() {
+                            r * rng.range(0.3, 1.5)
+                        } else {
+                            r + shift + rng.range(0.0, 0.05)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut p = Problem::new(n);
+        p.set_linear_objective(vec![1.0; n]);
+        for (row, r) in rows {
+            p.add_linear_le(row, r);
+        }
+        (p, cells)
+    }
+
+    /// The compact analysis's `(cand, dom)` sequence.
+    fn pair_rows(a: &ReduceAnalysis) -> Vec<(u32, u32)> {
+        a.pairs.iter().map(|p| (p.cand, p.dom)).collect()
+    }
+
+    /// Asserts that the compact analysis of `p` stores the reference's
+    /// `(cand, dom)` sequence and selects exactly its rows for every cell.
+    /// Returns how many cells pruned anything.
+    fn assert_matches_reference(p: &Problem, cells: &[Vec<f64>]) -> usize {
+        let compact = ReduceAnalysis::build(p);
+        let reference = reference::build(p);
+        let want: Vec<(u32, u32)> = reference.pairs.iter().map(|&(c, d, ..)| (c, d)).collect();
+        assert_eq!(pair_rows(&compact), want, "stored pairs");
+        let mut reducer = RowReducer::new(Some(Arc::new(compact)));
+        let mut want_kept = Vec::new();
+        let mut pruning = 0;
+        for rhs in cells {
+            let want_any = reference.select_into(rhs, &mut want_kept);
+            let got = reducer.select_rhs(rhs);
+            assert_eq!(got.is_some(), want_any, "pruning verdict");
+            if let Some(kept) = got {
+                assert_eq!(kept, &want_kept[..], "kept rows");
+                pruning += 1;
+            }
+        }
+        pruning
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        /// The compact analysis stores the reference's pairs and makes its
+        /// selections, bit for bit, on random bucketed families.
+        #[test]
+        fn compact_analysis_matches_the_stored_difference_reference(seed in 0u64..u64::MAX) {
+            let (p, cells) = random_family(seed);
+            assert_matches_reference(&p, &cells);
+        }
+    }
+
+    #[test]
+    fn identity_inputs_cover_pruning_and_ties() {
+        // The generator must actually prune, keep whole cells, and produce
+        // exact distance ties between distinct dominators.
+        let (mut pruning, mut whole, mut ties) = (0, 0, 0);
+        for seed in 0..40 {
+            let (p, cells) = random_family(seed);
+            let fired = assert_matches_reference(&p, &cells);
+            pruning += fired;
+            whole += cells.len() - fired;
+            let rows = p.lin_rows();
+            let l1 = |a: u32, b: u32| -> f64 {
+                let (a, b) = (&rows[a as usize], &rows[b as usize]);
+                a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
+            };
+            let a = ReduceAnalysis::build(&p);
+            ties += a
+                .pairs
+                .windows(2)
+                .filter(|w| {
+                    w[0].cand == w[1].cand
+                        && rows[w[0].dom as usize] != rows[w[1].dom as usize]
+                        && l1(w[0].cand, w[0].dom) == l1(w[1].cand, w[1].dom)
+                })
+                .count();
+        }
+        assert!(pruning > 0 && whole > 0, "{pruning} pruning, {whole} whole");
+        assert!(ties > 0, "no exact ties between distinct dominators");
+    }
+
+    #[test]
+    fn bucket_over_max_bucket_is_not_analysed() {
+        // One support bucket of MAX_BUCKET + 1 near-duplicate rows and one of
+        // 17 rows: only the small bucket is ranked, identically.
+        let mut rng = Mix(7);
+        let mut p = Problem::new(3);
+        p.set_linear_objective(vec![1.0; 3]);
+        p.add_box(0, 0.0, 1.0);
+        p.add_box(1, -1.0, 2.0);
+        p.add_box(2, 0.0, 1.0);
+        let mut rhs = vec![1.0, 0.0, 1.0, 2.0, 0.0, 1.0];
+        for k in 0..=MAX_BUCKET {
+            let t = 1.0 - 0.5f64.powi((k % 60) as i32);
+            p.add_linear_le(vec![1.0 + t, 2.0 - t, 0.0], 3.0);
+            rhs.push(3.0 + rng.range(0.0, 1.0));
+        }
+        let small = p.lin_rows().len();
+        for _ in 0..17 {
+            p.add_linear_le(vec![rng.coeff(), rng.coeff(), rng.coeff()], 1.0);
+            rhs.push(rng.range(0.5, 3.0));
+        }
+        let a = ReduceAnalysis::build(&p);
+        assert_eq!(a.buckets.len(), 1);
+        assert_eq!(a.pairs.len(), 17 * MAX_DOMINATORS);
+        assert!(pair_rows(&a)
+            .iter()
+            .all(|&(c, d)| c as usize >= small && d as usize >= small));
+        assert_matches_reference(&p, &[rhs, p.lin_rhs().to_vec()]);
     }
 }
