@@ -7,7 +7,9 @@
 //! * the Phase-1 sweeps of the paper 8×10 grid, the `--quick` 3×4 grid
 //!   and the quick grid's incremental rebuild against `results/quick_prior`
 //!   keep their table, record and certificate digests and their
-//!   deterministic build counters;
+//!   deterministic build counters, and the paper grid's values alone
+//!   (everything but the per-cell Newton counts) on every built-in
+//!   platform;
 //! * the default contexts of the three built-in platforms keep their
 //!   fingerprints, so persisted artifacts stay valid;
 //! * `LadderController` keeps its frequency bits, rungs and counters over
@@ -121,6 +123,21 @@ fn artifact_digest(artifact: &BuildArtifact) -> u64 {
     digest.0
 }
 
+/// [`artifact_digest`] without the per-cell Newton counts: equal digests
+/// mean bit-equal tables, per-cell verdicts, points, warm/phase-I/polish
+/// flags, `rows_pruned` and certificates, however many Newton steps the
+/// sweep spent reaching them.
+fn artifact_values_digest(artifact: &BuildArtifact) -> u64 {
+    let mut digest = Fnv::new();
+    digest.add(format!("{:?}", artifact.table).as_bytes());
+    for c in &artifact.cells {
+        let values = (c.status, &c.x, c.warm, c.phase1, c.rows_pruned, c.polish);
+        digest.add(format!("{values:?}").as_bytes());
+    }
+    digest.add(format!("{:?}", artifact.certificates).as_bytes());
+    digest.0
+}
+
 /// The deterministic `BuildStats` counters, in declaration order; the
 /// wall-clock fields are left out.
 fn build_counters(stats: &BuildStats) -> [u64; 14] {
@@ -173,6 +190,22 @@ fn paper_grid_sweep_is_pinned() {
         [80, 69, 67, 1, 29, 4853, 5, 8, 0, 0, 139_060, 0, 10, 4800],
         "paper grid counters"
     );
+}
+
+#[test]
+fn paper_grid_values_are_pinned() {
+    for (name, platform, want) in [
+        ("niagara8", Platform::niagara8(), 0xcf80_8d60_aefb_0868_u64),
+        ("biglittle8", Platform::biglittle8(), 0x2ba6_27ec_2ef6_11a2),
+        ("stacked3d", Platform::stacked3d(), 0x2d43_11b6_527d_dcd5),
+    ] {
+        let (artifact, _) = paper_grid()
+            .threads(1)
+            .build_artifact(&default_ctx(&platform))
+            .expect("paper grid builds");
+        let digest = artifact_values_digest(&artifact);
+        assert_eq!(digest, want, "{name} paper grid values {digest:#018x}");
+    }
 }
 
 #[test]

@@ -120,34 +120,64 @@ fn thin_conflict() -> Problem {
     p
 }
 
-#[test]
-fn solve_warm_and_seeded_are_pinned() {
+/// Cold, warm and seeded solves over neighbouring cells and two problem
+/// shapes, in one fixed order.
+fn warm_and_seeded_sequence() -> Vec<Result<Solution>> {
     let opts = SolverOptions::default();
     let cold = |p: &Problem| solve(opts, 0, p, CellSeed::None);
     let warm = |p: &Problem, x: &[f64]| solve(opts, 0, p, CellSeed::Warm(x));
-    let mut d = Fnv::new();
+    let mut out = Vec::new();
     let first = cold(&cell(-0.5));
-    d.add(&first);
-    let x = first.unwrap().x;
+    let x = first.clone().unwrap().x;
+    out.push(first);
     // Neighbouring cells: warm from the previous optimum, seeded from
     // plain geometry, and no start at all.
-    d.add(&warm(&cell(-1.0), &x));
-    d.add(&solve(opts, 0, &cell(-2.0), CellSeed::Seeded(&[0.5; 4])));
-    d.add(&cold(&cell(-0.25)));
+    out.push(warm(&cell(-1.0), &x));
+    out.push(solve(opts, 0, &cell(-2.0), CellSeed::Seeded(&[0.5; 4])));
+    out.push(cold(&cell(-0.25)));
     // A warm point that violates the cell seeds phase I instead; a
     // wrong-length one is ignored.
-    d.add(&warm(&cell(-0.25), &[9.0; 4]));
-    d.add(&warm(&cell(-0.25), &[1.0; 3]));
+    out.push(warm(&cell(-0.25), &[9.0; 4]));
+    out.push(warm(&cell(-0.25), &[1.0; 3]));
     // Another problem shape, then back.
     let q = cold(&qp());
-    d.add(&q);
-    d.add(&warm(&qp(), &q.unwrap().x));
-    d.add(&cold(&cell(-1.5)));
+    let qx = q.clone().unwrap().x;
+    out.push(q);
+    out.push(warm(&qp(), &qx));
+    out.push(cold(&cell(-1.5)));
     // The one-shot `Problem::solve`, and a warm solve of the same cell.
-    d.add(&cell(-1.0).solve(&opts));
-    d.add(&warm(&cell(-1.0), &x));
-    d.add(&qp().solve(&SolverOptions::fast()));
+    out.push(cell(-1.0).solve(&opts));
+    out.push(warm(&cell(-1.0), &x));
+    out.push(qp().solve(&SolverOptions::fast()));
+    out
+}
+
+#[test]
+fn solve_warm_and_seeded_are_pinned() {
+    let mut d = Fnv::new();
+    for r in warm_and_seeded_sequence() {
+        d.add(&r);
+    }
     assert_eq!(d.0, 0x29b9_d1cb_44f5_6e94, "digest {:#018x}", d.0);
+}
+
+/// The same sequence with the effort counters (`outer_iterations`,
+/// `newton_steps`, `phase1_steps`) zeroed: equal digests mean bit-equal
+/// statuses, points, objectives, gap bounds, certificates, `rows_pruned`
+/// and `polished` flags and error variants, however many Newton steps the
+/// solver spent reaching them.
+#[test]
+fn solve_warm_and_seeded_values_are_pinned() {
+    let mut d = Fnv::new();
+    for r in warm_and_seeded_sequence() {
+        d.add(&r.map(|s| Solution {
+            outer_iterations: 0,
+            newton_steps: 0,
+            phase1_steps: 0,
+            ..s
+        }));
+    }
+    assert_eq!(d.0, 0x24e1_b4a7_8fbb_a29f, "digest {:#018x}", d.0);
 }
 
 #[test]
