@@ -276,6 +276,9 @@ pub struct LadderTelemetry {
     pub table_misses: u64,
     /// Largest Newton spend of any single tick.
     pub max_tick_newton: usize,
+    /// Newton steps the MPC rung spent over the whole run: the sum of
+    /// every tick's spend.
+    pub newton_steps: u64,
     /// Ticks whose Newton spend exceeded the configured budget. Always 0
     /// when the budget is honored (the fault-campaign bench asserts it).
     pub budget_overruns: u64,
@@ -518,6 +521,7 @@ impl DfsPolicy for LadderController {
             self.telemetry.budget_overruns += 1;
         }
         self.telemetry.max_tick_newton = self.telemetry.max_tick_newton.max(tick_newton);
+        self.telemetry.newton_steps += tick_newton as u64;
         self.telemetry.rung_counts[rung as usize] += 1;
         self.last_rung = rung;
         freqs

@@ -345,6 +345,7 @@ fn controllers_reproduce_pinned_window_outputs() {
             backoffs: 0,
             table_misses: 0,
             max_tick_newton: 153,
+            newton_steps: 1146,
             budget_overruns: 0,
         }
     );
@@ -366,6 +367,7 @@ fn controllers_reproduce_pinned_window_outputs() {
             backoffs: 3,
             table_misses: 6,
             max_tick_newton: 8,
+            newton_steps: 127,
             budget_overruns: 0,
         }
     );
