@@ -154,9 +154,12 @@ fc = data["fault_campaign"]
 assert fc["episodes"] > 0 and fc["windows"] > 0
 assert fc["budget_overruns"] == 0, fc
 assert 0 < fc["max_tick_newton"] <= fc["tick_budget"], fc
+# The campaign's whole MPC Newton bill, of which the worst tick is a part.
+assert fc["newton_steps"] >= fc["max_tick_newton"], fc
 print(f"fault campaign: {fc['episodes']} episodes over {fc['windows']} windows, "
       f"occupancy {occ}, recovery p99 {data['fault_recovery_ticks_p99']:.0f} ticks, "
-      f"worst tick {fc['max_tick_newton']}/{fc['tick_budget']} newton steps, "
+      f"worst tick {fc['max_tick_newton']}/{fc['tick_budget']} newton steps "
+      f"({fc['newton_steps']} in all), "
       f"cap violations {data['cap_violations_under_faults']}")
 print(f"serving tier: {data['serve_lookups_per_s']/1e6:.2f}M lookups/s "
       f"({data['serve_threads']} threads, {data['serve_lookups']} lookups, "

@@ -370,13 +370,14 @@ fn fault_campaign_section(table: &FrequencyTable) -> String {
     );
     println!(
         "quick fault campaign: {} episodes over {} windows; occupancy {:?}; \
-         recovery p99 {:.0} ticks; worst tick {} newton steps (budget {TICK_BUDGET}); \
-         {} dropped / {} late ticks; cap violations {:.4}%",
+         recovery p99 {:.0} ticks; worst tick {} newton steps (budget {TICK_BUDGET}), \
+         {} in all; {} dropped / {} late ticks; cap violations {:.4}%",
         campaign.episodes().len(),
         report.windows,
         report.ladder_occupancy,
         report.fault_recovery_ticks_p99,
         telemetry.max_tick_newton,
+        telemetry.newton_steps,
         report.dropped_ticks,
         report.late_ticks,
         cap_violations * 100.0,
@@ -392,6 +393,7 @@ fn fault_campaign_section(table: &FrequencyTable) -> String {
          \"cap_violations_under_faults\": {:.6},\n  \
          \"fault_campaign\": {{\"episodes\": {}, \"windows\": {}, \
          \"tick_budget\": {TICK_BUDGET}, \"max_tick_newton\": {}, \
+         \"newton_steps\": {}, \
          \"budget_overruns\": {}, \"truncated_serves\": {}, \
          \"dropped_ticks\": {}, \"late_ticks\": {}}}",
         occupancy.join(", "),
@@ -400,6 +402,7 @@ fn fault_campaign_section(table: &FrequencyTable) -> String {
         campaign.episodes().len(),
         report.windows,
         telemetry.max_tick_newton,
+        telemetry.newton_steps,
         telemetry.budget_overruns,
         telemetry.truncated_serves,
         report.dropped_ticks,

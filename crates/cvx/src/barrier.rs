@@ -52,7 +52,7 @@ use crate::{CertScratch, Certificate, CvxError, Problem, QuadConstraint, Result,
 
 /// Newton-step budget for the speculative warm-start attempt: enough for a
 /// genuine warm start (a few steps to re-center, then the gap check), small
-/// enough that a mismatched start fails over to the seeded path cheaply.
+/// enough that a mismatched start fails over to the cold path cheaply.
 const WARM_TRY_BUDGET: usize = 32;
 
 /// Centering-stall detector: a centering is abandoned when this many
@@ -319,23 +319,34 @@ impl Dense<'_> {
     }
 
     /// Barrier function `t·f₀(x) − Σ log(sᵢ)`; `None` if any slack ≤ 0.
-    fn barrier_value(&self, t: f64, x: &[f64]) -> Option<f64> {
-        let slacks = (0..self.num_lin()).map(|i| {
+    /// Each linear slack `bᵢ − aᵢ·x` it forms is written into `slack`
+    /// (length [`Dense::num_lin`]).
+    ///
+    /// When the value is `Some`, every slack was formed and is positive,
+    /// and each equals [`Dense::slacks_into`]'s bit for bit: the two sums
+    /// differ only in the sign of an all-zero sum, which `bᵢ − ·` maps to
+    /// the same positive slack (the argument of
+    /// [`Dense::barrier_value_at_slacks`]). So an accepted line-search
+    /// trial's slacks are the next Newton step's, and
+    /// [`Dense::grad_hess_into`] skips that pass.
+    fn barrier_value(&self, t: f64, x: &[f64], slack: &mut [f64]) -> Option<f64> {
+        let slacks = slack.iter_mut().enumerate().map(|(i, out)| {
             let (cols, row) = self.lin_row_span(i);
-            self.b[i] - vecops::dot(row, &x[cols])
+            *out = self.b[i] - vecops::dot(row, &x[cols]);
+            *out
         });
         self.barrier_with(t, x, slacks)
     }
 
-    /// [`Dense::barrier_value`] at the point whose linear slacks
-    /// [`Dense::grad_hess_into`] just wrote into `slack`, without
-    /// recomputing them.
+    /// [`Dense::barrier_value`] at the point whose linear slacks `slack`
+    /// holds (as [`Dense::grad_hess_into`] left them), without recomputing
+    /// them.
     ///
-    /// The same bits as `barrier_value(t, x)`. The two slack sums differ
-    /// only in the sign of an all-zero sum: `vecops::dot` folds from
-    /// `−0.0`, [`Matrix::matvec_rows_into`] from `+0.0`. `bᵢ − ·` maps both
-    /// signs to the same slack unless `bᵢ = ±0.0`, and then both slacks are
-    /// `≤ 0`, so both paths return `None`.
+    /// The same bits as a fresh [`Dense::barrier_value`]. The two slack
+    /// sums differ only in the sign of an all-zero sum: `vecops::dot` folds
+    /// from `−0.0`, [`Matrix::matvec_rows_into`] from `+0.0`. `bᵢ − ·` maps
+    /// both signs to the same slack unless `bᵢ = ±0.0`, and then both
+    /// slacks are `≤ 0`, so both paths return `None`.
     fn barrier_value_at_slacks(&self, t: f64, x: &[f64], slack: &[f64]) -> Option<f64> {
         self.barrier_with(t, x, slack.iter().copied())
     }
@@ -368,7 +379,7 @@ impl Dense<'_> {
     /// start from a neighbouring optimum — where a full Newton step lands
     /// far outside the region and Armijo would shrink `α` to nothing.
     /// `slack` holds the linear slacks at `x` as [`Dense::grad_hess_into`]
-    /// wrote them; at a strictly feasible `x` each is positive and equals
+    /// left them; at a strictly feasible `x` each is positive and equals
     /// `bᵢ − aᵢ·x` bit for bit. `tmp` is clobbered (a length-`n` buffer).
     /// Allocation-free.
     fn max_step(&self, x: &[f64], dx: &[f64], slack: &[f64], tmp: &mut [f64]) -> f64 {
@@ -428,15 +439,22 @@ impl Dense<'_> {
 
     /// Gradient and *lower-triangle* Hessian of the barrier function at a
     /// strictly feasible `x`, written into the scratch buffers (`s.grad`,
-    /// `s.hess`; `s.qgrad` and the row buffers are clobbered). The strict
-    /// upper triangle of `s.hess` is left unspecified — everything
-    /// downstream (Jacobi scaling, Cholesky) reads the lower triangle only.
+    /// `s.hess`; `s.qgrad` and `s.w` are clobbered). The strict upper
+    /// triangle of `s.hess` is left unspecified — everything downstream
+    /// (Jacobi scaling, Cholesky) reads the lower triangle only.
+    ///
+    /// `slacks_at_x` says `s.slack` already holds the linear slacks at `x`:
+    /// the line search wrote them while evaluating the accepted trial
+    /// point, which is now `x`. Otherwise they are computed into `s.slack`
+    /// here. Either way `s.slack` holds them on return, bit for bit what
+    /// [`Dense::slacks_into`] gives (see [`Dense::barrier_value`]),
+    /// which debug builds check.
     ///
     /// The linear-constraint contribution `Aᵀ D A` (with `Dᵢᵢ = 1/sᵢ²`) is
     /// one blocked syrk-style rank-k update over the packed rows instead of
     /// `m` full-matrix rank-1 updates; this is the hot kernel of the whole
     /// sweep. Allocation-free after the row buffers have grown.
-    fn grad_hess_into(&self, t: f64, x: &[f64], s: &mut DimScratch) {
+    fn grad_hess_into(&self, t: f64, x: &[f64], s: &mut DimScratch, slacks_at_x: bool) {
         let m = self.num_lin();
         s.ensure_rows(m);
         let DimScratch {
@@ -461,7 +479,18 @@ impl Dense<'_> {
         if m > 0 {
             let slack = &mut slack[..m];
             let w = &mut w[..m];
-            self.slacks_into(x, slack);
+            if !slacks_at_x {
+                self.slacks_into(x, slack);
+            } else if cfg!(debug_assertions) {
+                // `w` is overwritten below: a fresh pass fits there.
+                self.slacks_into(x, w);
+                debug_assert!(
+                    w.iter()
+                        .zip(&*slack)
+                        .all(|(f, r)| f.to_bits() == r.to_bits()),
+                    "the reused trial slacks must equal fresh ones"
+                );
+            }
             for (wi, &sl) in w.iter_mut().zip(slack.iter()) {
                 *wi = 1.0 / sl;
             }
@@ -579,7 +608,8 @@ pub(crate) struct FlowOutcome {
 // ---------------------------------------------------------------------------
 
 /// The full two-phase solve flow over prepared storage: warm fast path,
-/// seeded phase II, phase-I fallback with warm resume, final cold climb.
+/// seeded phase II, else phase I (from the supplied point or the origin)
+/// and the cold climb from its strictly feasible point at `t₀`.
 ///
 /// `tick_budget` caps the Newton steps of the whole flow (`0`: no cap);
 /// `x0` is the supplied start already projected into the reduced space (a
@@ -711,8 +741,10 @@ pub(crate) fn solve_flow(
         }
     }
 
-    // Cold path (and the fallback for a stalled warm run).
-    let warm_origin = phase1_seed.is_some() && estimate_t;
+    // Cold path (and the fallback for a stalled warm run). Phase I's point
+    // climbs from the configured t₀ even when a warm point seeded it:
+    // re-entering it at the warm t₀ estimate never centered within
+    // `WARM_TRY_BUDGET` steps on the sweeps or the MPC windows.
     let mut z0 = match phase1_seed {
         Some(seed) => pool.take_from(seed),
         None => pool.take(nz),
@@ -765,50 +797,6 @@ pub(crate) fn solve_flow(
                     phase1_steps,
                 });
             }
-        }
-        // Warm resume: when the supplied point was a neighbouring
-        // optimum (warm semantics) that phase I just nudged back into
-        // the strict interior — it stalled against the boundary, or
-        // violated the new constraints slightly — it is still
-        // essentially optimal, so re-enter the central path at the
-        // matching barrier parameter instead of re-climbing from t₀.
-        // Without this, a degenerate active set (e.g. the gradient
-        // rows at low targets, whose optimum has machine-epsilon
-        // slack) costs a full cold climb on every link of a warm
-        // chain. The attempt is budgeted exactly like the direct warm
-        // fast path and falls back to the cold climb if it stalls.
-        if warm_origin && remaining != Some(0) {
-            let t_start = estimate_warm_t0(opts, scratch, &dense, &z0);
-            let ctrl = RunCtrl {
-                newton_budget: capped(Some(WARM_TRY_BUDGET), remaining),
-                ..RunCtrl::default()
-            };
-            let start = pool.take_from(&z0);
-            let run = run_barrier(opts, scratch, &dense, start, t_start, ctrl)?;
-            outer_total += run.outer;
-            newton_total += run.newton;
-            if run.converged && run.centered {
-                pool.put(z0);
-                return Ok(FlowOutcome {
-                    verdict: FlowVerdict::Feasible(run),
-                    outer: outer_total,
-                    newton: newton_total,
-                    phase1_steps,
-                });
-            }
-            if remaining.is_some_and(|r| run.newton >= r) {
-                pool.put(z0);
-                return Ok(FlowOutcome {
-                    verdict: FlowVerdict::Budgeted(Some(run)),
-                    outer: outer_total,
-                    newton: newton_total,
-                    phase1_steps,
-                });
-            }
-            if let Some(r) = remaining.as_mut() {
-                *r = r.saturating_sub(run.newton);
-            }
-            pool.put(run.x);
         }
     }
     if remaining == Some(0) {
@@ -1144,7 +1132,7 @@ fn run_barrier(
 
     // Unconstrained case: a single Newton solve on the objective.
     if dense.num_ineq() == 0 {
-        dense.grad_hess_into(1.0, &x, s);
+        dense.grad_hess_into(1.0, &x, s, false);
         if dense.p0.is_none() {
             // Pure linear objective with no constraints is unbounded
             // unless the gradient is zero.
@@ -1188,6 +1176,10 @@ fn run_barrier(
     // (the point itself is kept in `s.center`): the fallback when the
     // final centering stalls.
     let mut center_t: Option<f64> = None;
+    // Whether `s.slack` holds the slacks at `x`: not before the run's
+    // first Newton step, always after it (an accepted trial hands its
+    // slacks over with the point; a rejected one leaves both alone).
+    let mut slacks_at_x = false;
     loop {
         // Centering at parameter t; `centered` records whether it ended
         // by Newton-decrement convergence (vs a stall).
@@ -1199,7 +1191,8 @@ fn run_barrier(
         // it at the accepted trial point, which is now `x`.
         let mut psi_x: Option<f64> = None;
         for _ in 0..o.max_newton {
-            dense.grad_hess_into(t, &x, s);
+            dense.grad_hess_into(t, &x, s, slacks_at_x);
+            slacks_at_x = true;
             solve_spd_in_place(s)?;
             let lambda2 = -vecops::dot(&s.grad, &s.dx);
             if !lambda2.is_finite() {
@@ -1226,9 +1219,10 @@ fn run_barrier(
             // get real candidates instead of infeasible ones. Its start
             // value ψ₀ = ψ(x) is already known after an accepted step of
             // this centering; on the centering's first step it comes from
-            // the slacks `grad_hess_into` just wrote. Either way it is the
-            // same expression on the same inputs as a fresh
-            // `barrier_value(t, x)`, which debug builds check.
+            // the slacks at `x` that `grad_hess_into` left in `s.slack`.
+            // Either way it is the same expression on the same inputs as a
+            // fresh `barrier_value` (into `s.w`, free until the next
+            // assembly), which debug builds check.
             let slack = &s.slack[..m_lin];
             let psi0 = match psi_x {
                 Some(v) => Some(v),
@@ -1239,16 +1233,22 @@ fn run_barrier(
             })?;
             debug_assert_eq!(
                 Some(psi0.to_bits()),
-                dense.barrier_value(t, &x).map(f64::to_bits),
+                dense
+                    .barrier_value(t, &x, &mut s.w[..m_lin])
+                    .map(f64::to_bits),
                 "the reused line-search start value must equal a fresh one"
             );
             let mut alpha = dense.max_step(&x, &s.dx, slack, &mut s.qgrad);
             let mut accepted = false;
             while alpha > 1e-14 {
                 vecops::add_scaled_into(&x, alpha, &s.dx, &mut s.cand);
-                if let Some(psi) = dense.barrier_value(t, &s.cand) {
+                // `s.w` is free until the next assembly: it takes the
+                // trial's slacks, which an accepted trial hands over.
+                let trial_slack = &mut s.w[..m_lin];
+                if let Some(psi) = dense.barrier_value(t, &s.cand, trial_slack) {
                     if psi <= psi0 - o.armijo * alpha * lambda2 {
                         std::mem::swap(&mut x, &mut s.cand);
+                        std::mem::swap(&mut s.slack, &mut s.w);
                         psi_x = Some(psi);
                         accepted = true;
                         break;

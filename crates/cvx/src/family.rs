@@ -175,9 +175,12 @@ pub enum CellSeed<'a> {
     /// No start point: phase I from the origin.
     None,
     /// A neighbouring optimum: when strictly feasible, phase II starts from
-    /// it (skipping phase I) at the matching barrier parameter; otherwise
-    /// phase I starts near it. The result is within solver tolerance of
-    /// the cold-start optimum, not bit-identical to it.
+    /// it (skipping phase I) at the matching barrier parameter. When it is
+    /// infeasible, or that short attempt stalls, the cold path starts from
+    /// it instead: phase I if it lies within the phase-I margin of the
+    /// boundary, then the climb from the configured `t₀`. The result is
+    /// within solver tolerance of the cold-start optimum, not bit-identical
+    /// to it.
     Warm(&'a [f64]),
     /// Good geometry only: the phase-II start (or the phase-I seed when
     /// infeasible), but the central-path climb begins at the configured

@@ -44,7 +44,9 @@ pub(crate) struct DimScratch {
     /// Constraint slacks `b − Ax` (one per linear row; grows to the row
     /// count on first use).
     pub slack: Vec<f64>,
-    /// Constraint weights `1/s` then `1/s²` (one per linear row).
+    /// Constraint weights `1/s` then `1/s²` (one per linear row). Between
+    /// two Newton assemblies the line search writes its trial point's
+    /// slacks here; an accepted trial swaps them into `slack`.
     pub w: Vec<f64>,
     /// Cholesky factor storage, refactored every Newton step.
     pub chol: Cholesky,

@@ -158,7 +158,7 @@ fn solve_warm_and_seeded_are_pinned() {
     for r in warm_and_seeded_sequence() {
         d.add(&r);
     }
-    assert_eq!(d.0, 0x29b9_d1cb_44f5_6e94, "digest {:#018x}", d.0);
+    assert_eq!(d.0, 0x088b_7f53_7560_aad8, "digest {:#018x}", d.0);
 }
 
 /// The same sequence with the effort counters (`outer_iterations`,
