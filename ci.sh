@@ -69,7 +69,7 @@ for section in ("screened", "unscreened", "incremental", "unpruned",
                   "seed_reuses", "incremental_screens",
                   "rows_pruned", "polish_mints", "chain_reentries",
                   "amortized_column_s",
-                  "reduce_s", "family_build_s",
+                  "reduce_s", "screen_s", "family_build_s",
                   "rows_full"):
         assert field in data[section], f"missing {section}.{field}"
         assert data[section][field] >= 0, f"negative {section}.{field}"

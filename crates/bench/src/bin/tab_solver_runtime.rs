@@ -77,7 +77,7 @@ fn stats_json(label: &str, s: &BuildStats) -> String {
          \"seed_reuses\": {}, \"incremental_screens\": {}, \
          \"rows_pruned\": {}, \"polish_mints\": {}, \"chain_reentries\": {}, \
          \"amortized_column_s\": {:.5}, \
-         \"reduce_s\": {:.4}, \"family_build_s\": {:.4}, \
+         \"reduce_s\": {:.4}, \"screen_s\": {:.4}, \"family_build_s\": {:.4}, \
          \"rows_full\": {}, \
          \"total_s\": {:.3}, \"mean_point_s\": {:.4}, \"max_point_s\": {:.4}, \
          \"points_per_s\": {:.3}}}",
@@ -94,6 +94,7 @@ fn stats_json(label: &str, s: &BuildStats) -> String {
         s.chain_reentries,
         s.amortized_column_s,
         s.reduce_s,
+        s.screen_s,
         s.family_build_s,
         s.rows_full,
         s.total_s,

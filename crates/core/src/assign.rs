@@ -1,4 +1,5 @@
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use protemp_cvx::{
     CellSeed, CertScratch, Certificate, FamilySolver, Problem, ProblemFamily, ProblemView,
@@ -37,6 +38,8 @@ pub(crate) struct CertPool {
     ws: CertScratch,
     inherited: usize,
     inherited_hits: u64,
+    /// Cumulative wall-clock seconds inside [`CertPool::screen_view`].
+    screen_s: f64,
 }
 
 impl CertPool {
@@ -51,6 +54,11 @@ impl CertPool {
     /// Screens hit against certificates inherited via [`CertPool::preload`].
     pub(crate) fn inherited_hits(&self) -> u64 {
         self.inherited_hits
+    }
+
+    /// Cumulative seconds spent screening views against the pool.
+    pub(crate) fn screen_seconds(&self) -> f64 {
+        self.screen_s
     }
 
     /// Adds verified certificates from a prior build (exempt from the MRU
@@ -78,12 +86,14 @@ impl CertPool {
     /// hit it again) and a hit on an inherited certificate is counted.
     /// Views come from a family + cell rhs ([`ProblemFamily::view_with`]).
     pub(crate) fn screen_view(&mut self, view: ProblemView<'_>) -> bool {
+        let t0 = Instant::now();
         let ws = &mut self.ws;
-        let Some(hit) = self
+        let hit = self
             .entries
             .iter()
-            .position(|(c, _)| c.certifies_view(view, ws))
-        else {
+            .position(|(c, _)| c.certifies_view(view, ws));
+        self.screen_s += t0.elapsed().as_secs_f64();
+        let Some(hit) = hit else {
             return false;
         };
         if self.entries[hit].1 {
@@ -618,6 +628,12 @@ impl<'a> PointSolver<'a> {
     /// row-reduction pass (`reduce_s` telemetry).
     pub fn reduce_seconds(&self) -> f64 {
         self.solver.reduce_seconds()
+    }
+
+    /// Cumulative wall-clock seconds this solver spent screening cells
+    /// against its certificate pool (`screen_s` telemetry).
+    pub fn screen_seconds(&self) -> f64 {
+        self.pool.screen_seconds()
     }
 
     /// Seeds the screening pool with certificates inherited from a prior

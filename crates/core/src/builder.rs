@@ -84,6 +84,9 @@ pub struct BuildStats {
     /// summed over workers — the honest cost of pruning, which
     /// `newton_steps` alone cannot show.
     pub reduce_s: f64,
+    /// Wall-clock seconds spent screening cells against the certificate
+    /// pool (the per-cell certificate checks), summed over workers.
+    pub screen_s: f64,
     /// Wall-clock seconds the one-time sweep-shared structure build took
     /// (the [`crate::AssignmentContext::family`] construction, row-pair
     /// analysis included); paid once per context, not per sweep.
@@ -189,6 +192,7 @@ struct ChunkStats {
     polish_mints: u64,
     chain_reentries: u64,
     reduce_s: f64,
+    screen_s: f64,
     /// Wall-clock seconds inside live column passes (screen + solves).
     column_s: f64,
     /// Columns that entered the live phase with work left to do.
@@ -421,6 +425,7 @@ impl TableBuilder {
                     }
                     stats.inherited_screens = solver.inherited_screens();
                     stats.reduce_s = solver.reduce_seconds();
+                    stats.screen_s = solver.screen_seconds();
                     Ok((entries, records, times, minted, stats))
                 }));
             }
@@ -463,6 +468,7 @@ impl TableBuilder {
             totals.polish_mints += stats.polish_mints;
             totals.chain_reentries += stats.chain_reentries;
             totals.reduce_s += stats.reduce_s;
+            totals.screen_s += stats.screen_s;
             totals.column_s += stats.column_s;
             totals.live_columns += stats.live_columns;
             certificates.extend(minted);
@@ -527,6 +533,7 @@ impl TableBuilder {
             polish_mints: totals.polish_mints,
             chain_reentries: totals.chain_reentries,
             reduce_s: totals.reduce_s,
+            screen_s: totals.screen_s,
             family_build_s,
             amortized_column_s: totals.column_s / totals.live_columns.max(1) as f64,
             rows_full: ctx.thermal_rows_full(),

@@ -262,14 +262,6 @@ impl Dense<'_> {
         }
     }
 
-    /// The `i`-th *active* linear row's nonzero span and its coefficients
-    /// over that span.
-    fn lin_row_span(&self, i: usize) -> (std::ops::Range<usize>, &[f64]) {
-        let r = self.rows.map_or(i, |rows| rows[i]);
-        let cols = self.spans[r].range();
-        (cols.clone(), &self.a.row(r)[cols])
-    }
-
     /// Active slacks `s = b − Ax` written into `slack` (length
     /// [`Dense::num_lin`]).
     fn slacks_into(&self, x: &[f64], slack: &mut [f64]) {
@@ -319,51 +311,70 @@ impl Dense<'_> {
     }
 
     /// Barrier function `t·f₀(x) − Σ log(sᵢ)`; `None` if any slack ≤ 0.
-    /// Each linear slack `bᵢ − aᵢ·x` it forms is written into `slack`
-    /// (length [`Dense::num_lin`]).
+    ///
+    /// The quadratic slacks `−qⱼ(x)` come first, into the first
+    /// `quad.len()` entries of `qslack`: a point that breaks one is
+    /// rejected there, before the row pass. On the MPC ladder a third of
+    /// the line-search trials break a frequency–power coupling (8
+    /// quadratic rows on Niagara-8 against about 2 900 active linear rows);
+    /// such a point gets `None` in either order, so checking the couplings
+    /// first only skips a row pass it never needed. Otherwise the linear
+    /// slacks `bᵢ − aᵢ·x` are formed into `slack` (length
+    /// [`Dense::num_lin`]) by [`Dense::slacks_into`], and the value folds
+    /// the same terms in the same order as ever: the objective, the linear
+    /// logs in row order, the quadratic logs in order.
     ///
     /// When the value is `Some`, every slack was formed and is positive,
-    /// and each equals [`Dense::slacks_into`]'s bit for bit: the two sums
-    /// differ only in the sign of an all-zero sum, which `bᵢ − ·` maps to
-    /// the same positive slack (the argument of
-    /// [`Dense::barrier_value_at_slacks`]). So an accepted line-search
-    /// trial's slacks are the next Newton step's, and
-    /// [`Dense::grad_hess_into`] skips that pass.
-    fn barrier_value(&self, t: f64, x: &[f64], slack: &mut [f64]) -> Option<f64> {
-        let slacks = slack.iter_mut().enumerate().map(|(i, out)| {
-            let (cols, row) = self.lin_row_span(i);
-            *out = self.b[i] - vecops::dot(row, &x[cols]);
-            *out
-        });
-        self.barrier_with(t, x, slacks)
+    /// and `slack` is exactly [`Dense::slacks_into`]'s output, so an
+    /// accepted line-search trial's slacks are the next Newton step's and
+    /// [`Dense::grad_hess_into`] skips that pass. When it is `None`,
+    /// `slack` is unspecified (untouched when a quadratic slack rejected
+    /// the point).
+    fn barrier_value(
+        &self,
+        t: f64,
+        x: &[f64],
+        slack: &mut [f64],
+        qslack: &mut [f64],
+    ) -> Option<f64> {
+        let qslack = &mut qslack[..self.quad.len()];
+        for (qs, q) in qslack.iter_mut().zip(self.quad) {
+            *qs = -q.eval(x);
+            if *qs <= 0.0 {
+                return None;
+            }
+        }
+        self.slacks_into(x, slack);
+        self.barrier_with(t, x, slack, qslack.iter().copied())
     }
 
     /// [`Dense::barrier_value`] at the point whose linear slacks `slack`
     /// holds (as [`Dense::grad_hess_into`] left them), without recomputing
     /// them.
     ///
-    /// The same bits as a fresh [`Dense::barrier_value`]. The two slack
-    /// sums differ only in the sign of an all-zero sum: `vecops::dot` folds
-    /// from `−0.0`, [`Matrix::matvec_rows_into`] from `+0.0`. `bᵢ − ·` maps
-    /// both signs to the same slack unless `bᵢ = ±0.0`, and then both
-    /// slacks are `≤ 0`, so both paths return `None`.
+    /// The same bits as a fresh [`Dense::barrier_value`], which forms the
+    /// slacks with the same kernel. They are also the bits of a per-row
+    /// `bᵢ − vecops::dot(aᵢ, x)`: the two sums differ only in the sign of
+    /// an all-zero sum (`vecops::dot` folds from `−0.0`,
+    /// [`Matrix::matvec_rows_into`] from `+0.0`), `bᵢ − ·` maps both signs
+    /// to the same slack unless `bᵢ = ±0.0`, and then both slacks are
+    /// `≤ 0`, so both return `None`.
     fn barrier_value_at_slacks(&self, t: f64, x: &[f64], slack: &[f64]) -> Option<f64> {
-        self.barrier_with(t, x, slack.iter().copied())
+        self.barrier_with(t, x, slack, self.quad.iter().map(|q| -q.eval(x)))
     }
 
-    /// `t·f₀(x) − Σ log(sᵢ)` over the linear slacks `slacks` (in row
-    /// order, pulled only while they stay positive) and the quadratic
-    /// ones.
-    fn barrier_with(&self, t: f64, x: &[f64], slacks: impl Iterator<Item = f64>) -> Option<f64> {
+    /// `t·f₀(x) − Σ log(sᵢ)` over the linear slacks `slack` (in row order,
+    /// read only while they stay positive) and the quadratic slacks
+    /// `qslack` (in constraint order).
+    fn barrier_with(
+        &self,
+        t: f64,
+        x: &[f64],
+        slack: &[f64],
+        qslack: impl Iterator<Item = f64>,
+    ) -> Option<f64> {
         let mut v = t * self.objective(x);
-        for s in slacks {
-            if s <= 0.0 {
-                return None;
-            }
-            v -= s.ln();
-        }
-        for q in self.quad {
-            let s = -q.eval(x);
+        for s in slack.iter().copied().chain(qslack) {
             if s <= 0.0 {
                 return None;
             }
@@ -380,15 +391,25 @@ impl Dense<'_> {
     /// far outside the region and Armijo would shrink `α` to nothing.
     /// `slack` holds the linear slacks at `x` as [`Dense::grad_hess_into`]
     /// left them; at a strictly feasible `x` each is positive and equals
-    /// `bᵢ − aᵢ·x` bit for bit. `tmp` is clobbered (a length-`n` buffer).
+    /// `bᵢ − aᵢ·x` bit for bit. The derivatives `aᵢ·dx` are formed into
+    /// `deriv` (length [`Dense::num_lin`]) by one pass of
+    /// [`Matrix::matvec_rows_into`]; they differ from a per-row
+    /// `vecops::dot` only in the sign of an all-zero sum, which the
+    /// `> 0` test cannot see. `tmp` is clobbered (a length-`n` buffer).
     /// Allocation-free.
-    fn max_step(&self, x: &[f64], dx: &[f64], slack: &[f64], tmp: &mut [f64]) -> f64 {
+    fn max_step(
+        &self,
+        x: &[f64],
+        dx: &[f64],
+        slack: &[f64],
+        deriv: &mut [f64],
+        tmp: &mut [f64],
+    ) -> f64 {
+        self.a.matvec_rows_into(self.spans, self.rows, dx, deriv);
         let mut alpha = 1.0_f64;
-        for (i, &sl) in slack.iter().enumerate() {
-            let (cols, row) = self.lin_row_span(i);
-            let deriv = vecops::dot(row, &dx[cols]);
-            if deriv > 0.0 {
-                alpha = alpha.min(0.99 * sl / deriv);
+        for (&sl, &d) in slack.iter().zip(&*deriv) {
+            if d > 0.0 {
+                alpha = alpha.min(0.99 * sl / d);
             }
         }
         for q in self.quad {
@@ -411,7 +432,7 @@ impl Dense<'_> {
     /// gradient.
     fn barrier_gradient_into(&self, x: &[f64], s: &mut DimScratch) {
         let m = self.num_lin();
-        s.ensure_rows(m);
+        s.ensure_rows(m, self.quad.len());
         let DimScratch {
             grad,
             qgrad,
@@ -456,7 +477,7 @@ impl Dense<'_> {
     /// sweep. Allocation-free after the row buffers have grown.
     fn grad_hess_into(&self, t: f64, x: &[f64], s: &mut DimScratch, slacks_at_x: bool) {
         let m = self.num_lin();
-        s.ensure_rows(m);
+        s.ensure_rows(m, self.quad.len());
         let DimScratch {
             grad,
             hess,
@@ -482,12 +503,14 @@ impl Dense<'_> {
             if !slacks_at_x {
                 self.slacks_into(x, slack);
             } else if cfg!(debug_assertions) {
-                // `w` is overwritten below: a fresh pass fits there.
-                self.slacks_into(x, w);
+                // Checked against a per-row `vecops::dot` over the whole
+                // row, not the kernel that formed the reused slacks, so a
+                // kernel or buffer-swap fault still shows here.
                 debug_assert!(
-                    w.iter()
-                        .zip(&*slack)
-                        .all(|(f, r)| f.to_bits() == r.to_bits()),
+                    slack.iter().enumerate().all(|(i, r)| {
+                        let fresh = self.b[i] - vecops::dot(self.lin_row(i), x);
+                        fresh.to_bits() == r.to_bits()
+                    }),
                     "the reused trial slacks must equal fresh ones"
                 );
             }
@@ -1221,8 +1244,8 @@ fn run_barrier(
             // this centering; on the centering's first step it comes from
             // the slacks at `x` that `grad_hess_into` left in `s.slack`.
             // Either way it is the same expression on the same inputs as a
-            // fresh `barrier_value` (into `s.w`, free until the next
-            // assembly), which debug builds check.
+            // fresh `barrier_value` (into `s.w` and `s.qslack`, free until
+            // the next assembly), which debug builds check.
             let slack = &s.slack[..m_lin];
             let psi0 = match psi_x {
                 Some(v) => Some(v),
@@ -1234,18 +1257,18 @@ fn run_barrier(
             debug_assert_eq!(
                 Some(psi0.to_bits()),
                 dense
-                    .barrier_value(t, &x, &mut s.w[..m_lin])
+                    .barrier_value(t, &x, &mut s.w[..m_lin], &mut s.qslack)
                     .map(f64::to_bits),
                 "the reused line-search start value must equal a fresh one"
             );
-            let mut alpha = dense.max_step(&x, &s.dx, slack, &mut s.qgrad);
+            let mut alpha = dense.max_step(&x, &s.dx, slack, &mut s.w[..m_lin], &mut s.qgrad);
             let mut accepted = false;
             while alpha > 1e-14 {
                 vecops::add_scaled_into(&x, alpha, &s.dx, &mut s.cand);
                 // `s.w` is free until the next assembly: it takes the
                 // trial's slacks, which an accepted trial hands over.
                 let trial_slack = &mut s.w[..m_lin];
-                if let Some(psi) = dense.barrier_value(t, &s.cand, trial_slack) {
+                if let Some(psi) = dense.barrier_value(t, &s.cand, trial_slack, &mut s.qslack) {
                     if psi <= psi0 - o.armijo * alpha * lambda2 {
                         std::mem::swap(&mut x, &mut s.cand);
                         std::mem::swap(&mut s.slack, &mut s.w);
@@ -1706,6 +1729,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
+    use crate::reduce::tests::Mix;
     use crate::{CellSeed, FamilySolver, ProblemFamily, Solution, SolveStatus};
 
     fn solve(p: &Problem) -> Solution {
@@ -1998,5 +2022,193 @@ mod tests {
         // Known optimum of this classic QP: (2/3, 4/3).
         assert!((s.x[0] - 2.0 / 3.0).abs() < 1e-3, "x0={}", s.x[0]);
         assert!((s.x[1] - 4.0 / 3.0).abs() < 1e-3, "x1={}", s.x[1]);
+    }
+
+    /// A value in `[lo, hi)`, or `±0.0` one time in `zero_in`.
+    fn or_zero(rng: &mut Mix, lo: f64, hi: f64, zero_in: usize) -> f64 {
+        match rng.below(2 * zero_in) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.range(lo, hi),
+        }
+    }
+
+    /// A Niagara-shaped family over `k` frequencies `φ` (columns `0..k`)
+    /// and `k` powers `p` (columns `k..2k`): box rows, ten temperature-like
+    /// rows over the power block (so runs of four share a span, some with
+    /// `±0.0` inside it), a workload row over the frequencies and one
+    /// coupling `leakᵢ + p_maxᵢ·φᵢ² ≤ pᵢ` per core.
+    fn coupled_family(rng: &mut Mix, k: usize) -> Problem {
+        let n = 2 * k;
+        let mut p = Problem::new(n);
+        p.set_quadratic_objective(
+            Matrix::from_diag(&vec![0.5; n]),
+            (0..n).map(|_| rng.range(-1.0, 1.0)).collect(),
+        );
+        for i in 0..k {
+            p.add_box(i, 0.0, 1.0);
+            p.add_box(k + i, 0.0, 2.0);
+        }
+        for _ in 0..10 {
+            let mut row = vec![0.0; n];
+            for (j, v) in row[k..].iter_mut().enumerate() {
+                // Keep the span's ends nonzero so the rows share it.
+                *v = if j == 0 || j == k - 1 {
+                    rng.range(0.2, 1.0)
+                } else {
+                    or_zero(rng, 0.2, 1.0, 4)
+                };
+            }
+            p.add_linear_le(row, rng.range(2.0, 4.0));
+        }
+        let mut work = vec![0.0; n];
+        work[..k].fill(-1.0);
+        p.add_linear_le(work, -0.5);
+        for i in 0..k {
+            let mut pq = Matrix::zeros(n, n);
+            pq[(i, i)] = 2.0 * rng.range(0.5, 1.5);
+            let mut q = vec![0.0; n];
+            q[k + i] = -1.0;
+            p.add_quad_le(pq, q, -rng.range(0.05, 0.2));
+        }
+        p
+    }
+
+    /// The per-row reference for `barrier_value`: one `vecops::dot` per
+    /// row over its span, each slack written as formed, the first
+    /// non-positive one returning `None`, and the couplings after the rows.
+    fn barrier_value_per_row(d: &Dense<'_>, t: f64, x: &[f64], slack: &mut [f64]) -> Option<f64> {
+        let mut v = t * d.objective(x);
+        for (i, out) in slack.iter_mut().enumerate() {
+            let r = d.rows.map_or(i, |rows| rows[i]);
+            let cols = d.spans[r].range();
+            *out = d.b[i] - vecops::dot(&d.a.row(r)[cols.clone()], &x[cols]);
+            if *out <= 0.0 {
+                return None;
+            }
+            v -= out.ln();
+        }
+        for q in d.quad {
+            let s = -q.eval(x);
+            if s <= 0.0 {
+                return None;
+            }
+            v -= s.ln();
+        }
+        v.is_finite().then_some(v)
+    }
+
+    /// The per-row reference for `max_step`: one `vecops::dot` per row
+    /// over its span.
+    fn max_step_per_row(d: &Dense<'_>, x: &[f64], dx: &[f64], slack: &[f64]) -> f64 {
+        let mut alpha = 1.0_f64;
+        for (i, &sl) in slack.iter().enumerate() {
+            let r = d.rows.map_or(i, |rows| rows[i]);
+            let cols = d.spans[r].range();
+            let deriv = vecops::dot(&d.a.row(r)[cols.clone()], &dx[cols]);
+            if deriv > 0.0 {
+                alpha = alpha.min(0.99 * sl / deriv);
+            }
+        }
+        let mut tmp = vec![0.0; d.n];
+        for q in d.quad {
+            q.gradient_into(x, &mut tmp);
+            let deriv = vecops::dot(&tmp, dx);
+            if deriv > 0.0 {
+                alpha = alpha.min(0.99 * -q.eval(x) / deriv);
+            }
+        }
+        alpha.max(1e-14)
+    }
+
+    #[test]
+    fn a_broken_coupling_rejects_before_the_row_pass() {
+        let p = coupled_family(&mut Mix(3), 4);
+        let proj = project_problem(&p, &[], None);
+        let d = proj.view(p.lin_rhs(), None);
+        // Inside every linear row, but core 0 runs at full frequency on
+        // a tenth of its power: only its coupling breaks.
+        let mut x = vec![0.3; 8];
+        x[4..].fill(0.5);
+        x[0] = 1.0 - 1e-9;
+        x[4] = 0.1;
+        assert!((0..d.num_lin()).all(|i| d.b[i] - vecops::dot(d.lin_row(i), &x) > 0.0));
+        assert!(d.quad[0].eval(&x) > 0.0);
+        assert!(d.quad[1..].iter().all(|q| q.eval(&x) < 0.0));
+        let sentinel = f64::NAN.to_bits() ^ 0x5a5a;
+        let mut slack = vec![f64::from_bits(sentinel); d.num_lin()];
+        let mut qslack = vec![0.0; d.quad.len()];
+        assert_eq!(d.barrier_value(1.0, &x, &mut slack, &mut qslack), None);
+        assert!(
+            slack.iter().all(|s| s.to_bits() == sentinel),
+            "a coupling-rejected point must not reach the row pass"
+        );
+        // The per-row formulation agrees, after writing every slack.
+        let mut want = vec![0.0; d.num_lin()];
+        assert_eq!(barrier_value_per_row(&d, 1.0, &x, &mut want), None);
+        assert!(want.iter().all(|s| *s > 0.0));
+    }
+
+    #[test]
+    fn coupling_first_barrier_and_kernel_max_step_match_the_per_row_form() {
+        // (coupling broken, linear row broken) → points seen.
+        let mut seen = [[0usize; 2]; 2];
+        for seed in 0..12 {
+            let mut rng = Mix(seed);
+            let k = 3 + (seed as usize % 3);
+            let p = coupled_family(&mut rng, k);
+            let proj = project_problem(&p, &[], None);
+            let m = p.lin_rows().len();
+            let subset: Vec<usize> = (0..m).filter(|_| rng.below(5) != 0).collect();
+            let b_subset: Vec<f64> = subset.iter().map(|&r| p.lin_rhs()[r]).collect();
+            for (b, rows) in [(p.lin_rhs(), None), (&b_subset[..], Some(&subset[..]))] {
+                let d = proj.view(b, rows);
+                let mut slack = vec![0.0; d.num_lin()];
+                let mut want = vec![0.0; d.num_lin()];
+                let mut deriv = vec![0.0; d.num_lin()];
+                let mut qslack = vec![0.0; d.quad.len() + 2];
+                let mut tmp = vec![0.0; d.n];
+                for _ in 0..60 {
+                    let x: Vec<f64> = (0..d.n)
+                        .map(|j| {
+                            let hi = if j < k { 1.05 } else { 2.1 };
+                            or_zero(&mut rng, -0.02, hi, 8)
+                        })
+                        .collect();
+                    let dx: Vec<f64> = (0..d.n).map(|_| or_zero(&mut rng, -1.0, 1.0, 4)).collect();
+                    let t = rng.range(0.5, 50.0);
+                    let coupling = d.quad.iter().any(|q| q.eval(&x) >= 0.0);
+                    let linear =
+                        (0..d.num_lin()).any(|i| d.b[i] - vecops::dot(d.lin_row(i), &x) <= 0.0);
+                    seen[usize::from(coupling)][usize::from(linear)] += 1;
+
+                    let got = d.barrier_value(t, &x, &mut slack, &mut qslack);
+                    let expect = barrier_value_per_row(&d, t, &x, &mut want);
+                    assert_eq!(got.map(f64::to_bits), expect.map(f64::to_bits));
+                    assert_eq!(got.is_some(), !coupling && !linear);
+                    if got.is_some() {
+                        assert!(slack
+                            .iter()
+                            .zip(&want)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()));
+                    }
+
+                    // `max_step` at the point's full slack vector, feasible
+                    // or not: the same arithmetic either way.
+                    for (i, w) in want.iter_mut().enumerate() {
+                        *w = d.b[i] - vecops::dot(d.lin_row(i), &x);
+                    }
+                    let alpha = d.max_step(&x, &dx, &want, &mut deriv, &mut tmp);
+                    assert_eq!(
+                        alpha.to_bits(),
+                        max_step_per_row(&d, &x, &dx, &want).to_bits()
+                    );
+                }
+            }
+        }
+        assert!(
+            seen.iter().flatten().all(|&c| c > 0),
+            "(coupling, linear) cases seen: {seen:?}"
+        );
     }
 }

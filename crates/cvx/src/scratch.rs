@@ -44,10 +44,14 @@ pub(crate) struct DimScratch {
     /// Constraint slacks `b − Ax` (one per linear row; grows to the row
     /// count on first use).
     pub slack: Vec<f64>,
-    /// Constraint weights `1/s` then `1/s²` (one per linear row). Between
-    /// two Newton assemblies the line search writes its trial point's
-    /// slacks here; an accepted trial swaps them into `slack`.
+    /// Constraint weights `1/s` then `1/s²` (one per linear row). Free
+    /// between two Newton assemblies: the line search first writes the
+    /// step's fraction-to-boundary derivatives `A·dx` here, then each trial
+    /// point's slacks; an accepted trial swaps its slacks into `slack`.
     pub w: Vec<f64>,
+    /// A line-search trial point's quadratic-constraint slacks (one per
+    /// quadratic constraint), formed before its linear ones.
+    pub qslack: Vec<f64>,
     /// Cholesky factor storage, refactored every Newton step.
     pub chol: Cholesky,
 }
@@ -66,17 +70,21 @@ impl DimScratch {
             center: vec![0.0; n],
             slack: Vec::new(),
             w: Vec::new(),
+            qslack: Vec::new(),
             chol: Cholesky::zeroed(n),
         }
     }
 
-    /// Grows the per-row buffers to cover `m` constraint rows. A no-op
-    /// (and allocation-free) once they have reached the problem family's
-    /// row count.
-    pub(crate) fn ensure_rows(&mut self, m: usize) {
+    /// Grows the per-constraint buffers to cover `m` linear rows and `q`
+    /// quadratic constraints. A no-op (and allocation-free) once they have
+    /// reached the problem family's counts.
+    pub(crate) fn ensure_rows(&mut self, m: usize, q: usize) {
         if self.slack.len() < m {
             self.slack.resize(m, 0.0);
             self.w.resize(m, 0.0);
+        }
+        if self.qslack.len() < q {
+            self.qslack.resize(q, 0.0);
         }
     }
 }
@@ -134,8 +142,8 @@ mod tests {
     #[test]
     fn footprint_matches_req() {
         // A fresh slot holds seven n-vectors and n × n matrices for the
-        // Hessian and its scaled copy; the per-row buffers start empty and
-        // only ever grow, to the largest row count seen.
+        // Hessian and its scaled copy; the per-constraint buffers start
+        // empty and only ever grow, to the largest counts seen.
         let mut s = SolverScratch::new();
         let d = s.for_dim(3);
         for v in [
@@ -145,9 +153,9 @@ mod tests {
         }
         assert_eq!(d.hess.shape(), (3, 3));
         assert_eq!(d.hs.shape(), (3, 3));
-        assert!(d.slack.is_empty() && d.w.is_empty());
-        d.ensure_rows(5);
-        d.ensure_rows(2);
-        assert_eq!((d.slack.len(), d.w.len()), (5, 5));
+        assert!(d.slack.is_empty() && d.w.is_empty() && d.qslack.is_empty());
+        d.ensure_rows(5, 2);
+        d.ensure_rows(2, 1);
+        assert_eq!((d.slack.len(), d.w.len(), d.qslack.len()), (5, 5, 2));
     }
 }

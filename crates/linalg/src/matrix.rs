@@ -249,17 +249,27 @@ impl Matrix {
     /// (every row). Each product reads only the row's span
     /// `spans[base(i)]`.
     ///
-    /// The kernel behind the barrier's slacks `b − Ax`. A *pruned*
-    /// constraint system keeps the full packed row matrix and hands the
-    /// surviving row indices here instead of materializing a reduced copy;
-    /// an unpruned one passes `None`. `spans` is [`Matrix::row_spans`],
-    /// computed once, never per call.
+    /// The kernel behind every per-row pass of the barrier: the slacks
+    /// `b − Ax` (a Newton step's and each line-search trial's) and the
+    /// fraction-to-boundary derivatives `A·dx`. A *pruned* constraint
+    /// system keeps the full packed row matrix and hands the surviving row
+    /// indices here instead of materializing a reduced copy; an unpruned
+    /// one passes `None`. `spans` is [`Matrix::row_spans`], computed once,
+    /// never per call.
     ///
-    /// Bit-identical to the dense product for finite operands: each entry
-    /// is a fold `acc += a·x` from `+0.0` in column order, and the columns
-    /// the span leaves out hold `±0.0` coefficients whose products cannot
-    /// change such a fold (see the [`RowSpan`] docs). An all-zero row
-    /// gives `+0.0`. Allocation-free.
+    /// Four consecutive viewed rows that share one span are folded
+    /// together, one accumulator each, over that span's columns: the four
+    /// add chains are independent, so they overlap instead of each add
+    /// waiting on the one before. Constraint families lay out like this
+    /// (the temperature and gradient rows of one block share a span).
+    /// Other rows are folded one at a time.
+    ///
+    /// Bit-identical to the dense product for finite operands: each entry,
+    /// in a group of four or alone, is its own row's fold `acc += a·x` from
+    /// `+0.0` in column order, and the columns the span leaves out hold
+    /// `±0.0` coefficients whose products cannot change such a fold (see
+    /// the [`RowSpan`] docs). An all-zero row gives `+0.0`.
+    /// Allocation-free.
     ///
     /// # Panics
     ///
@@ -278,27 +288,53 @@ impl Matrix {
         let m = rows.map_or(self.rows, <[usize]>::len);
         assert_eq!(y.len(), m, "matvec_rows output length mismatch");
         match rows {
-            Some(r) => self.matvec_span_impl(spans, r.iter().copied(), x, y),
-            None => self.matvec_span_impl(spans, 0..self.rows, x, y),
+            Some(r) => self.matvec_span_impl(spans, |i| r[i], x, y),
+            None => self.matvec_span_impl(spans, |i| i, x, y),
         }
     }
 
     /// The one implementation behind [`Matrix::matvec_rows_into`]'s subset
-    /// and full views: `base` yields the row behind each output entry.
+    /// and full views: `base(i)` is the row behind output entry `i`.
     fn matvec_span_impl(
         &self,
         spans: &[RowSpan],
-        base: impl Iterator<Item = usize>,
+        base: impl Fn(usize) -> usize,
         x: &[f64],
         y: &mut [f64],
     ) {
-        for (yr, r) in y.iter_mut().zip(base) {
-            let cols = spans[r].range();
-            let mut acc = 0.0;
-            for (a, b) in self.row(r)[cols.clone()].iter().zip(&x[cols]) {
-                acc += a * b;
+        // Row `r`'s coefficients over the span `s`.
+        let over = |r: usize, s: RowSpan| &self.data[r * self.cols + s.start..][..s.end - s.start];
+        let m = y.len();
+        let mut i = 0;
+        while i < m {
+            let r = base(i);
+            let s = spans[r];
+            let xs = &x[s.range()];
+            if i + 4 <= m
+                && spans[base(i + 1)] == s
+                && spans[base(i + 2)] == s
+                && spans[base(i + 3)] == s
+            {
+                let (r0, r1, r2) = (over(r, s), over(base(i + 1), s), over(base(i + 2), s));
+                let r3 = over(base(i + 3), s);
+                let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
+                for c in 0..xs.len() {
+                    let xc = xs[c];
+                    a0 += r0[c] * xc;
+                    a1 += r1[c] * xc;
+                    a2 += r2[c] * xc;
+                    a3 += r3[c] * xc;
+                }
+                y[i..i + 4].copy_from_slice(&[a0, a1, a2, a3]);
+                i += 4;
+            } else {
+                let mut acc = 0.0;
+                for (a, b) in over(r, s).iter().zip(xs) {
+                    acc += a * b;
+                }
+                y[i] = acc;
+                i += 1;
             }
-            *yr = acc;
         }
     }
 
